@@ -23,7 +23,7 @@
     python -m repro profile --app bfs --scale 10 --hosts 8 --layer lci \\
         [--top 15] [--json prof.json] [--collapsed prof.folded]
     python -m repro bench-core [--out BENCH_core.json] \\
-        [--check BENCH_core.json] [--compare OLD.json] [--overhead]
+        [--check BENCH_core.json]
     python -m repro run ... --comm comm.json
     python -m repro explain obs.json --comm
     python -m repro commstats --app bfs --scale 10 --hosts 8 --layer lci
@@ -327,35 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench_core.add_argument("--out", metavar="PATH",
                             help="write the benchmark document here")
     bench_core.add_argument("--check", metavar="PATH",
-                            help="compare the deterministic blocks "
-                                 "against a committed document "
-                                 "(wall-clock ignored); exit 1 on drift")
+                            help="compare against a committed document; "
+                                 "exit 1 on drift")
     bench_core.add_argument("--repeats", type=int, default=2,
-                            help="timed runs per scenario (min taken; "
-                                 "every repeat must reproduce the "
-                                 "counter fingerprint)")
-    bench_core.add_argument("--compare", metavar="PATH",
-                            dest="compare_path",
-                            help="print per-scenario events/sec and "
-                                 "msgs/sec deltas vs an older document; "
-                                 "exit 1 on sim-fingerprint mismatch")
-    bench_core.add_argument("--regress-limit", type=float, default=None,
-                            metavar="PCT",
-                            help="with --compare: exit 1 if any "
-                                 "scenario's events/sec regressed more "
-                                 "than PCT percent")
-    bench_core.add_argument("--trajectory-note", metavar="NOTE",
-                            help="with --out: carry the old file's "
-                                 "perf-trajectory points forward and "
-                                 "append this run as NOTE")
-    bench_core.add_argument("--overhead", action="store_true",
-                            help="also measure profiler-on vs "
-                                 "profiler-off CPU-time overhead "
-                                 "(median of paired ratios)")
-    bench_core.add_argument("--overhead-limit", type=float, default=None,
-                            metavar="PCT",
-                            help="with --overhead: exit 1 if overhead "
-                                 "exceeds PCT percent")
+                            help="runs per scenario (every repeat must "
+                                 "reproduce the counter fingerprint)")
 
     lint = sub.add_parser(
         "lint", help="static determinism lint over the simulation sources"
@@ -871,26 +847,15 @@ def _cmd_commstats(args) -> int:
     return 0
 
 
-def _cmd_bench_serve(args) -> int:
-    import json
+def _write_and_check_bench(doc: dict, args, verb: str) -> int:
+    """The shared tail of ``bench-serve`` / ``bench-core``: ``--out``
+    writes the canonical document, ``--check`` fails on any drift."""
+    from repro.bench.serve_bench import bench_doc_to_json, check_against_file
 
-    from repro.bench.serve_bench import (
-        bench_doc_to_json,
-        check_against_file,
-        serve_benchmark,
-    )
-
-    doc = serve_benchmark()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(bench_doc_to_json(doc))
         print(f"benchmark written to {args.out}")
-    serve_doc = doc["serve"]
-    print(f"serve: {serve_doc['throughput']['queries_per_sec']} queries/s, "
-          f"p50 {serve_doc['latency']['p50_us']}us, "
-          f"p95 {serve_doc['latency']['p95_us']}us, "
-          f"p99 {serve_doc['latency']['p99_us']}us, "
-          f"{serve_doc['throughput']['messages_per_sec']} msgs/s")
     if args.check:
         diffs = check_against_file(doc, args.check)
         if diffs is None:
@@ -901,11 +866,24 @@ def _cmd_bench_serve(args) -> int:
             for d in diffs[:20]:
                 print(f"benchmark drift: {d}", file=sys.stderr)
             print(f"{len(diffs)} mismatch(es) vs {args.check}; regenerate "
-                  f"with `repro bench-serve --out {args.check}` if the "
+                  f"with `repro {verb} --out {args.check}` if the "
                   "change is intended", file=sys.stderr)
             return 1
         print(f"matches committed {args.check}")
     return 0
+
+
+def _cmd_bench_serve(args) -> int:
+    from repro.bench.serve_bench import serve_benchmark
+
+    doc = serve_benchmark()
+    serve_doc = doc["serve"]
+    print(f"serve: {serve_doc['throughput']['queries_per_sec']} queries/s, "
+          f"p50 {serve_doc['latency']['p50_us']}us, "
+          f"p95 {serve_doc['latency']['p95_us']}us, "
+          f"p99 {serve_doc['latency']['p99_us']}us, "
+          f"{serve_doc['throughput']['messages_per_sec']} msgs/s")
+    return _write_and_check_bench(doc, args, "bench-serve")
 
 
 def _cmd_profile(args) -> int:
@@ -940,94 +918,20 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_bench_core(args) -> int:
-    import json as _json
-
-    from repro.bench.core_bench import (
-        bench_core_to_json,
-        check_core_against_file,
-        compare_core_perf,
-        core_benchmark,
-        measure_overhead,
-        with_trajectory,
-    )
-
-    def _load(path):
-        try:
-            with open(path) as fh:
-                return _json.load(fh)
-        except (OSError, ValueError):
-            return None
+    from repro.bench.core_bench import core_benchmark
 
     try:
         doc = core_benchmark(repeats=args.repeats)
     except AssertionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        if args.trajectory_note is not None:
-            doc = with_trajectory(doc, _load(args.out), args.trajectory_note)
-        with open(args.out, "w") as fh:
-            fh.write(bench_core_to_json(doc))
-        print(f"benchmark written to {args.out}")
     for row in doc["scenarios"]:
-        sim, wall = row["sim"], row["wall"]
-        print(f"{row['label']}: {sim['events_fired']} events in "
-              f"{wall['wall_seconds']}s wall "
-              f"({wall['events_per_sec']} events/s, "
-              f"{wall['sim_msgs_per_sec']} sim-msgs/s), "
+        sim = row["sim"]
+        print(f"{row['label']}: {sim['events_fired']} events, "
               f"fingerprint {sim['fingerprint']}, "
               f"comm {sim['comm']['wire_bytes']} B "
               f"[{sim['comm']['fingerprint']}]")
-    rc = 0
-    if args.check:
-        diffs = check_core_against_file(doc, args.check)
-        if diffs is None:
-            print(f"error: cannot read committed benchmark {args.check}",
-                  file=sys.stderr)
-            return 1
-        if diffs:
-            for d in diffs[:20]:
-                print(f"benchmark drift: {d}", file=sys.stderr)
-            print(f"{len(diffs)} mismatch(es) vs {args.check}; regenerate "
-                  f"with `repro bench-core --out {args.check}` if the "
-                  "change is intended", file=sys.stderr)
-            return 1
-        print(f"deterministic blocks match committed {args.check} "
-              "(wall-clock ignored)")
-    if args.compare_path:
-        old = _load(args.compare_path)
-        if old is None:
-            print(f"error: cannot read benchmark {args.compare_path}",
-                  file=sys.stderr)
-            return 1
-        lines, errors, deltas = compare_core_perf(doc, old)
-        for line in lines:
-            print(f"perf delta: {line}")
-        for err in errors:
-            print(f"error: {err}", file=sys.stderr)
-        if errors:
-            return 1
-        if args.regress_limit is not None:
-            bad = {
-                label: pct for label, pct in deltas.items()
-                if pct < -args.regress_limit
-            }
-            for label, pct in sorted(bad.items()):
-                print(f"error: {label}: events/sec regressed {pct:+.1f}% "
-                      f"(limit -{args.regress_limit}%)", file=sys.stderr)
-            if bad:
-                rc = 1
-    if args.overhead:
-        o = measure_overhead()
-        print(f"profiler overhead on {o['scenario']}: "
-              f"{o['wall_off']}s off vs {o['wall_on']}s on "
-              f"({o['overhead_pct']:+.2f}%)")
-        if (args.overhead_limit is not None
-                and o["overhead_pct"] > args.overhead_limit):
-            print(f"error: overhead {o['overhead_pct']}% exceeds limit "
-                  f"{args.overhead_limit}%", file=sys.stderr)
-            rc = 1
-    return rc
+    return _write_and_check_bench(doc, args, "bench-core")
 
 
 def _cmd_lint(args) -> int:

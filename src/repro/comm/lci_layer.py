@@ -45,8 +45,8 @@ class LciCommLayer(CommLayer):
     ):
         super().__init__(env, host, machine)
         self.rt = runtime
-        self.obs = getattr(runtime.nic.fabric, "obs", None)
-        self.commstats = getattr(runtime.nic.fabric, "commstats", None)
+        self.obs = runtime.nic.fabric.obs
+        self.commstats = runtime.nic.fabric.commstats
         #: Rendezvous receive requests not yet complete, keyed by request.
         self._pending_recvs: List[LciRequest] = []
         # Fixed pool memory is communication-buffer memory (Fig. 5).

@@ -75,8 +75,8 @@ class ProbeCommLayer(CommLayer):
     ):
         super().__init__(env, host, machine)
         self.ep = endpoint
-        self.obs = getattr(endpoint.nic.fabric, "obs", None)
-        self.commstats = getattr(endpoint.nic.fabric, "commstats", None)
+        self.obs = endpoint.nic.fabric.obs
+        self.commstats = endpoint.nic.fabric.commstats
         self.flush_timeout = flush_timeout
         self.inline_sends = inline_sends
         self.buffered = buffered

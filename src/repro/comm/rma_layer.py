@@ -64,8 +64,8 @@ class RmaCommLayer(CommLayer):
     ):
         super().__init__(env, host, machine)
         self.ep = endpoint
-        self.obs = getattr(endpoint.nic.fabric, "obs", None)
-        self.commstats = getattr(endpoint.nic.fabric, "commstats", None)
+        self.obs = endpoint.nic.fabric.obs
+        self.commstats = endpoint.nic.fabric.commstats
         #: pattern name -> MpiWindow (shared across all hosts' layers).
         self.windows: Dict[str, MpiWindow] = {}
         self._staged: Dict[object, int] = {}  # phase -> staged bytes

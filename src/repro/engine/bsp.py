@@ -39,7 +39,6 @@ from repro.graph.csr import CsrGraph
 from repro.graph.partition import make_partition
 from repro.graph.partition.proxies import Partition
 from repro.netapi.nic import Fabric
-from repro.obs.profile import LEAF_SAMPLE_MASK, LEAF_SAMPLE_STRIDE
 from repro.sanitize.runtime import SanitizerContext, resolve_mode
 from repro.sim.engine import Environment
 from repro.sim.machine import MachineModel, stampede2
@@ -189,32 +188,39 @@ class BspEngine:
             self.commstats.install(self.env, self.fabric,
                                    layer=config.layer)
         # Host-side profiling rides the fabric/environment the same way
-        # (and must precede the layers so matching queues and packet
-        # pools pick up their counter hooks at construction).
-        self.profiler = config.profile
-        # Engine work totals are plain instance ints bumped on the hot
-        # path and folded into the counter registry by a deferred source
-        # at snapshot time — the same never-touch-the-registry-per-op
-        # pattern the NIC and matching queues use.
-        self._t_host_rounds = 0
-        self._t_blobs = 0
-        self._t_blob_bytes = 0
-        self._t_updates = 0
-        self._t_scattered = 0
-        # [cum_seconds, calls] cells for the per-blob/per-round leaf
-        # regions, folded into the region tree by a deferred leaf
-        # source.  The per-blob cells (pack/apply) sample the clock
-        # every LEAF_SAMPLE_STRIDE'th call; per-phase cells are fully
-        # timed.
-        self._r_compute = [0.0, 0]
-        self._r_gather = [0.0, 0]
-        self._r_pack = [0.0, 0]
-        self._r_scatter = [0.0, 0]
-        self._r_apply = [0.0, 0]
-        if self.profiler is not None:
-            self.profiler.install(self.env, self.fabric)
-            self.profiler.add_source(self._profile_counts)
-            self.profiler.add_leaf_source(self._profile_regions)
+        # (and must precede the layers so endpoints and packet pools
+        # register their counter sources at construction).  The app's
+        # kernels, the blob packer and the gather/scatter steps are
+        # wrapped once here; all of them run synchronously inside the
+        # event loop, so their region paths are static.
+        self.profiler = prof = config.profile
+        self._compute = app.compute
+        self._pack = pack_updates
+        self._apply_reduce = app.apply_reduce
+        self._apply_bcast = app.apply_bcast
+        # Blob totals the always-on per-host lists below do not carry,
+        # for the deferred counter source.
+        self._blobs_packed = 0
+        self._blobs_scattered = 0
+        if prof is not None:
+            prof.install(self.env, self.fabric)
+            prof.add_source(self._profile_counts)
+            run = "sim.engine.run"
+            gather = f"{run};engine.bsp.gather"
+            scatter = f"{run};engine.bsp.scatter"
+            self._compute = prof.timed(f"{run};engine.bsp.compute", app.compute)
+            self._gather = prof.timed(gather, self._gather)
+            self._pack = prof.timed(
+                f"{gather};comm.serialization.pack", pack_updates, sampled=True
+            )
+            self._scatter = prof.timed(scatter, self._scatter)
+            self._apply_deferred = prof.timed(scatter, self._apply_deferred)
+            self._apply_reduce = prof.timed(
+                f"{scatter};engine.bsp.apply", app.apply_reduce, sampled=True
+            )
+            self._apply_bcast = prof.timed(
+                f"{scatter};engine.bsp.apply", app.apply_bcast, sampled=True
+            )
         self.layers: List[CommLayer] = make_layers(
             config.layer, self.env, self.fabric, config.machine,
             **config.layer_kwargs,
@@ -257,32 +263,11 @@ class BspEngine:
         """
         lname = self.config.layer
         return (
-            ("engine.host_rounds", self._t_host_rounds),
-            (f"comm.{lname}.blobs", self._t_blobs),
-            (f"comm.{lname}.bytes", self._t_blob_bytes),
-            ("engine.updates_shipped", self._t_updates),
-            ("engine.blobs_scattered", self._t_scattered),
-        )
-
-    def _profile_regions(self):
-        """Deferred leaf-region source: per-blob/per-round timing cells.
-
-        All of these regions run synchronously inside the event loop
-        (no yields between their clock reads), so their nesting is known
-        statically and the whole subtree can be folded in at snapshot
-        time instead of paying enter/exit stack traffic per phase.
-        """
-        return (
-            ("sim.engine.run", "engine.bsp.compute",
-             self._r_compute[0], self._r_compute[1]),
-            ("sim.engine.run", "engine.bsp.gather",
-             self._r_gather[0], self._r_gather[1]),
-            ("sim.engine.run;engine.bsp.gather", "comm.serialization.pack",
-             self._r_pack[0] * LEAF_SAMPLE_STRIDE, self._r_pack[1]),
-            ("sim.engine.run", "engine.bsp.scatter",
-             self._r_scatter[0], self._r_scatter[1]),
-            ("sim.engine.run;engine.bsp.scatter", "engine.bsp.apply",
-             self._r_apply[0] * LEAF_SAMPLE_STRIDE, self._r_apply[1]),
+            ("engine.host_rounds", sum(map(len, self._compute_rounds))),
+            (f"comm.{lname}.blobs", self._blobs_packed),
+            (f"comm.{lname}.bytes", sum(self._payload_bytes)),
+            ("engine.updates_shipped", sum(self._updates_shipped)),
+            ("engine.blobs_scattered", self._blobs_scattered),
         )
 
     # ------------------------------------------------------------------
@@ -296,7 +281,13 @@ class BspEngine:
             self.env.process(self._host_proc(h), name=f"host-{h}")
             for h in range(self.config.num_hosts)
         ]
-        self.env.run(max_events=self.config.max_events)
+        try:
+            self.env.run(max_events=self.config.max_events)
+        finally:
+            if self.profiler is not None:
+                # Keep the counter totals, drop the callbacks: a context
+                # that outlives this engine must not keep it alive.
+                self.profiler.settle()
         for p in procs:
             if not p.triggered:
                 if self.injector is not None:
@@ -348,22 +339,11 @@ class BspEngine:
         )
 
         tracer = self.tracer
-        prof = self.profiler
         rnd = 0
         while True:
             # ---------------- compute phase ----------------
             t0 = env.now
-            if prof is not None:
-                r_compute = self._r_compute
-                pt0 = prof.clock()
-                try:
-                    res = app.compute(lg, state, active)
-                finally:
-                    r_compute[0] += prof.clock() - pt0
-                    r_compute[1] += 1
-                self._t_host_rounds += 1
-            else:
-                res = app.compute(lg, state, active)
+            res = self._compute(lg, state, active)
             compute_cost = (
                 res.work_nodes * cpu.per_node_cost
                 + res.work_edges * cpu.per_edge_cost
@@ -468,58 +448,14 @@ class BspEngine:
         out, out_hosts, in_hosts, in_map = cache
         if is_reduce:
             get_values = app.reduce_values
-            apply_values = app.apply_reduce
+            apply_values = self._apply_reduce
         else:
             get_values = app.bcast_values
-            apply_values = app.apply_bcast
+            apply_values = self._apply_bcast
         yield from layer.phase_begin(phase, out_hosts, in_hosts)
 
         # Gather: pack each pair's dirty subset (parallel across threads).
-        prof = self.profiler
-        if prof is not None:
-            pclock = prof.clock
-            r_pack, r_apply = self._r_pack, self._r_apply
-            g0 = pclock()
-        blobs = []
-        gather_cost = 0.0
-        for dst, ids_mine, sp in out:
-            positions = np.where(dirty[ids_mine])[0].astype(np.int64)
-            values = get_values(state, ids_mine[positions])
-            if prof is None:
-                blob = pack_updates(
-                    positions, values, len(sp), app.field_bytes, phase=phase
-                )
-            else:
-                n = r_pack[1] + 1
-                r_pack[1] = n
-                if n & LEAF_SAMPLE_MASK:
-                    blob = pack_updates(
-                        positions, values, len(sp), app.field_bytes,
-                        phase=phase,
-                    )
-                else:
-                    t0 = pclock()
-                    blob = pack_updates(
-                        positions, values, len(sp), app.field_bytes,
-                        phase=phase,
-                    )
-                    r_pack[0] += pclock() - t0
-            blobs.append((dst, blob, ids_mine))
-            gather_cost += pack_cost(cpu, len(positions), blob.nbytes)
-            self._payload_bytes[h] += blob.nbytes
-            self._updates_shipped[h] += len(positions)
-        if prof is not None:
-            r_gather = self._r_gather
-            r_gather[0] += pclock() - g0
-            r_gather[1] += 1
-            blob_bytes = 0
-            blob_updates = 0
-            for _dst, blob, _ids in blobs:
-                blob_bytes += blob.nbytes
-                blob_updates += len(blob.positions)
-            self._t_blobs += len(blobs)
-            self._t_blob_bytes += blob_bytes
-            self._t_updates += blob_updates
+        blobs, gather_cost = self._gather(h, out, dirty, state, get_values, phase)
         if gather_cost > 0:
             yield env.charged_timeout(gather_cost / threads, actor=h)
 
@@ -553,68 +489,67 @@ class BspEngine:
         pending = set(in_hosts)
         cold = cpu.cold_read_factor if layer.receive_buffer_cold else 1.0
         deferred = [] if app.ordered_scatter else None
+        marks_bcast = (
+            is_reduce and app.label_is_broadcast_field
+            and dirty_bcast is not None
+        )
+
+        def apply_blob(blob, ids):
+            if len(ids):
+                changed = apply_values(state, ids, blob.values)
+                if marks_bcast:
+                    dirty_bcast[ids[changed]] = True
+            layer.consume(blob)
+
         while pending:
             batch = yield from layer.collect_some(phase, pending)
-            scatter_cost = 0.0
-            if prof is not None:
-                s0 = pclock()
-            for src, blob in batch:
-                ids = in_map[src][blob.positions]
-                if deferred is not None:
-                    deferred.append((src, blob, ids))
-                else:
-                    if len(ids):
-                        if prof is None:
-                            changed = apply_values(state, ids, blob.values)
-                        else:
-                            n = r_apply[1] + 1
-                            r_apply[1] = n
-                            if n & LEAF_SAMPLE_MASK:
-                                changed = apply_values(
-                                    state, ids, blob.values
-                                )
-                            else:
-                                t0 = pclock()
-                                changed = apply_values(
-                                    state, ids, blob.values
-                                )
-                                r_apply[0] += pclock() - t0
-                        if is_reduce and app.label_is_broadcast_field and dirty_bcast is not None:
-                            dirty_bcast[ids[changed]] = True
-                    layer.consume(blob)
-                scatter_cost += unpack_cost(cpu, len(ids), blob.nbytes) * cold
-            if prof is not None:
-                r_scatter = self._r_scatter
-                r_scatter[0] += pclock() - s0
-                r_scatter[1] += 1
-                self._t_scattered += len(batch)
+            scatter_cost = self._scatter(batch, in_map, cold, deferred, apply_blob)
             if scatter_cost > 0:
                 yield env.charged_timeout(scatter_cost / threads, actor=h)
         if deferred is not None:
             deferred.sort(key=lambda item: item[0])
-            if prof is not None:
-                s0 = pclock()
-            for _src, blob, ids in deferred:
-                if len(ids):
-                    if prof is None:
-                        changed = apply_values(state, ids, blob.values)
-                    else:
-                        n = r_apply[1] + 1
-                        r_apply[1] = n
-                        if n & LEAF_SAMPLE_MASK:
-                            changed = apply_values(state, ids, blob.values)
-                        else:
-                            t0 = pclock()
-                            changed = apply_values(state, ids, blob.values)
-                            r_apply[0] += pclock() - t0
-                    if is_reduce and app.label_is_broadcast_field and dirty_bcast is not None:
-                        dirty_bcast[ids[changed]] = True
-                layer.consume(blob)
-            if prof is not None:
-                r_scatter = self._r_scatter
-                r_scatter[0] += pclock() - s0
-                r_scatter[1] += 1
+            self._apply_deferred(deferred, apply_blob)
         yield from layer.phase_end(phase)
+
+    def _gather(self, h, out, dirty, state, get_values, phase):
+        """Pack the dirty subset of every outgoing pair: ``(blobs,
+        simulated pack cost)``."""
+        app = self.app
+        cpu = self.config.machine.cpu
+        blobs = []
+        cost = 0.0
+        for dst, ids_mine, sp in out:
+            positions = np.where(dirty[ids_mine])[0].astype(np.int64)
+            values = get_values(state, ids_mine[positions])
+            blob = self._pack(
+                positions, values, len(sp), app.field_bytes, phase
+            )
+            blobs.append((dst, blob, ids_mine))
+            cost += pack_cost(cpu, len(positions), blob.nbytes)
+            self._payload_bytes[h] += blob.nbytes
+            self._updates_shipped[h] += len(positions)
+        self._blobs_packed += len(blobs)
+        return blobs, cost
+
+    def _scatter(self, batch, in_map, cold, deferred, apply_blob):
+        """Decode one batch of arrivals, applying each blob or parking it
+        in ``deferred``; returns the simulated unpack cost."""
+        cpu = self.config.machine.cpu
+        cost = 0.0
+        for src, blob in batch:
+            ids = in_map[src][blob.positions]
+            if deferred is not None:
+                deferred.append((src, blob, ids))
+            else:
+                apply_blob(blob, ids)
+            cost += unpack_cost(cpu, len(ids), blob.nbytes) * cold
+        self._blobs_scattered += len(batch)
+        return cost
+
+    @staticmethod
+    def _apply_deferred(deferred, apply_blob):
+        for _src, blob, ids in deferred:
+            apply_blob(blob, ids)
 
     # ------------------------------------------------------------------
     def _metrics(self) -> RunMetrics:

@@ -28,7 +28,6 @@ from repro.lci.packet_pool import PacketPool
 from repro.lci.request import LciRequest
 from repro.netapi.nic import Nic
 from repro.netapi.packet import Packet, PacketType
-from repro.obs.profile import LEAF_SAMPLE_STRIDE
 from repro.sanitize.lci_checks import LciSanitizer
 from repro.sim.engine import Environment
 from repro.sim.machine import CpuModel
@@ -78,7 +77,7 @@ class LciQueue:
         # lose/duplicate/reorder packets; otherwise sends go straight to
         # the NIC and no protocol state exists.
         self.reliability = None
-        faults = getattr(nic.fabric, "faults", None)
+        faults = nic.fabric.faults
         if faults is not None and faults.plan.needs_reliability:
             from repro.lci.reliability import ReliableLink
 
@@ -86,36 +85,25 @@ class LciQueue:
         # Lifecycle sanitizer, discovered like the fault injector.  The
         # pool cannot see the fabric, so the queue hands it the checker.
         self.sanitizer: Optional[LciSanitizer] = None
-        _ctx = getattr(nic.fabric, "sanitizer", None)
+        _ctx = nic.fabric.sanitizer
         if _ctx is not None:
             self.sanitizer = LciSanitizer(_ctx, rank)
             self.pool.sanitizer = self.sanitizer
         # Observability: pool-occupancy and queue-depth probes.
-        self.obs = getattr(nic.fabric, "obs", None)
+        self.obs = nic.fabric.obs
         if self.obs is not None:
             self.pool.register_obs(self.obs, rank)
             self.obs.register_probe(
                 "lci.queue_depth", rank, self.queue.__len__
             )
-        # Host-side profiler: the server loop reads it for progress
-        # regions; pool/server work counts are *deferred* — the pool's
+        # Host-side profiler: the server loop times its harvests through
+        # it; pool/server work counts are *deferred* — the pool's
         # always-on stat registry is snapshotted at flush time instead
         # of paying per-op increments (the alloc/free paths are the
         # hottest host code in the LCI layer).
-        self.profiler = getattr(nic.fabric, "profiler", None)
-        #: [cum_seconds, calls] for the per-harvest progress region,
-        #: folded in by a deferred leaf source (harvests only happen
-        #: inside the event loop, so the parent path is static).  The
-        #: server loop samples the clock every LEAF_SAMPLE_STRIDE'th
-        #: harvest; the source scales cum back up, calls stay exact.
-        self._r_progress = [0.0, 0]
-        if self.profiler is not None:
-            self.profiler.add_source(self._profile_counts)
-            self.profiler.add_leaf_source(lambda: (
-                ("sim.engine.run", "lci.server.progress",
-                 self._r_progress[0] * LEAF_SAMPLE_STRIDE,
-                 self._r_progress[1]),
-            ))
+        prof = nic.fabric.profiler
+        if prof is not None:
+            prof.add_source(self._profile_counts)
         # Descriptor-slot reuse: only safe when nothing can hold a dead
         # packet across its next incarnation — no retransmit buffers
         # (faults), no trace events, no lifecycle sanitizer.
@@ -218,7 +206,7 @@ class LciQueue:
         """
         if self.reliability is not None:
             return self.reliability.send(pkt, on_local_complete)
-        return self.nic.try_inject(pkt, on_local_complete=on_local_complete)
+        return self.nic.try_inject(pkt, on_local_complete)
 
     def charge_send_overhead(self):
         yield self._send_overhead

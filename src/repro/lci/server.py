@@ -26,7 +26,6 @@ from typing import List, Optional
 
 from repro.lci.config import LciConfig
 from repro.lci.queue_iface import LciQueue
-from repro.obs.profile import LEAF_SAMPLE_MASK
 from repro.netapi.nic import Fabric, Nic
 from repro.netapi.packet import Packet, PacketType
 from repro.sim.engine import Environment, Process
@@ -111,10 +110,15 @@ class LciRuntime(LciQueue):
     def _server_loop(self):
         from repro.sim.engine import Interrupt
 
-        prof = self.profiler
+        # The host-side cost of one progress-engine turn is harvesting
+        # the NIC completion: only this synchronous slice can be timed —
+        # the rest of the loop suspends on simulated events.
+        poll = self.nic.poll
+        prof = self.nic.fabric.profiler
         if prof is not None:
-            pclock = prof.clock
-            r_progress = self._r_progress
+            poll = prof.timed(
+                "sim.engine.run;lci.server.progress", poll, sampled=True
+            )
         # Per-packet harvest cost, hoisted out of the loop.
         harvest_cost = (
             self.nic.model.recv_overhead + self.backend.progress_extra
@@ -122,25 +126,7 @@ class LciRuntime(LciQueue):
         c_server_pkts = self.stats.counter("server_pkts")
         try:
             while not self._stopping:
-                if prof is None or not self.nic.rx_queue:
-                    pkt = self.nic.poll()
-                else:
-                    # The host-side cost of one progress-engine turn:
-                    # harvesting the NIC completion.  Only this
-                    # synchronous slice can be bracketed — the rest of
-                    # the loop suspends on simulated events.  Empty
-                    # polls stay uncounted so region call counts equal
-                    # packets harvested (== the server_pkts stat, which
-                    # feeds the lci.server_pkts counter); the clock is
-                    # read on every LEAF_SAMPLE_STRIDE'th harvest.
-                    n = r_progress[1] + 1
-                    r_progress[1] = n
-                    if n & LEAF_SAMPLE_MASK:
-                        pkt = self.nic.poll()
-                    else:
-                        t0 = pclock()
-                        pkt = self.nic.poll()
-                        r_progress[0] += pclock() - t0
+                pkt = poll()
                 if pkt is None:
                     yield self.nic.wait_arrival()
                     continue

@@ -99,7 +99,7 @@ class MpiEndpoint:
         self._rndv_sinks: Dict[int, int] = {}
 
         # Usage checker, discovered like the fault injector.
-        _ctx = getattr(nic.fabric, "sanitizer", None)
+        _ctx = nic.fabric.sanitizer
         self.sanitizer: Optional[MpiSanitizer] = (
             MpiSanitizer(_ctx, rank) if _ctx is not None else None
         )
@@ -108,7 +108,7 @@ class MpiEndpoint:
         # queues learn about it so they can stamp arrival times, and the
         # queue-depth probes the paper's Fig. 6 narrative implies are
         # registered here.
-        self.obs = getattr(nic.fabric, "obs", None)
+        self.obs = nic.fabric.obs
         if self.obs is not None:
             self.unexpected.obs = self.obs
             self.unexpected.host = rank
@@ -119,15 +119,20 @@ class MpiEndpoint:
                 "mpi.posted_depth", rank, self.posted.__len__
             )
 
-        # Host-side profiler, discovered the same way; the matching
-        # queues get a direct reference so their traversal walks are
-        # timed.  Probe/enqueue counts are deferred: the queues keep
-        # deterministic running totals anyway, snapshotted at flush.
-        self.profiler = getattr(nic.fabric, "profiler", None)
-        if self.profiler is not None:
-            self.posted.profiler = self.profiler
-            self.unexpected.profiler = self.profiler
-            self.profiler.add_source(self._profile_counts)
+        # Host-side profiler: the two traversal walks are timed (they
+        # only run inside the event loop).  Probe/enqueue counts are
+        # deferred: the queues keep deterministic running totals anyway.
+        prof = nic.fabric.profiler
+        if prof is not None:
+            self.posted.match_arrival = prof.timed(
+                "sim.engine.run;mpi.matching.posted_walk",
+                self.posted.match_arrival, sampled=True,
+            )
+            self.unexpected.match_receive = prof.timed(
+                "sim.engine.run;mpi.matching.unexpected_walk",
+                self.unexpected.match_receive, sampled=True,
+            )
+            prof.add_source(self._profile_counts)
 
         # Hoisted per-call costs and counters (the progress engine and
         # the isend/irecv/iprobe entry points are the hottest MPI code).
@@ -222,9 +227,7 @@ class MpiEndpoint:
     # ------------------------------------------------------------------
     def _inject(self, pkt: Packet, on_local_complete=None, notify_target=True):
         yield self._send_overhead
-        while not self.nic.try_inject(
-            pkt, on_local_complete=on_local_complete, notify_target=notify_target
-        ):
+        while not self.nic.try_inject(pkt, on_local_complete, notify_target):
             self._c_tx_retries.add()
             yield self._tx_backoff
 
@@ -382,9 +385,8 @@ class MpiEndpoint:
             if self._probe_overhead > 0:
                 yield self._probe_overhead
             yield from self._progress_locked()
-            msg, inspected = self.unexpected.match_receive(
-                source, tag, remove=False
-            )
+            # Probe semantics: report the match, leave it queued.
+            msg, inspected = self.unexpected.match_receive(source, tag, False)
             cost = inspected * self._unexpected_cost
             if cost > 0:
                 yield cost

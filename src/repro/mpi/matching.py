@@ -12,9 +12,6 @@ Queue entries are ``__slots__`` records with class-level free-lists
 (:meth:`PostedReceive.alloc` / :meth:`UnexpectedMessage.alloc`): every
 message on a matching layer churns one of each, and recycling a consumed
 entry is two list ops instead of an allocate/initialize/collect cycle.
-The profiler and observability hooks are bound into the queues' method
-slots at attach time (``match_arrival``/``match_receive``/``add`` are
-instance attributes), so an unobserved run never branches on them.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple
 
 from repro.mpi.types import ANY_SOURCE, ANY_TAG, MpiRequest
-from repro.obs.profile import LEAF_SAMPLE_MASK, LEAF_SAMPLE_STRIDE
 
 __all__ = ["PostedReceive", "UnexpectedMessage", "PostedQueue", "UnexpectedQueue"]
 
@@ -152,54 +148,6 @@ class PostedQueue:
         #: deterministic queue state (like ``max_length``), snapshotted
         #: by the endpoint's deferred profiler source.
         self.probes = 0
-        self._profiler = None
-        #: Hot entry point, rebound when a profiler attaches: the
-        #: unprofiled walk IS match_arrival, no per-call branch.
-        self.match_arrival = self._walk
-
-    @property
-    def profiler(self):
-        """Optional ProfileContext, attached by the endpoint when
-        host-side profiling is installed (pure observation).  Assigning
-        it rebinds ``match_arrival``."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        self._profiler = value
-        if value is None:
-            self.match_arrival = self._walk
-            return
-        # Closure-bound wrapper: clock/walk resolved once at attach time,
-        # timing accumulated into a plain [cum, calls] cell folded in by
-        # a deferred leaf source at snapshot time.  A walk of an *empty*
-        # list (no state change, no inspection — ``_walk`` would return
-        # ``(None, 0)`` untouched) skips the hook entirely, and only
-        # every LEAF_SAMPLE_STRIDE'th walk reads the clock (cum is
-        # scaled back up by the source; calls stay exact).  Region data
-        # is wall-side only, so none of this can move a fingerprint.
-        walk, items = self._walk, self._items
-        clock = value.clock
-        tot = [0.0, 0]
-
-        def match_arrival(src, tag):
-            if not items:
-                return None, 0
-            n = tot[1] + 1
-            tot[1] = n
-            if n & LEAF_SAMPLE_MASK:
-                return walk(src, tag)
-            t0 = clock()
-            try:
-                return walk(src, tag)
-            finally:
-                tot[0] += clock() - t0
-
-        self.match_arrival = match_arrival
-        value.add_leaf_source(lambda: (
-            ("sim.engine.run", "mpi.matching.posted_walk",
-             tot[0] * LEAF_SAMPLE_STRIDE, tot[1]),
-        ))
 
     def __len__(self) -> int:
         return len(self._items)
@@ -214,7 +162,9 @@ class PostedQueue:
         if len(self._items) > self.max_length:
             self.max_length = len(self._items)
 
-    def _walk(self, src: int, tag: int) -> Tuple[Optional[PostedReceive], int]:
+    def match_arrival(
+        self, src: int, tag: int
+    ) -> Tuple[Optional[PostedReceive], int]:
         """First posted receive matching an arrival; (entry, inspected)."""
         for i, entry in enumerate(self._items):
             if entry.matches(src, tag):
@@ -244,82 +194,29 @@ class UnexpectedQueue:
         #: queue state, snapshotted by the endpoint's profiler source.
         self.enqueued = 0
         self.probes = 0
+        #: Optional ObsContext (+ ``host`` rank), assigned by the endpoint
+        #: when observability is installed.
+        self.obs = None
         self.host = -1
-        self._obs = None
-        self._profiler = None
-        #: Hot entry points, rebound when obs / a profiler attach.
-        self.add = self._add_plain
-        self.match_receive = self._walk
-
-    @property
-    def obs(self):
-        """Optional ObsContext (+ ``host`` rank), attached by the
-        endpoint when observability is installed.  Assigning it rebinds
-        ``add``."""
-        return self._obs
-
-    @obs.setter
-    def obs(self, value) -> None:
-        self._obs = value
-        self.add = self._add_plain if value is None else self._add_observed
-
-    @property
-    def profiler(self):
-        """Optional ProfileContext (same attachment path as ``obs``).
-        Assigning it rebinds ``match_receive``."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        self._profiler = value
-        if value is None:
-            self.match_receive = self._walk
-            return
-        # Same attach-time closure + empty-queue skip + sampled timing
-        # + deferred leaf source as PostedQueue.
-        walk, items = self._walk, self._items
-        clock = value.clock
-        tot = [0.0, 0]
-
-        def match_receive(source, tag, remove=True):
-            if not items:
-                return None, 0
-            n = tot[1] + 1
-            tot[1] = n
-            if n & LEAF_SAMPLE_MASK:
-                return walk(source, tag, remove)
-            t0 = clock()
-            try:
-                return walk(source, tag, remove)
-            finally:
-                tot[0] += clock() - t0
-
-        self.match_receive = match_receive
-        value.add_leaf_source(lambda: (
-            ("sim.engine.run", "mpi.matching.unexpected_walk",
-             tot[0] * LEAF_SAMPLE_STRIDE, tot[1]),
-        ))
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def _add_plain(self, msg: UnexpectedMessage) -> None:
+    def add(self, msg: UnexpectedMessage) -> None:
         self._items.append(msg)
         self.enqueued += 1
         if len(self._items) > self.max_length:
             self.max_length = len(self._items)
+        obs = self.obs
+        if obs is not None:
+            msg.arrived_at = obs.now
+            if msg.trace is not None:
+                obs.emit(
+                    msg.trace, "match_wait", self.host,
+                    protocol=msg.protocol, depth=len(self._items),
+                )
 
-    def _add_observed(self, msg: UnexpectedMessage) -> None:
-        self._add_plain(msg)
-        obs = self._obs
-        msg.arrived_at = obs.now
-        if msg.trace is not None:
-            obs.emit(
-                msg.trace, "match_wait", self.host,
-                protocol=msg.protocol, depth=len(self._items),
-            )
-
-    def _walk(
+    def match_receive(
         self, source: int, tag: int, remove: bool = True
     ) -> Tuple[Optional[UnexpectedMessage], int]:
         """First unexpected message matching (source, tag); FIFO order.

@@ -105,12 +105,12 @@ class MpiWindow:
             ep._rma_handlers[self.win_id] = self._make_handler(ep.rank)
         self._created = [False] * p
         # Epoch-discipline checker, discovered like the fault injector.
-        _ctx = getattr(world.fabric, "sanitizer", None)
+        _ctx = world.fabric.sanitizer
         self.sanitizer: Optional[WindowSanitizer] = (
             WindowSanitizer(_ctx, self.win_id, label) if _ctx is not None else None
         )
         # Observability: puts carry trace ids; epoch waits record stalls.
-        self.obs = getattr(world.fabric, "obs", None)
+        self.obs = world.fabric.obs
 
     # ------------------------------------------------------------------
     # Creation (collective)

@@ -20,7 +20,6 @@ import itertools
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
-from repro.obs.profile import LEAF_SAMPLE_MASK, LEAF_SAMPLE_STRIDE
 from repro.sim.engine import Environment, Event, SimulationError
 from repro.sim.machine import MachineModel, NicModel
 from repro.sim.monitor import StatRegistry
@@ -72,14 +71,11 @@ class RegisteredBuffer:
 class Nic:
     """One host's network interface.
 
-    ``try_inject`` and ``deliver`` are *rebindable method slots*: when no
-    fault injector, observability context, commstats collector, or
-    profiler is attached to the fabric, the instance attributes point at
-    stripped-down fast variants
-    with zero hook branches on the per-packet path; attaching any of them
-    (a :class:`Fabric` property setter) rebinds every NIC to the general
-    variants.  Both variants schedule exactly the same calendar entries
-    in the same order, so runs are bit-identical either way.
+    ``try_inject`` and ``deliver`` are the only per-packet code: one path
+    that reads the fabric's optional instruments (``faults``, ``obs``,
+    ``commstats``) as plain attributes on every call, so attaching or
+    detaching one needs no rebinding and a run schedules exactly the same
+    calendar entries either way.
     """
 
     def __init__(
@@ -107,130 +103,11 @@ class Nic:
         self._c_bytes_sent = stats.counter("bytes_sent")
         self._c_pkts_recv = stats.counter("pkts_received")
         self._c_bytes_recv = stats.counter("bytes_received")
-        self._rebind()
-
-    def _rebind(self) -> None:
-        """Select fast or general per-packet entry points (see class doc)."""
-        fab = self.fabric
-        if fab._faults is None and fab._obs is None and fab._commstats is None:
-            if fab._profiler is None:
-                self.try_inject = self._inject_plain
-                self.deliver = self._deliver_plain
-            else:
-                # Profiler alone: the plain scheduling path (identical
-                # calendar entries) timed into per-NIC [cum, calls]
-                # accumulators with sampled clock reads (every
-                # LEAF_SAMPLE_STRIDE'th packet; cum scaled back up by
-                # the source, calls exact) — no region-tree traffic.
-                # A deferred leaf source rebuilds the ``netapi.nic.*``
-                # nodes at snapshot time (packets only ever move inside
-                # the event loop, so the parent region is static).
-                prof = fab._profiler
-                clock = prof.clock
-                inject, deliver = self._inject_plain, self._deliver_plain
-                inj = [0.0, 0]
-                dlv = [0.0, 0]
-
-                def inject_profiled(
-                    pkt, on_local_complete=None, notify_target=True
-                ):
-                    n = inj[1] + 1
-                    inj[1] = n
-                    if n & LEAF_SAMPLE_MASK:
-                        return inject(pkt, on_local_complete, notify_target)
-                    t0 = clock()
-                    try:
-                        return inject(pkt, on_local_complete, notify_target)
-                    finally:
-                        inj[0] += clock() - t0
-
-                def deliver_profiled(pkt):
-                    n = dlv[1] + 1
-                    dlv[1] = n
-                    if n & LEAF_SAMPLE_MASK:
-                        return deliver(pkt)
-                    t0 = clock()
-                    try:
-                        deliver(pkt)
-                    finally:
-                        dlv[0] += clock() - t0
-
-                self.try_inject = inject_profiled
-                self.deliver = deliver_profiled
-                prof.add_leaf_source(lambda: (
-                    ("sim.engine.run", "netapi.nic.inject",
-                     inj[0] * LEAF_SAMPLE_STRIDE, inj[1]),
-                    ("sim.engine.run", "netapi.nic.deliver",
-                     dlv[0] * LEAF_SAMPLE_STRIDE, dlv[1]),
-                ))
-        else:
-            self.try_inject = self._try_inject_general
-            self.deliver = self._deliver_general
 
     # ------------------------------------------------------------------
     # Transmit path
     # ------------------------------------------------------------------
-    def _inject_plain(
-        self,
-        pkt: Packet,
-        on_local_complete: Optional[Callable[[], None]] = None,
-        notify_target: bool = True,
-    ) -> bool:
-        """``try_inject`` with no faults/obs/profiler attached.
-
-        Schedules the same two raw calendar entries (departure, arrival)
-        as the general path, in the same order — bit-identical timing and
-        sequence numbering, minus every hook branch.
-        """
-        if pkt.src != self.host:
-            raise SimulationError(
-                f"packet src {pkt.src} injected from host {self.host}"
-            )
-        if self._tx_outstanding >= self.model.tx_queue_depth:
-            self._c_tx_full.add()
-            return False
-
-        env = self.env
-        model = self.model
-        wire_bytes = pkt.wire_bytes
-        ser = model.serialization_time(wire_bytes)
-        gap = model.injection_gap
-        latency = model.latency
-        if pkt.ptype is PacketType.RDMA:
-            latency += model.rdma_extra_latency
-        now = env._now
-        start = self._tx_free_at
-        if now > start:
-            start = now
-        self._tx_free_at = start + (ser if ser > gap else gap)
-        departure = start + ser
-
-        self._tx_outstanding += 1
-        self._c_pkts_sent.add()
-        self._c_bytes_sent.add(wire_bytes)
-        dst_nic = self.fabric.nic(pkt.dst)
-
-        is_rdma = pkt.ptype is PacketType.RDMA
-
-        def _departed() -> None:
-            self._tx_outstanding -= 1
-            if not is_rdma and on_local_complete is not None:
-                on_local_complete()
-
-        env.call_later(departure - now, _departed)
-
-        def _arrived() -> None:
-            if is_rdma:
-                self._complete_rdma(pkt, dst_nic)
-                if on_local_complete is not None:
-                    env.call_later(model.latency, on_local_complete)
-            if notify_target:
-                dst_nic.deliver(pkt)
-
-        env.call_later(departure + latency - now, _arrived)
-        return True
-
-    def _try_inject_general(
+    def try_inject(
         self,
         pkt: Packet,
         on_local_complete: Optional[Callable[[], None]] = None,
@@ -244,64 +121,47 @@ class Nic:
         sees the packet in its receive queue (False models a pure RDMA
         write with no completion at the target, as used by MPI-RMA).
         """
-        # Packet/byte work counts come from the always-on NIC stats via
-        # a deferred profiler source (see obs.profile._fabric_counts);
-        # only the wall-clock region is paid here, in the fused leaf
-        # form (one profiler call per packet, no stack traffic).
-        prof = self.fabric._profiler
-        if prof is None:
-            return self._inject(pkt, on_local_complete, notify_target)
-        t0 = prof.clock()
-        try:
-            return self._inject(pkt, on_local_complete, notify_target)
-        finally:
-            prof.leaf("netapi.nic.inject", t0)
-
-    # Class-level aliases so un-rebound instances (pickles, exotic
-    # subclassing) and introspection keep working.
-    try_inject = _try_inject_general
-
-    def _inject(
-        self,
-        pkt: Packet,
-        on_local_complete: Optional[Callable[[], None]],
-        notify_target: bool,
-    ) -> bool:
         if pkt.src != self.host:
             raise SimulationError(
                 f"packet src {pkt.src} injected from host {self.host}"
             )
-        faults = self.fabric._faults
+        fabric = self.fabric
+        model = self.model
+        faults = fabric.faults
         if faults is not None and faults.tx_blocked(self.host, pkt):
             # An injected NIC stall looks exactly like a full TX queue:
             # the retryable condition the comm layers already handle.
             self._c_tx_full.add()
             return False
-        if self._tx_outstanding >= self.model.tx_queue_depth:
+        if self._tx_outstanding >= model.tx_queue_depth:
             self._c_tx_full.add()
             return False
 
         env = self.env
         wire_bytes = pkt.wire_bytes
-        ser = self.model.serialization_time(wire_bytes)
-        gap = self.model.injection_gap
-        latency = self.model.latency
-        if pkt.ptype is PacketType.RDMA:
-            latency += self.model.rdma_extra_latency
+        ser = model.serialization_time(wire_bytes)
+        gap = model.injection_gap
+        latency = model.latency
+        is_rdma = pkt.ptype is PacketType.RDMA
+        if is_rdma:
+            latency += model.rdma_extra_latency
         if faults is not None:
             ser, latency = faults.link_adjust(pkt, ser, latency)
-        start = max(env.now, self._tx_free_at)
-        self._tx_free_at = start + max(ser, gap)
+        now = env._now
+        start = self._tx_free_at
+        if now > start:
+            start = now
+        self._tx_free_at = start + (ser if ser > gap else gap)
         departure = start + ser
         arrival = departure + latency
 
         self._tx_outstanding += 1
         self._c_pkts_sent.add()
         self._c_bytes_sent.add(wire_bytes)
-        obs = self.fabric._obs
+        obs = fabric.obs
         if obs is not None:
             obs.on_inject(pkt)
-        commstats = self.fabric._commstats
+        commstats = fabric.commstats
         if commstats is not None:
             # Counted at injection, right after the always-on NIC
             # counters, so the traffic matrices telescope exactly to
@@ -312,12 +172,12 @@ class Nic:
             self._tx_outstanding -= 1
             if obs is not None:
                 obs.on_depart(pkt)
-            if pkt.ptype is not PacketType.RDMA and on_local_complete:
+            if not is_rdma and on_local_complete is not None:
                 on_local_complete()
 
-        env.call_later(departure - env.now, _departed)
+        env.call_later(departure - now, _departed)
 
-        dst_nic = self.fabric.nic(pkt.dst)
+        dst_nic = fabric.nic(pkt.dst)
         fate = faults.transit_fate(pkt) if faults is not None else None
         if fate is not None and fate.dropped:
             # Vanished in transit: the sender saw a clean departure, the
@@ -332,22 +192,23 @@ class Nic:
         def _arrived() -> None:
             if obs is not None:
                 obs.on_arrive(pkt, notify_target)
-            if pkt.ptype is PacketType.RDMA:
+            if is_rdma:
                 self._complete_rdma(pkt, dst_nic)
-                if on_local_complete:
+                if on_local_complete is not None:
                     # Hardware completion after the ACK returns.
-                    env.call_later(self.model.latency, on_local_complete)
+                    env.call_later(model.latency, on_local_complete)
             if notify_target:
                 dst_nic.deliver(pkt)
 
-        reorder = fate.delay if fate is not None else 0.0
-        env.call_later(arrival + reorder - env.now, _arrived)
+        if fate is not None:
+            arrival += fate.delay
+        env.call_later(arrival - now, _arrived)
         if fate is not None and fate.duplicated and notify_target:
             # A second copy of the wire packet reaches the receive queue;
             # whether that is deduplicated or double-processed is up to
             # the communication layer (LCI dedupes, MPI diverges).
             env.call_later(
-                arrival + reorder + fate.dup_delay - env.now,
+                arrival + fate.dup_delay - now,
                 lambda: dst_nic.deliver(pkt),
             )
         return True
@@ -366,20 +227,8 @@ class Nic:
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def _deliver_general(self, pkt: Packet) -> None:
+    def deliver(self, pkt: Packet) -> None:
         """Called by the fabric when a packet reaches this host."""
-        prof = self.fabric._profiler
-        if prof is None:
-            return self._deliver(pkt)
-        t0 = prof.clock()
-        try:
-            self._deliver(pkt)
-        finally:
-            prof.leaf("netapi.nic.deliver", t0)
-
-    deliver = _deliver_general
-
-    def _deliver(self, pkt: Packet) -> None:
         if pkt.dst != self.host:
             raise SimulationError(
                 f"packet for host {pkt.dst} delivered to host {self.host}"
@@ -387,23 +236,9 @@ class Nic:
         self.rx_queue.append(pkt)
         self._c_pkts_recv.add()
         self._c_bytes_recv.add(pkt.wire_bytes)
-        obs = self.fabric._obs
+        obs = self.fabric.obs
         if obs is not None:
             obs.on_rx(pkt)
-        if self._arrival_waiters:
-            waiters, self._arrival_waiters = self._arrival_waiters, []
-            for ev in waiters:
-                ev.succeed(None)
-
-    def _deliver_plain(self, pkt: Packet) -> None:
-        """``deliver`` with no obs context attached (no hook branches)."""
-        if pkt.dst != self.host:
-            raise SimulationError(
-                f"packet for host {pkt.dst} delivered to host {self.host}"
-            )
-        self.rx_queue.append(pkt)
-        self._c_pkts_recv.add()
-        self._c_bytes_recv.add(pkt.wire_bytes)
         if self._arrival_waiters:
             waiters, self._arrival_waiters = self._arrival_waiters, []
             for ev in waiters:
@@ -461,72 +296,25 @@ class Fabric:
         self.num_hosts = num_hosts
         self.machine = machine
         self.stats = StatRegistry(stats_prefix)
-        self._faults = None
-        self._obs = None
-        self._profiler = None
-        self._commstats = None
+        # The optional instruments, each ``None`` until its context's
+        # ``install()`` assigns it; components read them as plain
+        # attributes.  Pure observation except ``faults``: a run with any
+        # of the others attached is bit-identical to one without.
+        #: :class:`repro.faults.FaultInjector`
+        self.faults = None
+        #: :class:`repro.sanitize.runtime.SanitizerContext`
+        self.sanitizer = None
+        #: :class:`repro.obs.ObsContext` (message-lifecycle tracing)
+        self.obs = None
+        #: :class:`repro.obs.profile.ProfileContext` (host-side regions
+        #: and deterministic work counters)
+        self.profiler = None
+        #: :class:`repro.obs.commstats.CommStatsContext` (traffic matrices)
+        self.commstats = None
         self._nics = [
             Nic(env, self, h, machine.nic, StatRegistry(f"{stats_prefix}.nic{h}"))
             for h in range(num_hosts)
         ]
-
-    # The optional contexts are properties so that attaching (or
-    # detaching) one rebinds every NIC's per-packet entry points — the
-    # hooks cost literally nothing when off, instead of a None-check
-    # chain on every packet.  Setter order doesn't matter; rebinding is
-    # idempotent.
-
-    @property
-    def faults(self):
-        """Optional :class:`repro.faults.FaultInjector`; ``None`` keeps
-        every injection hook a no-op."""
-        return self._faults
-
-    @faults.setter
-    def faults(self, value) -> None:
-        self._faults = value
-        for n in self._nics:
-            n._rebind()
-
-    @property
-    def obs(self):
-        """Optional :class:`repro.obs.ObsContext` (message-lifecycle
-        tracing + queue probes); ``None`` keeps every hook a no-op.
-        Pure observation — never advances time or mutates state."""
-        return self._obs
-
-    @obs.setter
-    def obs(self, value) -> None:
-        self._obs = value
-        for n in self._nics:
-            n._rebind()
-
-    @property
-    def profiler(self):
-        """Optional :class:`repro.obs.profile.ProfileContext` (host-side
-        region profiler + deterministic work counters); ``None`` keeps
-        every hook a no-op.  Same contract as ``obs``."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        self._profiler = value
-        for n in self._nics:
-            n._rebind()
-
-    @property
-    def commstats(self):
-        """Optional :class:`repro.obs.commstats.CommStatsContext`
-        (per-(src, dst, kind) traffic matrices + size histograms);
-        ``None`` keeps every hook a no-op.  Same contract as ``obs``:
-        pure observation, bit-identical runs."""
-        return self._commstats
-
-    @commstats.setter
-    def commstats(self, value) -> None:
-        self._commstats = value
-        for n in self._nics:
-            n._rebind()
 
     def nic(self, host: int) -> Nic:
         if not 0 <= host < self.num_hosts:

@@ -1,9 +1,9 @@
 """Message-lifecycle observability context (the tentpole of `repro.obs`).
 
 One :class:`ObsContext` rides on the :class:`~repro.netapi.nic.Fabric`
-(``fabric.obs``), discovered by protocol components exactly like the
-fault injector and the sanitizers — ``getattr(nic.fabric, "obs", None)``
-at construction, every hook a no-op when absent.  It collects three
+(``fabric.obs``), read by protocol components exactly like the fault
+injector and the sanitizers — ``nic.fabric.obs`` at construction,
+every hook a no-op when it is ``None``.  It collects three
 kinds of data, all pure observation:
 
 * **Stage events** — every payload handed to a comm-layer ``send`` gets

@@ -2,13 +2,13 @@
 
 Two instruments, one context, zero cost when off:
 
-* :class:`RegionProfiler` — nestable ``region("name")`` annotations over
-  the *host-side* (wall-clock) hot paths: event dispatch in
-  ``sim.engine``, matching walks in ``mpi.matching``, packet handling in
-  ``netapi.nic``, progress in ``lci.server``, serialization and
-  scatter/apply in ``engine.bsp``.  Produces a hierarchical
-  self/cumulative report with call counts, exportable as JSON, a top-N
-  table, or collapsed-stack (flamegraph) lines.
+* :class:`RegionProfiler` — wall-clock *cells* over the host-side hot
+  paths, one per static ``;``-joined region path
+  (``sim.engine.run;engine.bsp.gather;comm.serialization.pack``).  One
+  primitive, two spellings: ``with ctx.cell(path):`` brackets a block,
+  ``ctx.timed(path, fn)`` returns ``fn`` wrapped.  Produces a
+  hierarchical self/cumulative report with call counts, exportable as
+  JSON, a top-N table, or collapsed-stack (flamegraph) lines.
 * :class:`CounterRegistry` — deterministic *work* counters (events
   scheduled/fired, heap ops, packets/bytes, matching probes, pool
   acquires).  Pure functions of the simulated schedule, so repeat runs
@@ -16,25 +16,25 @@ Two instruments, one context, zero cost when off:
   :meth:`~CounterRegistry.fingerprint` — the drift-detection anchor in
   ``BENCH_core.json``.
 
-Both ride on :class:`ProfileContext`, discovered exactly like faults /
-sanitizers / obs: ``BspEngine`` installs it as ``fabric.profiler`` and
-``env.profiler``; every component does ``getattr(..., "profiler", None)``
-and no-ops on ``None``.  The contract mirrors ``repro.obs``:
+Both ride on :class:`ProfileContext`, which ``BspEngine`` installs as
+``fabric.profiler`` and ``env.profiler`` before the layers are built;
+components read that attribute once at construction and wrap their hot
+calls through :meth:`~RegionProfiler.timed`.  The contract mirrors
+``repro.obs``:
 
-* **Off by default** — no context installed means no hook fires beyond
-  a ``None`` check.
-* **Bit-identical when on** — hooks never advance simulated time, touch
+* **Off by default** — no context installed means nothing is wrapped.
+* **Bit-identical when on** — cells never advance simulated time, touch
   a :class:`~repro.sim.monitor.StatRegistry`, or change iteration
   order; ``RunMetrics`` with the profiler enabled equals the plain run
-  (CI-asserted).
-* **Cheap when on** — wall-clock reads bracket coarse synchronous
-  segments only (never per-event), and per-packet *work counts* are
-  never incremented on the hot path at all: components that already
+  (tier-1 asserted).
+* **Cheap when on** — per-packet sites read the clock on every
+  :data:`LEAF_SAMPLE_STRIDE`-th call only, and per-packet *work counts*
+  are never incremented on the hot path at all: components that already
   maintain deterministic tallies (NIC stats, pool stats, matching-queue
   probe counts) register a :meth:`ProfileContext.add_source` callback
-  instead, and the registry folds their totals in lazily at snapshot
-  time (:meth:`ProfileContext.flush`).  The bench harness measures the
-  residual overhead and CI bounds it below 5%.
+  instead, read at snapshot time and settled into the registry when the
+  engine's run returns.  ``benchmarks/perf`` reports the residual as
+  ``obs.trace_overhead_frac`` per workload.
 
 Wall-clock time is intentionally confined to this module:
 :func:`wall_now` is the single sanctioned clock, so the determinism
@@ -52,7 +52,6 @@ from typing import Dict, List, Optional
 
 __all__ = [
     "wall_now",
-    "cpu_now",
     "RegionProfiler",
     "CounterRegistry",
     "ProfileContext",
@@ -75,55 +74,58 @@ def wall_now() -> float:
     return time.perf_counter()  # lint-ok: D101 the profiler measures host wall-clock by design
 
 
-#: The raw C clock, bound into the hot-path closures below: a call to
-#: the :func:`wall_now` Python wrapper costs more than the clock read
-#: itself, so the closures skip the frame.  Same clock, same lint
-#: rationale as :func:`wall_now`.
+#: The raw C clock, bound into the cells below: a call to the
+#: :func:`wall_now` Python wrapper costs more than the clock read
+#: itself.  Same clock, same lint rationale as :func:`wall_now`.
 _perf_counter = time.perf_counter  # lint-ok: D101 hot-path alias of wall_now
 
-#: Sampling stride for the highest-frequency deferred leaf cells.
-#: Sites that fire per packet or per queue walk only read the clock on
-#: every STRIDE'th call and report ``cum * STRIDE`` from their leaf
-#: source; call counts stay exact.  The untimed calls pay one counter
-#: increment and one AND — the stride is a power of two so the "is
-#: this call timed" check is a single mask test.  Per-phase cells
-#: (compute/gather/scatter) stay fully timed: their hook cost
-#: amortizes over whole phases and their low call counts would make a
-#: sampled estimate coarse.
+#: Sampling stride of ``sampled=True`` cells.  Sites that fire per packet
+#: or per queue walk read the clock on every STRIDE'th call only and
+#: report ``cum * STRIDE``; call counts stay exact.  The untimed calls
+#: pay one counter increment and one AND — the stride is a power of two
+#: so the "is this call timed" check is a single mask test.  The
+#: engine's compute/gather/scatter cells stay fully timed: their cost
+#: amortizes over whole phases or batches and their low call counts
+#: would make a sampled estimate coarse.
 LEAF_SAMPLE_STRIDE = 8
-LEAF_SAMPLE_MASK = LEAF_SAMPLE_STRIDE - 1
-
-#: Process CPU time, for *measuring the profiler itself*.  A
-#: single-threaded simulator's profiling overhead is exactly the extra
-#: CPU its hooks burn; CPU time is immune to hypervisor steal and far
-#: less sensitive to frequency scaling than wall-clock, both of which
-#: dwarf a few percent of hook cost on small shared machines.  Kept
-#: here with the sanctioned clocks so host-time reads stay confined to
-#: this module (process_time is not a D101 clock, but the convention
-#: holds).
-cpu_now = time.process_time
 
 
-class _Node:
-    """One region in the profile tree."""
+class _Cell:
+    """Accumulated time and call count of one region path.
 
-    __slots__ = ("name", "children", "calls", "cum")
+    Usable directly as a (non-reentrant) ``with`` bracket.  ``mask`` is
+    ``stride - 1``: a call is timed when ``calls & mask == 0``, so an
+    unsampled cell (stride 1, mask 0) times every call through the same
+    test.
+    """
 
-    def __init__(self, name: str):
-        self.name = name
-        self.children: Dict[str, "_Node"] = {}
-        self.calls = 0
+    __slots__ = ("cum", "calls", "mask", "_clock", "_t0")
+
+    def __init__(self, clock, mask: int):
         self.cum = 0.0
+        self.calls = 0
+        self.mask = mask
+        self._clock = clock
+        self._t0 = None
+
+    def __enter__(self) -> None:
+        self.calls = n = self.calls + 1
+        self._t0 = None if n & self.mask else self._clock()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._t0 is not None:
+            self.cum += self._clock() - self._t0
 
 
 class RegionProfiler:
     """Hierarchical wall-clock region profiler.
 
-    Regions nest: entering ``b`` while inside ``a`` accounts ``b`` as a
-    child of ``a``, and ``a``'s *self* time is its cumulative time minus
-    its children's.  The hot-path API is :meth:`enter` / :meth:`exit`
-    (no allocation); :meth:`region` adds ``with``-statement sugar for
-    coarse blocks.
+    Every region is a :class:`_Cell` keyed by its full ``;``-joined
+    path, which the call site states literally: the instrumented code
+    runs synchronously inside the event loop, so its nesting is static.
+    A cell belongs to the profiler, not to the component that feeds it,
+    so two engines naming the same path add into one cell.  A region's
+    *self* time is its cumulative time minus its direct children's.
 
     ``clock`` is injectable for deterministic tests; it defaults to
     :func:`wall_now`.
@@ -135,144 +137,77 @@ class RegionProfiler:
             # that inject a custom clock keep theirs verbatim.
             clock = _perf_counter
         self._clock = clock
-        #: The raw clock, exposed so leaf call sites can read the start
-        #: timestamp with one attribute load + one C call (see ``leaf``).
-        self.clock = clock
-        self.root = _Node("")
-        # Stack of (node, t_enter); the virtual root never pops.
-        stack: List[tuple] = [(self.root, 0.0)]
-        self._stack = stack
+        self._cells: Dict[str, _Cell] = {}
 
-        # enter/exit/leaf are built as closures with every name bound
-        # local (no ``self`` attribute traffic, plain-function call
-        # overhead): they run hundreds of times per simulated round, and
-        # their cost is the profiler's measured overhead.
-        def enter(name, _stack=stack, _clock=clock, _node_cls=_Node):
-            children = _stack[-1][0].children
-            try:
-                node = children[name]
-            except KeyError:
-                node = children[name] = _node_cls(name)
-            _stack.append((node, _clock()))
+    def cell(self, path: str, sampled: bool = False) -> _Cell:
+        """The cell for ``path``: ``with profiler.cell("a;b"): ...``"""
+        mask = LEAF_SAMPLE_STRIDE - 1 if sampled else 0
+        cell = self._cells.get(path)
+        if cell is None:
+            cell = self._cells[path] = _Cell(self._clock, mask)
+        elif cell.mask != mask:
+            raise ValueError(f"region {path!r} is both sampled and unsampled")
+        return cell
 
-        def exit(_stack=stack, _clock=clock):
-            node, t0 = _stack.pop()
-            node.cum += _clock() - t0
-            node.calls += 1
+    def timed(self, path: str, fn, sampled: bool = False):
+        """``fn`` wrapped so every call lands in ``path``'s cell.
 
-        # Fused enter+exit for *leaf* regions — ones that never contain
-        # a nested region (per-packet NIC handling, matching walks,
-        # pack/apply).  The caller reads ``t0 = prof.clock()`` before
-        # the work and calls ``leaf(name, t0)`` after: one Python call
-        # instead of two and no stack push/pop, which roughly halves
-        # the per-region cost on the paths that dominate overhead.  The
-        # node still attaches to the innermost open region, so the tree
-        # is identical to what enter/exit would have produced.
-        def leaf(name, t0, _stack=stack, _clock=clock, _node_cls=_Node):
-            dt = _clock() - t0
-            children = _stack[-1][0].children
-            try:
-                node = children[name]
-            except KeyError:
-                node = children[name] = _node_cls(name)
-            node.cum += dt
-            node.calls += 1
-
-        #: Open a region (hot path; see closure above).
-        self.enter = enter
-        #: Close the innermost region (hot path; see closure above).
-        self.exit = exit
-        #: Close a fused leaf region opened at ``t0`` (hot path).
-        self.leaf = leaf
-        #: Deferred leaf-region sources (see :meth:`add_leaf_source`).
-        self._leaf_sources: List = []
-
-    def region(self, name: str) -> "_Region":
-        """``with profiler.region("comm.serialization.pack"): ...``"""
-        return _Region(self, name)
-
-    def add_leaf_source(self, fn) -> None:
-        """Register a deferred leaf-region source.
-
-        ``fn()`` returns an iterable of ``(parent_path, name,
-        cum_seconds, calls)`` *running totals*.  The highest-frequency
-        leaf regions (per-packet NIC handling, matching walks, progress
-        harvests) accumulate into plain floats at the call site — two
-        clock reads and a couple of list ops, no stack or tree traffic —
-        and this fold reconstructs their tree nodes at snapshot time.
-        The exact analogue of :meth:`ProfileContext.add_source` for
-        wall-clock regions: totals are summed across sources per
-        ``(parent_path, name)`` and *written* (not added) to the node,
-        so repeated folds are idempotent.  ``parent_path`` is the
-        ``;``-joined region path the leaf belongs under (these hot paths
-        only ever run inside the event loop, so it is static per site).
+        The wrapper takes positional arguments only: it sits on
+        per-packet paths, and accepting keywords would cost every call
+        a dict (a tenth of the profiler's whole overhead when measured,
+        more where the call site passes keywords).  A keyword call
+        fails loudly with ``TypeError``.
         """
-        self._leaf_sources.append(fn)
+        cell = self.cell(path, sampled)
+        mask, clock = cell.mask, self._clock
 
-    def _fold_leaf_sources(self) -> None:
-        totals: Dict[tuple, list] = {}
-        for fn in self._leaf_sources:
-            for parent, name, cum, calls in fn():
-                key = (parent, name)
-                t = totals.get(key)
-                if t is None:
-                    totals[key] = [cum, calls]
-                else:
-                    t[0] += cum
-                    t[1] += calls
-        for (parent, name), (cum, calls) in totals.items():
-            if not calls:
-                # A leaf that never fired would otherwise fabricate its
-                # parent chain in the report.
-                continue
-            node = self.root
-            if parent:
-                for part in parent.split(";"):
-                    child = node.children.get(part)
-                    if child is None:
-                        child = node.children[part] = _Node(part)
-                    node = child
-            leaf = node.children.get(name)
-            if leaf is None:
-                leaf = node.children[name] = _Node(name)
-            leaf.cum = cum
-            leaf.calls = calls
+        def timed_fn(*args):
+            cell.calls = n = cell.calls + 1
+            if n & mask:
+                return fn(*args)
+            t0 = clock()
+            try:
+                return fn(*args)
+            finally:
+                cell.cum += clock() - t0
 
-    @property
-    def depth(self) -> int:
-        """Current nesting depth (0 at the root; useful in tests)."""
-        return len(self._stack) - 1
+        return timed_fn
 
     # -- reporting ------------------------------------------------------
     def rows(self) -> List[dict]:
-        """Flattened tree, depth-first, children in name order.
+        """The region tree, depth-first, children in name order.
 
         Each row carries the full ``;``-joined path, call count,
-        cumulative seconds, and self seconds (cumulative minus
-        children's cumulative, floored at zero against clock jitter).
+        cumulative seconds (sampled cells scaled by their stride), and
+        self seconds (cumulative minus direct children's cumulative,
+        floored at zero against clock jitter and sampling error).  Cells
+        that never fired are left out; an ancestor path nobody timed
+        appears with zero calls and time.
         """
-        self._fold_leaf_sources()
-        out: List[dict] = []
-
-        def walk(node: _Node, prefix: str, depth: int) -> None:
-            for name in sorted(node.children):
-                child = node.children[name]
-                path = f"{prefix};{name}" if prefix else name
-                child_cum = 0.0
-                for sub in child.children.values():
-                    child_cum += sub.cum
-                out.append({
-                    "path": path,
-                    "name": name,
-                    "depth": depth,
-                    "calls": child.calls,
-                    "cum_s": child.cum,
-                    "self_s": max(child.cum - child_cum, 0.0),
-                })
-                walk(child, path, depth + 1)
-
-        walk(self.root, "", 0)
-        return out
+        cum: Dict[tuple, float] = {}
+        calls: Dict[tuple, int] = {}
+        for path, cell in self._cells.items():
+            if not cell.calls:
+                continue
+            parts = tuple(path.split(";"))
+            for depth in range(1, len(parts)):
+                cum.setdefault(parts[:depth], 0.0)
+            cum[parts] = cell.cum * (cell.mask + 1)
+            calls[parts] = cell.calls
+        child_cum: Dict[tuple, float] = {}
+        for parts, value in cum.items():
+            child_cum[parts[:-1]] = child_cum.get(parts[:-1], 0.0) + value
+        return [
+            {
+                "path": ";".join(parts),
+                "name": parts[-1],
+                "depth": len(parts) - 1,
+                "calls": calls.get(parts, 0),
+                "cum_s": cum[parts],
+                "self_s": max(cum[parts] - child_cum.get(parts, 0.0), 0.0),
+            }
+            for parts in sorted(cum)
+        ]
 
     def to_collapsed(self) -> str:
         """Collapsed-stack (flamegraph) export.
@@ -289,9 +224,10 @@ class RegionProfiler:
 
     def format_top(self, n: int = 10) -> str:
         """Top-``n`` regions by self time, as an aligned table."""
-        rows = sorted(self.rows(), key=lambda r: -r["self_s"])[:n]
+        all_rows = self.rows()
+        rows = sorted(all_rows, key=lambda r: -r["self_s"])[:n]
         total = 0.0
-        for r in self.rows():
+        for r in all_rows:
             total += r["self_s"]
         header = f"{'region':<42} {'calls':>9} {'self':>10} {'cum':>10} {'self%':>6}"
         lines = [header, "-" * len(header)]
@@ -303,20 +239,6 @@ class RegionProfiler:
                 f"{pct:>5.1f}%"
             )
         return "\n".join(lines)
-
-
-class _Region:
-    __slots__ = ("_prof", "_name")
-
-    def __init__(self, prof: RegionProfiler, name: str):
-        self._prof = prof
-        self._name = name
-
-    def __enter__(self) -> None:
-        self._prof.enter(self._name)
-
-    def __exit__(self, *exc) -> None:
-        self._prof.exit()
 
 
 class CounterRegistry:
@@ -374,15 +296,17 @@ class CounterRegistry:
 class ProfileContext:
     """Bundles the region profiler + counter registry onto the fabric.
 
-    Same discovery pattern as ``FaultInjector`` / ``SanitizerContext`` /
-    ``ObsContext``: :meth:`install` hangs the context off the fabric and
-    environment; components look it up once at construction (or read
-    ``fabric.profiler`` dynamically on slow paths) and skip every hook
-    when it is ``None``.
+    :meth:`install` hangs the context off the fabric and environment
+    (like ``FaultInjector`` / ``ObsContext``) and wraps each NIC's two
+    per-packet entry points; components built afterwards read
+    ``fabric.profiler`` once at construction and wrap their own hot
+    calls through :attr:`timed`.
 
     One context may be installed across several engines (the serve
     layer runs one engine per batch): regions and counters accumulate,
-    which is exactly what a service-level profile wants.
+    which is exactly what a service-level profile wants.  The context
+    references no component beyond the end of its run, so a finished
+    engine is collectable while the context lives.
 
     Two ways for counts to land in the registry:
 
@@ -393,9 +317,10 @@ class ProfileContext:
       the owning component registers an :meth:`add_source` callback
       that reports its running totals from state it maintains anyway
       (NIC/pool ``StatRegistry`` counters, matching-queue probe
-      tallies).  :meth:`flush` folds every source in; all snapshot
+      tallies).  :meth:`flush` folds every live source in; all snapshot
       paths (:meth:`report_dict`, :meth:`counters_dict`,
-      :meth:`fingerprint`, :meth:`format_counters`) flush first.
+      :meth:`fingerprint`, :meth:`format_counters`) flush first, and
+      :meth:`settle` keeps the final totals and lets the sources go.
       Reading ``ctx.counters`` directly between flushes sees only the
       direct increments.
     """
@@ -403,26 +328,30 @@ class ProfileContext:
     def __init__(self, clock=wall_now):
         self.regions = RegionProfiler(clock=clock)
         self.counters = CounterRegistry()
-        self.env = None
-        self.fabric = None
-        #: Deferred counter sources: callables returning an iterable of
-        #: ``(name, running_total)`` pairs; totals are summed across
-        #: sources at flush time.
+        #: Live deferred counter sources: callables returning an
+        #: iterable of ``(name, running_total)`` pairs.
         self._sources: List = []
-        # Hot-path aliases bound past the delegation layer: call sites
-        # pay one method call, not two.
-        self.enter = self.regions.enter
-        self.exit = self.regions.exit
-        self.leaf = self.regions.leaf
-        self.clock = self.regions.clock
+        #: Final totals of the sources :meth:`settle` has dropped.
+        self._settled: Dict[str, int] = {}
+        self.cell = self.regions.cell
+        self.timed = self.regions.timed
         self.count = self.counters.inc
-        self.add_leaf_source = self.regions.add_leaf_source
 
     def install(self, env, fabric) -> "ProfileContext":
-        self.env = env
-        self.fabric = fabric
         fabric.profiler = self
         env.profiler = self
+        # Packets only ever move inside the event loop, so the parent
+        # region is static.
+        for host in range(fabric.num_hosts):
+            nic = fabric.nic(host)
+            nic.try_inject = self.timed(
+                "sim.engine.run;netapi.nic.inject", nic.try_inject,
+                sampled=True,
+            )
+            nic.deliver = self.timed(
+                "sim.engine.run;netapi.nic.deliver", nic.deliver,
+                sampled=True,
+            )
         # The NIC layer keeps deterministic per-NIC packet/byte stats
         # regardless of profiling; snapshot them instead of paying
         # per-packet increments.
@@ -433,22 +362,39 @@ class ProfileContext:
         """Register a deferred counter source (see the class docstring)."""
         self._sources.append(fn)
 
+    def _source_totals(self) -> Dict[str, int]:
+        totals = dict(self._settled)
+        for fn in self._sources:
+            for name, value in fn():
+                totals[name] = totals.get(name, 0) + value
+        return totals
+
     def flush(self) -> "ProfileContext":
         """Fold every deferred source's totals into the registry.
 
         Idempotent: sources report running totals, summed across
-        sources and written with :meth:`CounterRegistry.set`.  Zero
-        totals are skipped so counters only exist once the event they
-        count has happened (matching the direct-increment behaviour).
+        sources (settled ones included) and written with
+        :meth:`CounterRegistry.set`.  Zero totals are skipped so
+        counters only exist once the event they count has happened
+        (matching the direct-increment behaviour).
         """
-        totals: Dict[str, int] = {}
-        for fn in self._sources:
-            for name, value in fn():
-                totals[name] = totals.get(name, 0) + value
-        for name, value in totals.items():
+        for name, value in self._source_totals().items():
             if value:
                 self.counters.set(name, value)
         return self
+
+    def settle(self) -> "ProfileContext":
+        """Keep the sources' current totals, drop the sources, flush.
+
+        ``BspEngine.run()`` calls this on its way out: the sources close
+        over the engine's fabric, endpoints and pools, and a context
+        that outlives the run must not keep them alive.  Every live
+        source goes, so engines sharing a context are built and run one
+        after the other (as the serve layer does).
+        """
+        self._settled = self._source_totals()
+        self._sources.clear()
+        return self.flush()
 
     # -- snapshot accessors (always flushed) ---------------------------
     def counters_dict(self) -> Dict[str, int]:

@@ -50,6 +50,7 @@ Typical usage::
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -689,63 +690,61 @@ class Environment:
         polling loops; exceeding it raises :class:`SimulationError`.
         """
         prof = self.profiler
-        if prof is not None:
-            seq0 = self._seq
-            far0 = self._far_ops
-            prof.enter("sim.engine.run")
+        seq0 = self._seq
+        far0 = self._far_ops
         count = 0
         limit = max_events if max_events is not None else _INF
         pop = heappop
-        try:
-            while True:
-                # Re-read each iteration: callbacks may promote a bucket
-                # (via peek/step) or resize the calendar, replacing _cur.
-                cur = self._cur
-                if not cur:
-                    if not self._advance():
-                        break
+        with nullcontext() if prof is None else prof.cell("sim.engine.run"):
+            try:
+                while True:
+                    # Re-read each iteration: callbacks may promote a bucket
+                    # (via peek/step) or resize the calendar, replacing _cur.
                     cur = self._cur
-                if until is not None and cur[0][0] > until:
-                    self._now = until
-                    return
-                entry = pop(cur)
-                self._now = entry[0]
-                count += 1
-                # Inlined _dispatch: this branch pair is the hottest code
-                # in the simulator.
-                if len(entry) == 4:
-                    entry[2](entry[3])
-                else:
-                    obj = entry[2]
-                    if isinstance(obj, Event):
-                        obj._run_callbacks()
+                    if not cur:
+                        if not self._advance():
+                            break
+                        cur = self._cur
+                    if until is not None and cur[0][0] > until:
+                        self._now = until
+                        return
+                    entry = pop(cur)
+                    self._now = entry[0]
+                    count += 1
+                    # Inlined _dispatch: this branch pair is the hottest code
+                    # in the simulator.
+                    if len(entry) == 4:
+                        entry[2](entry[3])
                     else:
-                        obj()
-                if count > limit:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} at t={self._now:.9f}"
-                    )
-            if until is not None:
-                self._now = until
-        finally:
-            if prof is not None:
-                prof.exit()
-                scheduled = self._seq - seq0
-                ctr = prof.counters
-                ctr.inc("sim.events_scheduled", scheduled)
-                ctr.inc("sim.events_fired", count)
-                # Total scheduler ops: every schedule files an entry,
-                # every fire pops one (the counter's meaning since the
-                # single-heap scheduler; kept for trajectory continuity).
-                ctr.inc("sim.heap_ops", scheduled + count)
-                # Fallback breakdown, only when the overflow heap actually
-                # engaged: the canonical workloads fit entirely inside the
-                # calendar window, and emitting always-zero keys would
-                # change their counter fingerprints for no information.
-                far = self._far_ops - far0
-                if far:
-                    ctr.inc("sim.heap_fallback_ops", far)
-                    ctr.inc("sim.bucket_ops", scheduled + count - far)
+                        obj = entry[2]
+                        if isinstance(obj, Event):
+                            obj._run_callbacks()
+                        else:
+                            obj()
+                    if count > limit:
+                        raise SimulationError(
+                            f"exceeded max_events={max_events} at t={self._now:.9f}"
+                        )
+                if until is not None:
+                    self._now = until
+            finally:
+                if prof is not None:
+                    scheduled = self._seq - seq0
+                    ctr = prof.counters
+                    ctr.inc("sim.events_scheduled", scheduled)
+                    ctr.inc("sim.events_fired", count)
+                    # Total scheduler ops: every schedule files an entry,
+                    # every fire pops one (the counter's meaning since the
+                    # single-heap scheduler; kept for trajectory continuity).
+                    ctr.inc("sim.heap_ops", scheduled + count)
+                    # Fallback breakdown, only when the overflow heap actually
+                    # engaged: the canonical workloads fit entirely inside the
+                    # calendar window, and emitting always-zero keys would
+                    # change their counter fingerprints for no information.
+                    far = self._far_ops - far0
+                    if far:
+                        ctr.inc("sim.heap_fallback_ops", far)
+                        ctr.inc("sim.bucket_ops", scheduled + count - far)
 
     def run_process(self, proc: Process, until: Optional[float] = None) -> Any:
         """Run until ``proc`` completes and return its value."""

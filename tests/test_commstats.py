@@ -4,7 +4,7 @@ The load-bearing guarantees pinned here:
 
 * attaching a :class:`CommStatsContext` leaves ``RunMetrics``
   bit-identical for every comm layer (pure observation), alone and
-  combined with lifecycle tracing;
+  with every other instrument attached at once, faults included;
 * the traffic matrices *telescope*: wire totals equal the fabric's
   always-on ``pkts_sent``/``bytes_sent`` counters exactly, blob totals
   equal ``RunMetrics.blobs_sent``/``payload_bytes_sent`` exactly;
@@ -16,6 +16,7 @@ The load-bearing guarantees pinned here:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.bench.scenarios import Scenario, build_engine
 from repro.obs import (
     CommStatsContext,
     ObsContext,
+    ProfileContext,
     analyze_comm,
     check_comm_baseline,
     comm_doc_to_csv,
@@ -69,12 +71,41 @@ def test_commstats_leaves_run_metrics_bit_identical(observed_runs, layer):
     assert observed.row() == plain.row()
 
 
+def every_instrument(sc, **kw):
+    """``sc`` with profile + obs + commstats attached at once: the single
+    NIC path with every observer branch live."""
+    return build_engine(
+        sc, obs=ObsContext(), commstats=CommStatsContext(),
+        profile=ProfileContext(), **kw,
+    )
+
+
 @pytest.mark.parametrize("layer", LAYERS)
 def test_commstats_with_obs_still_bit_identical(layer):
     sc = bfs8(layer)
     plain = build_engine(sc).run()
-    both = build_engine(sc, obs=ObsContext(), commstats=CommStatsContext())
-    assert both.run().row() == plain.row()
+    observed = every_instrument(replace(sc, sanitize="warn")).run()
+    assert observed.sanitizer_violations == []
+    assert observed.total_seconds == plain.total_seconds
+    assert observed.row() == plain.row()
+
+
+def test_every_instrument_at_once_gemini():
+    sc = replace(bfs8("mpi-probe"), system="gemini")
+    plain = build_engine(sc).run()
+    observed = every_instrument(replace(sc, sanitize="warn")).run()
+    assert observed.row() == plain.row()
+
+
+def test_every_instrument_at_once_under_faults():
+    sc = bfs8("lci")
+    faulted = build_engine(sc, fault_plan="drop-5pct")
+    plain = faulted.run()
+    assert faulted.injector.counts()  # packets really were dropped
+    observed = every_instrument(sc, fault_plan="drop-5pct").run()
+    assert observed.total_seconds == plain.total_seconds
+    assert observed.row() == plain.row()
+    assert observed.fault_counts == plain.fault_counts
 
 
 @pytest.mark.parametrize("layer", LAYERS)

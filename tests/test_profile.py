@@ -4,31 +4,29 @@ The load-bearing guarantees pinned here:
 
 * installing a :class:`ProfileContext` leaves ``RunMetrics``
   bit-identical across every comm layer and both engines (pure
-  observation — the CI bench leg re-asserts this);
+  observation);
 * the work-counter fingerprint is a pure function of the scenario:
-  repeat runs reproduce it exactly, and the deferred-source
-  :meth:`~repro.obs.ProfileContext.flush` is idempotent;
+  repeat runs reproduce it exactly, the deferred-source
+  :meth:`~repro.obs.ProfileContext.flush` is idempotent, and a finished
+  engine's totals survive the engine;
 * the region tree's self/cumulative arithmetic is exact under an
-  injectable clock, for both the enter/exit and the fused leaf forms;
+  injectable clock, for both spellings of the one primitive (``cell``
+  bracket, ``timed`` wrapper), sampled or not, and a context shared by
+  several engines adds their calls up;
 * exports (JSON profile document, collapsed stacks) pass their
   validators;
-* ``BENCH_core.json`` drift checking ignores wall-clock blocks but
-  catches any deterministic change.
+* ``BENCH_core.json`` drift checking catches any change.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
-from repro.bench.core_bench import (
-    OVERHEAD_SCENARIO,
-    bench_core_to_json,
-    check_core_against_file,
-    core_benchmark,
-    measure_overhead,
-    strip_wall,
-)
+from repro.bench.core_bench import core_benchmark
 from repro.bench.scenarios import Scenario, build_engine
+from repro.bench.serve_bench import bench_doc_to_json, check_against_file
 from repro.cli import main
 from repro.obs import (
     CounterRegistry,
@@ -37,6 +35,7 @@ from repro.obs import (
     validate_collapsed,
     validate_profile_doc,
 )
+from repro.obs.profile import LEAF_SAMPLE_STRIDE
 
 LAYERS = ("lci", "mpi-probe", "mpi-rma")
 
@@ -67,10 +66,10 @@ class FakeClock:
 def test_region_nesting_self_and_cum():
     clock = FakeClock()
     prof = RegionProfiler(clock=clock)
-    prof.enter("outer")          # t=1
-    prof.enter("inner")          # t=2
-    prof.exit()                  # t=3: inner cum = 1
-    prof.exit()                  # t=4: outer cum = 3
+    with prof.cell("outer"):             # t=1
+        with prof.cell("outer;inner"):   # t=2
+            pass                         # t=3: inner cum = 1
+    #                                      t=4: outer cum = 3
     rows = {r["path"]: r for r in prof.rows()}
     assert rows["outer"]["cum_s"] == 3.0
     assert rows["outer"]["self_s"] == 2.0  # 3 minus inner's 1
@@ -78,46 +77,109 @@ def test_region_nesting_self_and_cum():
     assert rows["outer;inner"]["self_s"] == 1.0
     assert rows["outer"]["calls"] == 1
     assert rows["outer;inner"]["depth"] == 1
-    assert prof.depth == 0
+    assert rows["outer;inner"]["name"] == "inner"
 
 
-def test_leaf_equivalent_to_enter_exit():
-    """The fused leaf form builds the same tree as enter/exit."""
-    c1, c2 = FakeClock(), FakeClock()
-    a, b = RegionProfiler(clock=c1), RegionProfiler(clock=c2)
+def test_timed_equivalent_to_cell_bracket():
+    """The wrapper form builds the same tree as the bracket form."""
+    a, b = RegionProfiler(clock=FakeClock()), RegionProfiler(clock=FakeClock())
 
-    a.enter("outer")
-    a.enter("hot")
-    a.exit()
-    a.exit()
+    with a.cell("outer"):
+        with a.cell("outer;hot"):
+            pass
 
-    b.enter("outer")
-    t0 = b.clock()
-    b.leaf("hot", t0)
-    b.exit()
+    hot = b.timed("outer;hot", lambda x, y=0: x + y)
+    with b.cell("outer"):
+        assert hot(1, 2) == 3  # arguments and result pass through
+
+    with pytest.raises(TypeError):  # positional only, and loud about it
+        hot(1, y=2)
 
     assert a.rows() == b.rows()
 
 
-def test_leaf_attaches_to_innermost_open_region():
-    clock = FakeClock()
-    prof = RegionProfiler(clock=clock)
-    t0 = prof.clock()
-    prof.leaf("at_root", t0)
-    prof.enter("outer")
-    t0 = prof.clock()
-    prof.leaf("nested", t0)
-    prof.exit()
-    paths = [r["path"] for r in prof.rows()]
-    assert "at_root" in paths
-    assert "outer;nested" in paths
+def test_timed_counts_a_call_that_raises():
+    prof = RegionProfiler(clock=FakeClock())
+
+    def boom():
+        raise KeyError("x")
+
+    with pytest.raises(KeyError):
+        prof.timed("r", boom)()
+    (row,) = prof.rows()
+    assert row["calls"] == 1 and row["cum_s"] == 1.0
+
+
+def test_rows_build_tree_from_paths():
+    """Rows come out depth-first in name order whatever the order the
+    cells were made in; an ancestor nobody timed is a zero row, and a
+    cell that never fired is no row at all."""
+    prof = RegionProfiler(clock=FakeClock())
+    prof.cell("never;fired")
+    for path in ("b", "a;z;leaf", "a;c", "at_root"):
+        with prof.cell(path):
+            pass
+    rows = prof.rows()
+    assert [r["path"] for r in rows] == [
+        "a", "a;c", "a;z", "a;z;leaf", "at_root", "b",
+    ]
+    by_path = {r["path"]: r for r in rows}
+    assert by_path["a"] == {
+        "path": "a", "name": "a", "depth": 0, "calls": 0,
+        "cum_s": 0.0, "self_s": 0.0,  # floored: children exceed it
+    }
+    assert by_path["a;z;leaf"]["depth"] == 2
+    assert by_path["a;z;leaf"]["cum_s"] == 1.0
+
+
+@pytest.mark.parametrize("bracket", [False, True])
+def test_sampled_cell_scales_cum_and_keeps_calls_exact(bracket):
+    """Every STRIDE-th call reads the clock; cum is scaled back up at
+    report time and the call count stays exact."""
+    prof = RegionProfiler(clock=FakeClock())
+    n = 3 * LEAF_SAMPLE_STRIDE + 1
+    if bracket:
+        for _ in range(n):
+            with prof.cell("hot", sampled=True):
+                pass
+    else:
+        hot = prof.timed("hot", lambda: None, sampled=True)
+        for _ in range(n):
+            hot()
+    (row,) = prof.rows()
+    assert row["calls"] == n
+    assert row["cum_s"] == 3.0 * LEAF_SAMPLE_STRIDE  # 3 timed calls x 1 tick
+
+
+def test_cell_cannot_be_both_sampled_and_unsampled():
+    prof = RegionProfiler(clock=FakeClock())
+    prof.cell("r", sampled=True)
+    with pytest.raises(ValueError):
+        prof.cell("r")
+
+
+def test_shared_path_is_additive():
+    """Two components naming one path share one cell: their calls and
+    time add up, neither overwrites the other."""
+    prof = RegionProfiler(clock=FakeClock())
+    first = prof.timed("run;inject", lambda: None)
+    second = prof.timed("run;inject", lambda: None)
+    first()
+    second()
+    second()
+    with prof.cell("run;inject"):
+        pass
+    by_path = {r["path"]: r for r in prof.rows()}
+    assert by_path["run;inject"]["calls"] == 4
+    assert by_path["run;inject"]["cum_s"] == 4.0
+    assert prof.rows() == prof.rows()  # reporting changes nothing
 
 
 def test_region_context_manager_and_repeat_calls():
     clock = FakeClock()
     prof = RegionProfiler(clock=clock)
     for _ in range(3):
-        with prof.region("r"):
+        with prof.cell("r"):
             pass
     (row,) = prof.rows()
     assert row["calls"] == 3
@@ -126,8 +188,8 @@ def test_region_context_manager_and_repeat_calls():
 
 def test_default_clock_is_monotonic_wall():
     prof = RegionProfiler()
-    prof.enter("a")
-    prof.exit()
+    with prof.cell("a"):
+        pass
     (row,) = prof.rows()
     assert row["cum_s"] >= 0.0
 
@@ -187,6 +249,20 @@ def test_flush_skips_zero_totals():
     assert "never.happened" not in ctx.counters_dict()
 
 
+def test_settle_keeps_totals_and_drops_sources():
+    ctx = ProfileContext()
+    total = {"v": 3}
+    ctx.add_source(lambda: (("layer.ops", total["v"]),))
+    ctx.settle()
+    total["v"] = 99  # the source is gone: nothing reads this any more
+    assert ctx.counters_dict()["layer.ops"] == 3
+    ctx.add_source(lambda: (("layer.ops", 4),))  # the next engine's source
+    assert ctx.counters_dict()["layer.ops"] == 7
+    ctx.settle()
+    ctx.settle()
+    assert ctx.counters_dict()["layer.ops"] == 7
+
+
 # ---------------------------------------------------------------------------
 # Bit-identity and determinism on real engine runs
 # ---------------------------------------------------------------------------
@@ -195,6 +271,7 @@ def test_flush_skips_zero_totals():
 def test_profiler_on_is_bit_identical(layer):
     plain = build_engine(bfs8(layer)).run()
     traced = build_engine(bfs8(layer), profile=ProfileContext()).run()
+    assert plain.total_seconds == traced.total_seconds
     assert plain.row() == traced.row()
 
 
@@ -236,6 +313,55 @@ def test_regions_cover_the_hot_paths():
         "engine.bsp.scatter",
     ):
         assert expected in paths, sorted(paths)
+
+
+def assert_nic_regions_count_every_packet(ctx):
+    calls = {r["name"]: r["calls"] for r in ctx.regions.rows()}
+    counts = ctx.counters_dict()
+    assert calls["netapi.nic.inject"] == (
+        counts["netapi.pkts_injected"] + counts.get("netapi.tx_full", 0)
+    )
+    assert calls["netapi.nic.deliver"] == counts["netapi.pkts_delivered"]
+
+
+def test_shared_context_adds_faulted_and_plain_engines_up():
+    """One context over a faulted engine and then a plain one: the NIC
+    regions hold both engines' packets (the plain engine used to
+    overwrite what the faulted one had added)."""
+    ctx = ProfileContext()
+    build_engine(bfs8("lci"), profile=ctx, fault_plan="drop-5pct").run()
+    build_engine(bfs8("lci"), profile=ctx).run()
+    assert_nic_regions_count_every_packet(ctx)
+
+
+def test_serve_profile_counts_every_batch():
+    from repro.serve import ServeConfig, ServeEngine, TapeSpec, generate_tape
+
+    ctx = ProfileContext()
+    eng = ServeEngine(
+        ServeConfig(scale=8, hosts=4, layer="lci", max_batch=4, ppr_rounds=3),
+        profile=ctx,
+    )
+    tape = generate_tape(
+        TapeSpec(seed=3, num_queries=12, scale=8, mean_gap=1e-4)
+    )
+    eng.drain(tape)
+    assert len(eng.batch_log) > 1
+    assert_nic_regions_count_every_packet(ctx)
+
+
+def test_context_does_not_keep_a_finished_engine_alive():
+    ctx = ProfileContext()
+    eng = build_engine(bfs8("mpi-probe"), profile=ctx)
+    eng.run()
+    fabric = weakref.ref(eng.fabric)
+    before = (ctx.counters_dict(), ctx.fingerprint())
+    del eng
+    gc.collect()
+    assert fabric() is None
+    assert (ctx.counters_dict(), ctx.fingerprint()) == before
+    assert before[0]["netapi.pkts_injected"] > 0
+    assert before[0]["mpi.match_probes"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -303,43 +429,27 @@ TINY = (Scenario(app="bfs", graph="rmat", scale=7, hosts=2, layer="lci"),)
 def test_core_benchmark_shape_and_check(tmp_path):
     doc = core_benchmark(TINY, repeats=2)
     (row,) = doc["scenarios"]
+    assert set(row) == {"label", "sim"}  # nothing machine-dependent
     assert row["sim"]["fingerprint"]
     assert row["sim"]["events_fired"] > 0
-    assert row["wall"]["wall_seconds"] > 0
 
     path = tmp_path / "BENCH_core.json"
-    path.write_text(bench_core_to_json(doc))
+    path.write_text(bench_doc_to_json(doc))
 
-    # Wall-clock drift must be invisible to the check...
+    # A regenerated document matches byte for byte...
     doc2 = core_benchmark(TINY, repeats=1)
-    doc2["scenarios"][0]["wall"]["wall_seconds"] = 999.0
-    assert check_core_against_file(doc2, str(path)) == []
+    assert check_against_file(doc2, str(path)) == []
+    assert bench_doc_to_json(doc2) == path.read_text()
 
-    # ...while any deterministic drift is loud.
-    doc3 = json.loads(bench_core_to_json(doc))
+    # ...while any drift is loud.
+    doc3 = json.loads(bench_doc_to_json(doc))
     doc3["scenarios"][0]["sim"]["fingerprint"] = "0" * 16
-    assert check_core_against_file(doc3, str(path))
+    assert check_against_file(doc3, str(path))
 
 
 def test_check_against_missing_file(tmp_path):
     doc = {"format": "repro-bench-core/v1", "scenarios": []}
-    assert check_core_against_file(doc, str(tmp_path / "absent.json")) is None
-
-
-def test_strip_wall_removes_every_wall_subtree():
-    doc = {"a": [{"wall": {"x": 1}, "sim": {"y": 2, "wall": 0}}], "wall": 3}
-    stripped = strip_wall(doc)
-    assert stripped == {"a": [{"sim": {"y": 2}}]}  # at every depth
-
-
-def test_measure_overhead_shape():
-    out = measure_overhead(TINY[0], repeats=1)
-    assert set(out) == {"scenario", "wall_off", "wall_on", "overhead_pct"}
-    assert out["wall_off"] > 0 and out["wall_on"] > 0
-
-
-def test_overhead_scenario_is_well_formed():
-    assert OVERHEAD_SCENARIO.layer in ("lci", "mpi-probe", "mpi-rma")
+    assert check_against_file(doc, str(tmp_path / "absent.json")) is None
 
 
 # ---------------------------------------------------------------------------
