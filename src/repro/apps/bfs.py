@@ -12,7 +12,12 @@ from typing import Dict
 
 import numpy as np
 
-from repro.engine.vertex_program import ComputeResult, VertexProgram, min_relax
+from repro.engine.vertex_program import (
+    ComputeResult,
+    VertexProgram,
+    min_relax,
+    sorted_unique,
+)
 from repro.graph.csr import CsrGraph
 from repro.graph.partition.proxies import LocalGraph
 
@@ -98,7 +103,7 @@ class Bfs(VertexProgram):
         np.minimum.at(label, dst, cand)
         changed = dst[label[dst] < before]
         return ComputeResult(
-            np.unique(changed), int(len(dst)),
+            sorted_unique(changed, lg.num_local), int(len(dst)),
             int(np.count_nonzero(label >= INF)),
         )
 

@@ -26,7 +26,11 @@ from typing import Dict
 
 import numpy as np
 
-from repro.engine.vertex_program import ComputeResult, VertexProgram
+from repro.engine.vertex_program import (
+    ComputeResult,
+    VertexProgram,
+    sorted_unique,
+)
 from repro.graph.csr import CsrGraph
 from repro.graph.partition.proxies import LocalGraph
 
@@ -74,7 +78,8 @@ class KCore(VertexProgram):
             )
         np.add.at(state["removals"], dst, 1)
         return ComputeResult(
-            np.unique(dst), int(len(dst)), int(len(srcs_pending))
+            sorted_unique(dst, lg.num_local), int(len(dst)),
+            int(len(srcs_pending)),
         )
 
     # -- reduce (add) ------------------------------------------------------

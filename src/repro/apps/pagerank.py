@@ -63,7 +63,15 @@ class PageRank(VertexProgram):
         contrib = state["contrib"]
         partial = state["partial"]
         src = lg.edge_sources()
-        dst = lg.indices
+        dst = state.get("_pr_dst")
+        if dst is None:
+            # np.bincount copies a read-only operand on every call (it
+            # asks NumPy for a writeable array), and the arrays of a
+            # resident partition are read-only: make that copy once.
+            dst = lg.indices
+            if not dst.flags.writeable:
+                dst = dst.copy()
+            state["_pr_dst"] = dst
         if len(dst) == 0:
             return ComputeResult(np.empty(0, dtype=np.int64), 0, lg.num_local)
         # partial is provably all-zero here (masters reset in post_reduce,

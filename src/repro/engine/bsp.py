@@ -35,7 +35,7 @@ from repro.comm.layer_base import CommLayer, make_layers
 from repro.comm.serialization import pack_cost, pack_updates, unpack_cost
 from repro.engine.metrics import RunMetrics
 from repro.engine.vertex_program import VertexProgram
-from repro.graph.csr import CsrGraph
+from repro.graph.csr import CsrGraph, resident
 from repro.graph.partition import make_partition
 from repro.graph.partition.proxies import Partition
 from repro.netapi.nic import Fabric
@@ -46,8 +46,13 @@ from repro.sim.machine import MachineModel, stampede2
 __all__ = ["EngineConfig", "BspEngine", "symmetrize"]
 
 
+@resident
 def symmetrize(graph: CsrGraph) -> CsrGraph:
-    """Add reverse edges (used for cc, which is undirected semantics)."""
+    """Add reverse edges (used for cc, which is undirected semantics).
+
+    A frozen graph's symmetrized form is built once, frozen and kept
+    resident (:func:`repro.graph.csr.resident`).
+    """
     src, dst = graph.edges()
     all_src = np.concatenate([src, dst])
     all_dst = np.concatenate([dst, src])
@@ -121,12 +126,13 @@ class EngineConfig:
 class BspEngine:
     """Runs one vertex program on one partitioned graph.
 
-    ``partition`` lets a long-lived caller (the serve layer) keep one
-    partitioned graph *resident* and amortize the partitioning cost over
-    many executions: when given, ``graph`` must already be in the form
-    the program needs (symmetrized for ``needs_symmetric`` apps) and
-    must be the graph the partition was built from — the engine skips
-    both the symmetrize step and :func:`make_partition`.
+    Engines on one frozen graph share its symmetrized form and its
+    partitions: :func:`symmetrize` and :func:`make_partition` keep them
+    resident, so only the first engine per (graph, hosts, policy) pays
+    for them.  ``partition`` passes one in explicitly instead: ``graph``
+    must then already be in the form the program needs (symmetrized for
+    ``needs_symmetric`` apps) and be the graph the partition was built
+    from — the engine calls neither function.
     """
 
     def __init__(self, graph: CsrGraph, app: VertexProgram,

@@ -28,7 +28,10 @@ import numpy as np
 from repro.graph.csr import CsrGraph
 from repro.graph.partition.proxies import LocalGraph
 
-__all__ = ["ComputeResult", "VertexProgram", "min_relax", "min_relax_multi"]
+__all__ = [
+    "ComputeResult", "VertexProgram", "min_relax", "min_relax_multi",
+    "sorted_unique", "at_columns",
+]
 
 
 @dataclass
@@ -130,6 +133,29 @@ class VertexProgram:
         raise NotImplementedError
 
 
+def sorted_unique(ids: np.ndarray, bound: int) -> np.ndarray:
+    """The distinct values of ``ids`` (all in ``[0, bound)``), ascending.
+
+    A bitmap sieve: mark, then read the marks back in order — no sort
+    and no hash, and the same int64 array ``np.unique(ids)`` returns.
+    """
+    seen = np.zeros(bound, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen)
+
+
+def at_columns(op: np.ufunc, target: np.ndarray, ids: np.ndarray,
+               values: np.ndarray) -> None:
+    """``op.at(target, ids, values)`` for an ``(n, K)`` target, as one
+    1-D ``op.at`` per column (NumPy's fast ``ufunc.at`` is 1-D only).
+
+    ``ids`` may repeat.  Each column combines its values in the element
+    order the 2-D call uses, so float columns keep their bits.
+    """
+    for col in range(target.shape[1]):
+        op.at(target[:, col], ids, values[:, col])
+
+
 def min_relax(
     lg: LocalGraph,
     label: np.ndarray,
@@ -142,6 +168,11 @@ def min_relax(
     from ``cand_fn(src_ids, edge_slice)`` are scatter-min'd into the
     targets.  Vectorized: the per-edge selection uses ``np.repeat`` over
     the CSR degree array — no Python loop over nodes or edges.
+
+    Edge targets repeat within one phase (several active sources reach
+    the same node), so the scatter must be ``np.minimum.at``: a gather /
+    ``np.minimum`` / fancy-assign would keep only one candidate per
+    target.
     """
     active_ids = np.where(active)[0]
     if len(active_ids) == 0:
@@ -159,7 +190,8 @@ def min_relax(
     np.minimum.at(label, dst, cand)
     changed = dst[label[dst] < before]
     return ComputeResult(
-        np.unique(changed), int(len(dst)), int(len(active_ids))
+        sorted_unique(changed, lg.num_local), int(len(dst)),
+        int(len(active_ids)),
     )
 
 
@@ -198,8 +230,9 @@ def min_relax_multi(
     src = lg.edge_sources()[edge_sel]
     cand = cand_fn(src, edge_sel)
     before = label[dst]
-    np.minimum.at(label, dst, cand)
+    at_columns(np.minimum, label, dst, cand)
     changed = dst[np.any(label[dst] < before, axis=1)]
     return ComputeResult(
-        np.unique(changed), int(len(dst)) * K, int(len(active_ids))
+        sorted_unique(changed, lg.num_local), int(len(dst)) * K,
+        int(len(active_ids)),
     )

@@ -8,11 +8,76 @@ hot loops, prefer views over copies).
 
 from __future__ import annotations
 
+from functools import lru_cache, wraps
 from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CsrGraph"]
+__all__ = [
+    "CsrGraph", "stable_argsort", "group_offsets", "resident",
+    "RESIDENT_BOUND",
+]
+
+#: How many results each :func:`resident` derivation keeps.
+RESIDENT_BOUND = 4
+
+
+def resident(derive):
+    """Keep what ``derive(graph, *key)`` builds from a *frozen* graph.
+
+    A frozen graph cannot change, so whatever is derived from it — its
+    symmetrized form, a partition — is built once, frozen in turn
+    (``.freeze()``) and handed to every caller that asks again; engines,
+    the query service and sweeps share it through this one table
+    instead of each keeping its own.  An unfrozen graph is derived
+    afresh every time.
+
+    The table is keyed by the graph object itself, which it therefore
+    keeps alive: an ``id()`` could be reused after collection, and a
+    name does not tell a weighted graph from the plain one of the same
+    family and scale.  It holds the ``RESIDENT_BOUND`` most recently
+    used results.
+    """
+    @lru_cache(maxsize=RESIDENT_BOUND)
+    def shared(graph, *key):
+        return derive(graph, *key).freeze()
+
+    @wraps(derive)
+    def lookup(graph, *key):
+        return shared(graph, *key) if graph.frozen else derive(graph, *key)
+
+    return lookup
+
+
+def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for int64 ``0 <= keys < bound``.
+
+    The bound picks the cheapest sort that gives exactly that order, on
+    arithmetic grounds only: keys of at most 16 bits go through NumPy's
+    radix sort as ``uint8`` / ``uint16`` (the smallest dtype that holds
+    ``bound - 1``, so a key never wraps); wider keys are packed above their
+    own position — every packed value is distinct, so the unstable SIMD
+    ``sort`` *is* the stable order; and where key plus position exceed an
+    int64's 63 bits the stable argsort itself runs.
+    """
+    narrow = np.min_scalar_type(bound - 1)
+    if narrow.itemsize <= 2:
+        return np.argsort(keys.astype(narrow), kind="stable")
+    pos_bits = max(len(keys) - 1, 0).bit_length()
+    if (bound - 1).bit_length() + pos_bits > 63:
+        return np.argsort(keys, kind="stable")
+    packed = keys << pos_bits
+    packed |= np.arange(len(keys), dtype=np.int64)
+    packed.sort()
+    packed &= (1 << pos_bits) - 1
+    return packed
+
+
+def group_offsets(ids: np.ndarray, num_groups: int) -> np.ndarray:
+    """CSR-style offsets of ``ids`` grouped by value: group ``g`` spans
+    ``[offsets[g], offsets[g + 1])`` of the stably sorted ids."""
+    counts = np.bincount(ids, minlength=num_groups)
+    return np.concatenate(([0], np.cumsum(counts)))
 
 
 class CsrGraph:
@@ -104,19 +169,24 @@ class CsrGraph:
             src, dst = src[keep], dst[keep]
             if edge_data is not None:
                 edge_data = np.asarray(edge_data)[keep]
+            # Keep the first occurrence of every (src, dst), in input
+            # order: stably sorted, a run of equal keys starts at its
+            # earliest position.
             key = src * num_nodes + dst
-            _, unique_idx = np.unique(key, return_index=True)
-            unique_idx.sort()
-            src, dst = src[unique_idx], dst[unique_idx]
+            order = stable_argsort(key, num_nodes * num_nodes)
+            key = key[order]
+            first = np.ones(len(key), dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            keep = np.zeros(len(key), dtype=bool)
+            keep[order[first]] = True
+            src, dst = src[keep], dst[keep]
             if edge_data is not None:
-                edge_data = edge_data[unique_idx]
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
+                edge_data = edge_data[keep]
+        order = stable_argsort(src, num_nodes)
         if edge_data is not None:
             edge_data = np.asarray(edge_data)[order]
-        counts = np.bincount(src, minlength=num_nodes)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        return cls(indptr, dst, num_nodes, edge_data=edge_data, name=name)
+        return cls(group_offsets(src, num_nodes), dst[order], num_nodes,
+                   edge_data=edge_data, name=name)
 
     def freeze(self) -> "CsrGraph":
         """Make the underlying arrays read-only and return ``self``.

@@ -20,6 +20,7 @@ Two policies are provided, matching the two systems evaluated:
   communication partner set from p-1 to about 2*sqrt(p).
 """
 
+from repro.graph.csr import resident
 from repro.graph.partition.proxies import LocalGraph, Partition, build_partition
 from repro.graph.partition.edge_cut import blocked_edge_cut
 from repro.graph.partition.vertex_cut import cartesian_vertex_cut, grid_shape
@@ -36,9 +37,18 @@ __all__ = [
 
 
 def make_partition(graph, num_hosts, policy="cvc"):
-    """Partition ``graph`` with the named policy ("edge-cut" or "cvc")."""
+    """Partition ``graph`` with the named policy ("edge-cut" or "cvc").
+
+    The partition of a frozen graph is built once per (graph, hosts,
+    policy), frozen and kept resident (:func:`repro.graph.csr.resident`).
+    """
     if policy in ("edge-cut", "edge_cut", "ec"):
-        return blocked_edge_cut(graph, num_hosts)
+        return _partition(graph, num_hosts, blocked_edge_cut)
     if policy in ("cvc", "vertex-cut", "vertex_cut"):
-        return cartesian_vertex_cut(graph, num_hosts)
+        return _partition(graph, num_hosts, cartesian_vertex_cut)
     raise ValueError(f"unknown partition policy {policy!r}")
+
+
+@resident
+def _partition(graph, num_hosts, cut):
+    return cut(graph, num_hosts)

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CsrGraph
+from repro.graph.csr import CsrGraph, group_offsets, stable_argsort
 
 __all__ = ["LocalGraph", "Partition", "build_partition"]
 
@@ -115,6 +115,8 @@ class Partition:
         owner: np.ndarray,
         locals_: List[LocalGraph],
         policy: str,
+        reduce_pairs: Dict[Tuple[int, int], SyncPair],
+        bcast_pairs: Dict[Tuple[int, int], SyncPair],
     ):
         self.graph = graph
         self.num_hosts = num_hosts
@@ -123,10 +125,50 @@ class Partition:
         self.policy = policy
         #: (mirror_host, master_host) -> SyncPair for the reduce pattern
         #: (mirrors that local edges *write*, i.e. edge destinations).
-        self.reduce_pairs: Dict[Tuple[int, int], SyncPair] = {}
+        self.reduce_pairs = reduce_pairs
         #: (mirror_host, master_host) -> SyncPair for the broadcast
         #: pattern (mirrors that local edges *read*, i.e. edge sources).
-        self.bcast_pairs: Dict[Tuple[int, int], SyncPair] = {}
+        self.bcast_pairs = bcast_pairs
+        # Per-host views of the two dicts, in dict order, so an engine
+        # build reads its pair lists instead of scanning every pair
+        # four times per host.
+        self._reduce_out = [[] for _ in range(num_hosts)]
+        self._reduce_in = [[] for _ in range(num_hosts)]
+        self._bcast_out = [[] for _ in range(num_hosts)]
+        self._bcast_in = [[] for _ in range(num_hosts)]
+        for (mh, ph), sp in reduce_pairs.items():
+            self._reduce_out[mh].append(sp)
+            self._reduce_in[ph].append(sp)
+        for (mh, ph), sp in bcast_pairs.items():
+            self._bcast_out[ph].append(sp)
+            self._bcast_in[mh].append(sp)
+        self._frozen = False
+
+    def freeze(self) -> "Partition":
+        """Make every array read-only and return ``self``.
+
+        A partition kept resident is shared by every engine on its graph
+        (as a frozen :class:`CsrGraph` is): an in-place write raises
+        ``ValueError: assignment destination is read-only`` at the
+        offending line instead of corrupting the runs that follow.
+        """
+        if not self._frozen:
+            self._frozen = True
+            arrays = [self.owner]
+            for lg in self.locals:
+                arrays += [lg.global_ids, lg.indptr, lg.indices, lg.edge_data,
+                           lg.is_edge_src, lg.is_edge_dst, lg.edge_sources()]
+            for pairs in (self.reduce_pairs, self.bcast_pairs):
+                for sp in pairs.values():
+                    arrays += [sp.mirror_ids, sp.master_ids]
+            for array in arrays:
+                if array is not None:
+                    array.setflags(write=False)
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        return self._frozen
 
     # -- convenience views ---------------------------------------------
     def local(self, host: int) -> LocalGraph:
@@ -134,27 +176,19 @@ class Partition:
 
     def reduce_out(self, host: int) -> List[SyncPair]:
         """Pairs where ``host`` sends mirror values to masters."""
-        return [
-            sp for (mh, _ph), sp in self.reduce_pairs.items() if mh == host
-        ]
+        return self._reduce_out[host]
 
     def reduce_in(self, host: int) -> List[SyncPair]:
         """Pairs where ``host`` receives mirror values onto its masters."""
-        return [
-            sp for (_mh, ph), sp in self.reduce_pairs.items() if ph == host
-        ]
+        return self._reduce_in[host]
 
     def bcast_out(self, host: int) -> List[SyncPair]:
         """Pairs where ``host`` sends master values to mirrors."""
-        return [
-            sp for (_mh, ph), sp in self.bcast_pairs.items() if ph == host
-        ]
+        return self._bcast_out[host]
 
     def bcast_in(self, host: int) -> List[SyncPair]:
         """Pairs where ``host`` receives master values onto its mirrors."""
-        return [
-            sp for (mh, _ph), sp in self.bcast_pairs.items() if mh == host
-        ]
+        return self._bcast_in[host]
 
     def comm_partners(self, host: int) -> set:
         """All hosts this host exchanges messages with in a full sync."""
@@ -189,6 +223,11 @@ def build_partition(
 
     ``owner``: length |V|, master host of each node.
     ``edge_owner``: length |E| aligned with the CSR edge order.
+
+    Edges and nodes are each grouped by host in one stable sort; a host
+    then gathers its own slice, so the cost is O(|E| + |V|) plus one
+    O(|V|) mirror scan per host rather than ``num_hosts`` passes over
+    every edge.
     """
     owner = np.asarray(owner, dtype=np.int64)
     edge_owner = np.asarray(edge_owner, dtype=np.int64)
@@ -196,77 +235,86 @@ def build_partition(
         raise ValueError("owner array must cover every node")
     if len(edge_owner) != graph.num_edges:
         raise ValueError("edge_owner array must cover every edge")
-    if len(owner) and (owner.min() < 0 or owner.max() >= num_hosts):
-        raise ValueError("owner out of host range")
+    for name, hosts in (("owner", owner), ("edge_owner", edge_owner)):
+        if len(hosts) and (hosts.min() < 0 or hosts.max() >= num_hosts):
+            raise ValueError(f"{name} out of host range")
 
+    num_nodes = graph.num_nodes
     all_src = graph.edge_sources()
     all_dst = graph.indices
+    # Host h's edges are edge_order[edge_start[h]:edge_start[h + 1]], in
+    # CSR order; its masters node_order[node_start[h]:node_start[h + 1]],
+    # ascending.
+    edge_order = stable_argsort(edge_owner, num_hosts)
+    edge_start = group_offsets(edge_owner, num_hosts)
+    node_order = stable_argsort(owner, num_hosts)
+    node_start = group_offsets(owner, num_hosts)
+    #: Local id of every node at its owner (masters come first there).
+    master_lid = np.empty(num_nodes, dtype=np.int64)
+    master_lid[node_order] = np.arange(num_nodes) - node_start[owner[node_order]]
+    # Scratch reused by every host: ``touched`` is all-False between
+    # hosts; ``local_id`` is only ever read at the current host's ids.
+    touched = np.zeros(num_nodes, dtype=bool)
+    local_id = np.empty(num_nodes, dtype=np.int64)
+
     locals_: List[LocalGraph] = []
-    # Per host: (sorted global ids, matching local ids) for vectorized
-    # global->local translation via searchsorted.
-    g2l_tables: List[Tuple[np.ndarray, np.ndarray]] = []
-
     for h in range(num_hosts):
-        mask = edge_owner == h
-        esrc = all_src[mask]
-        edst = all_dst[mask]
-        edata = graph.edge_data[mask] if graph.edge_data is not None else None
-
-        owned = np.where(owner == h)[0]
-        endpoints = np.union1d(esrc, edst)
-        mirrors = np.setdiff1d(endpoints, owned, assume_unique=False)
-        masters = owned  # every owned node is materialized as a master
+        edges = edge_order[edge_start[h]:edge_start[h + 1]]
+        esrc = all_src[edges]
+        edst = all_dst[edges]
+        masters = node_order[node_start[h]:node_start[h + 1]]
+        num_masters = len(masters)  # every owned node is a master
+        touched[esrc] = True
+        touched[edst] = True
+        touched[masters] = False
+        mirrors = np.flatnonzero(touched)
+        touched[mirrors] = False
         global_ids = np.concatenate([masters, mirrors])
-        num_masters = len(masters)
+        local_id[global_ids] = np.arange(len(global_ids))
 
-        sort_perm = np.argsort(global_ids, kind="stable")
-        sorted_gids = global_ids[sort_perm]
-        g2l_tables.append((sorted_gids, sort_perm))
-
-        lsrc = sort_perm[np.searchsorted(sorted_gids, esrc)]
-        ldst = sort_perm[np.searchsorted(sorted_gids, edst)]
-        order = np.argsort(lsrc, kind="stable")
-        lsrc, ldst = lsrc[order], ldst[order]
-        if edata is not None:
-            edata = edata[order]
-        counts = np.bincount(lsrc, minlength=len(global_ids))
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        locals_.append(
-            LocalGraph(h, global_ids, num_masters, indptr, ldst, edata)
+        lsrc = local_id[esrc]
+        ldst = local_id[edst]
+        # Local CSR order is the stable sort by local source.  Edges
+        # arrive in ascending global source and local ids ascend with
+        # global ids among masters and among mirrors, so that sort is
+        # "master-source edges, then mirror-source edges".
+        from_mirror = lsrc >= num_masters
+        order = np.concatenate(
+            (np.flatnonzero(~from_mirror), np.flatnonzero(from_mirror))
         )
-
-    part = Partition(graph, num_hosts, owner, locals_, policy)
+        lsrc, ldst, edges = lsrc[order], ldst[order], edges[order]
+        edata = graph.edge_data[edges] if graph.edge_data is not None else None
+        locals_.append(LocalGraph(
+            h, global_ids, num_masters,
+            group_offsets(lsrc, len(global_ids)), ldst, edata,
+        ))
 
     # ---- sync metadata -------------------------------------------------
+    reduce_pairs: Dict[Tuple[int, int], SyncPair] = {}
+    bcast_pairs: Dict[Tuple[int, int], SyncPair] = {}
     for h, lg in enumerate(locals_):
         if lg.num_mirrors == 0:
             continue
         mirror_slice = slice(lg.num_masters, lg.num_local)
         mirror_globals = lg.global_ids[mirror_slice]
-        mirror_locals = np.arange(lg.num_masters, lg.num_local, dtype=np.int64)
         mirror_owners = owner[mirror_globals]
-        for kind, mask in (
-            ("reduce", lg.is_edge_dst[mirror_slice]),
-            ("bcast", lg.is_edge_src[mirror_slice]),
+        for pairs, mask in (
+            (reduce_pairs, lg.is_edge_dst[mirror_slice]),
+            (bcast_pairs, lg.is_edge_src[mirror_slice]),
         ):
-            if not mask.any():
-                continue
-            sel_globals = mirror_globals[mask]
-            sel_locals = mirror_locals[mask]
-            sel_owners = mirror_owners[mask]
-            for p in np.unique(sel_owners):
+            selected = np.flatnonzero(mask)
+            sel_owners = mirror_owners[selected]
+            by_peer = stable_argsort(sel_owners, num_hosts)
+            peer_start = group_offsets(sel_owners, num_hosts)
+            for p in np.flatnonzero(np.diff(peer_start)):
                 p = int(p)
-                pick = sel_owners == p
-                gids = sel_globals[pick]
-                lids = sel_locals[pick]
-                # ascending-global order on both sides for alignment
-                srt = np.argsort(gids)
-                gids, lids = gids[srt], lids[srt]
-                sorted_gids, sort_perm = g2l_tables[p]
-                master_lids = sort_perm[np.searchsorted(sorted_gids, gids)]
-                sp = SyncPair(h, p, lids, master_lids)
-                if kind == "reduce":
-                    part.reduce_pairs[(h, p)] = sp
-                else:
-                    part.bcast_pairs[(h, p)] = sp
-    return part
+                # A stable sort keeps each peer's mirrors in ascending
+                # global order — the alignment both sides rely on.
+                pick = selected[by_peer[peer_start[p]:peer_start[p + 1]]]
+                pairs[(h, p)] = SyncPair(
+                    h, p, pick + lg.num_masters,
+                    master_lid[mirror_globals[pick]],
+                )
+    return Partition(
+        graph, num_hosts, owner, locals_, policy, reduce_pairs, bcast_pairs
+    )

@@ -27,12 +27,11 @@ deterministic, so a tape replay reproduces every latency bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.bench.scenarios import Scenario, build_engine, cached_graph
-from repro.engine.bsp import symmetrize
 from repro.faults import LostCompletionError, get_plan
 from repro.graph.partition import make_partition
 from repro.obs.latency import LatencySummary
@@ -95,13 +94,16 @@ class ServeEngine:
         #: every batch engine — regions and work counters accumulate
         #: across batches into one service-level profile.
         self.profile = profile
-        #: Resident input: generated once, frozen, partitioned once.
+        #: Resident input: generated once, frozen, and partitioned once —
+        #: here, so that the first batch does not pay for it.  Batch
+        #: engines find this partition, and the symmetrized graph and
+        #: its partition that kcore needs, where every engine on a
+        #: frozen graph does: :func:`repro.graph.csr.resident`.
         self.graph = cached_graph(config.graph, config.scale, config.seed, True)
-        policy = "cvc" if config.system == "abelian" else "edge-cut"
-        self._policy = policy
-        self.partition = make_partition(self.graph, config.hosts, policy)
-        #: Lazy second residency for symmetric-semantics programs (kcore).
-        self._sym: Optional[Tuple] = None
+        self.partition = make_partition(
+            self.graph, config.hosts,
+            "cvc" if config.system == "abelian" else "edge-cut",
+        )
         self.cache = ResultCache(config.cache_capacity)
         self.admission = AdmissionController(config.admission)
         self.graph_version = 0
@@ -218,17 +220,6 @@ class ServeEngine:
         return self.drain(generate_tape(spec))
 
     # -- batch execution -------------------------------------------------
-    def _resident_for(self, app):
-        """(graph, partition) residency matching the program's needs."""
-        if not app.needs_symmetric:
-            return self.graph, self.partition
-        if self._sym is None:
-            sym = symmetrize(self.graph).freeze()
-            self._sym = (sym, make_partition(
-                sym, self.config.hosts, self._policy
-            ))
-        return self._sym
-
     def _execute_batch(self, batch: List[Query]) -> List[QueryResult]:
         bid = len(self.batch_log)
         kind = batch[0].kind
@@ -241,7 +232,6 @@ class ServeEngine:
                 kind, sources, ppr_rounds=self.config.ppr_rounds,
                 ppr_damping=self.config.ppr_damping,
             )
-        graph, part = self._resident_for(app)
         obs_ctx = None
         if self._obs_config is not None:
             from repro.obs import ObsConfig, ObsContext
@@ -256,7 +246,7 @@ class ServeEngine:
             comm_ctx = CommStatsContext()
         eng = build_engine(
             self._scenario, fault_plan=self._plan, obs=obs_ctx,
-            app=app, graph=graph, partition=part, profile=self.profile,
+            app=app, graph=self.graph, profile=self.profile,
             commstats=comm_ctx,
         )
         try:

@@ -40,7 +40,9 @@ from repro.apps.sssp import Sssp
 from repro.engine.vertex_program import (
     ComputeResult,
     VertexProgram,
+    at_columns,
     min_relax_multi,
+    sorted_unique,
 )
 from repro.graph.csr import CsrGraph
 from repro.graph.partition.proxies import LocalGraph
@@ -83,7 +85,7 @@ class _MultiSourceMin(VertexProgram):
     def apply_reduce(self, state, ids, values):
         label = state["label"]
         before = label[ids]
-        np.minimum.at(label, ids, values)
+        at_columns(np.minimum, label, ids, values)
         return np.any(label[ids] < before, axis=1)
 
     bcast_values = reduce_values
@@ -204,8 +206,12 @@ class MultiSourcePageRank(VertexProgram):
         dst = lg.indices
         if len(dst) == 0:
             return ComputeResult(np.empty(0, dtype=np.int64), 0, lg.num_local)
-        np.add.at(partial, dst, contrib[src])
-        updated = np.unique(dst)
+        at_columns(np.add, partial, dst, contrib[src])
+        # The touched set is the static edge-target set: once per state,
+        # as Pagerank.compute keeps its own.
+        updated = state.get("_ppr_updated")
+        if updated is None:
+            updated = state["_ppr_updated"] = sorted_unique(dst, lg.num_local)
         return ComputeResult(
             updated, int(len(dst)) * self.num_sources, int(lg.num_local)
         )
@@ -215,7 +221,7 @@ class MultiSourcePageRank(VertexProgram):
         return state["partial"][ids]
 
     def apply_reduce(self, state, ids, values):
-        np.add.at(state["partial"], ids, values)
+        at_columns(np.add, state["partial"], ids, values)
         return np.ones(len(ids), dtype=bool)
 
     def reset_after_reduce_send(self, state, ids) -> None:

@@ -1,0 +1,176 @@
+"""Reference implementations the fast paths are tested against.
+
+These are the straightforward formulations the program used before its
+setup path and array kernels were rewritten: one full-array scan per
+host and NumPy set operations in the partition builder, ``np.unique`` in
+the CSR builder and the relax kernels, 2-D ``ufunc.at`` in the
+multi-source programs.  They are slow and obviously right; the tests
+require the fast paths to equal them array for array, dtype included.
+"""
+
+from typing import Dict, List, Tuple
+
+import numpy as np
+
+from repro.engine.vertex_program import ComputeResult
+from repro.graph.csr import CsrGraph
+from repro.graph.partition.proxies import LocalGraph, Partition, SyncPair
+
+
+# ----------------------------------------------------------------------
+# CSR construction
+# ----------------------------------------------------------------------
+def from_edges(src, dst, num_nodes, edge_data=None, dedup=False, name=""):
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if dedup:
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        if edge_data is not None:
+            edge_data = np.asarray(edge_data)[keep]
+        key = src * num_nodes + dst
+        _, unique_idx = np.unique(key, return_index=True)
+        unique_idx.sort()
+        src, dst = src[unique_idx], dst[unique_idx]
+        if edge_data is not None:
+            edge_data = edge_data[unique_idx]
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    if edge_data is not None:
+        edge_data = np.asarray(edge_data)[order]
+    counts = np.bincount(src, minlength=num_nodes)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return CsrGraph(indptr, dst, num_nodes, edge_data=edge_data, name=name)
+
+
+# ----------------------------------------------------------------------
+# Partition construction
+# ----------------------------------------------------------------------
+def build_partition(graph, num_hosts, owner, edge_owner, policy):
+    owner = np.asarray(owner, dtype=np.int64)
+    edge_owner = np.asarray(edge_owner, dtype=np.int64)
+    all_src = graph.edge_sources()
+    all_dst = graph.indices
+    locals_: List[LocalGraph] = []
+    g2l_tables: List[Tuple[np.ndarray, np.ndarray]] = []
+
+    for h in range(num_hosts):
+        mask = edge_owner == h
+        esrc = all_src[mask]
+        edst = all_dst[mask]
+        edata = graph.edge_data[mask] if graph.edge_data is not None else None
+
+        masters = np.where(owner == h)[0]
+        endpoints = np.union1d(esrc, edst)
+        mirrors = np.setdiff1d(endpoints, masters, assume_unique=False)
+        global_ids = np.concatenate([masters, mirrors])
+
+        sort_perm = np.argsort(global_ids, kind="stable")
+        sorted_gids = global_ids[sort_perm]
+        g2l_tables.append((sorted_gids, sort_perm))
+
+        lsrc = sort_perm[np.searchsorted(sorted_gids, esrc)]
+        ldst = sort_perm[np.searchsorted(sorted_gids, edst)]
+        order = np.argsort(lsrc, kind="stable")
+        lsrc, ldst = lsrc[order], ldst[order]
+        if edata is not None:
+            edata = edata[order]
+        counts = np.bincount(lsrc, minlength=len(global_ids))
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        locals_.append(
+            LocalGraph(h, global_ids, len(masters), indptr, ldst, edata)
+        )
+
+    reduce_pairs: Dict[Tuple[int, int], SyncPair] = {}
+    bcast_pairs: Dict[Tuple[int, int], SyncPair] = {}
+    for h, lg in enumerate(locals_):
+        if lg.num_mirrors == 0:
+            continue
+        mirror_slice = slice(lg.num_masters, lg.num_local)
+        mirror_globals = lg.global_ids[mirror_slice]
+        mirror_locals = np.arange(lg.num_masters, lg.num_local, dtype=np.int64)
+        mirror_owners = owner[mirror_globals]
+        for pairs, mask in (
+            (reduce_pairs, lg.is_edge_dst[mirror_slice]),
+            (bcast_pairs, lg.is_edge_src[mirror_slice]),
+        ):
+            if not mask.any():
+                continue
+            sel_globals = mirror_globals[mask]
+            sel_locals = mirror_locals[mask]
+            sel_owners = mirror_owners[mask]
+            for p in np.unique(sel_owners):
+                p = int(p)
+                pick = sel_owners == p
+                gids = sel_globals[pick]
+                lids = sel_locals[pick]
+                srt = np.argsort(gids)
+                gids, lids = gids[srt], lids[srt]
+                sorted_gids, sort_perm = g2l_tables[p]
+                master_lids = sort_perm[np.searchsorted(sorted_gids, gids)]
+                pairs[(h, p)] = SyncPair(h, p, lids, master_lids)
+    return Partition(
+        graph, num_hosts, owner, locals_, policy, reduce_pairs, bcast_pairs
+    )
+
+
+# ----------------------------------------------------------------------
+# Relax kernels
+# ----------------------------------------------------------------------
+def min_relax(lg, label, active, cand_fn):
+    """Single- and multi-column relax: ``label`` is 1-D or ``(n, K)``."""
+    active_ids = np.where(active)[0]
+    columns = label.shape[1] if label.ndim == 2 else 1
+    if len(active_ids) == 0:
+        return ComputeResult(np.empty(0, dtype=np.int64), 0, 0)
+    edge_sel = np.repeat(active, np.diff(lg.indptr))
+    dst = lg.indices[edge_sel]
+    if len(dst) == 0:
+        return ComputeResult(np.empty(0, dtype=np.int64), 0, len(active_ids))
+    src = lg.edge_sources()[edge_sel]
+    cand = cand_fn(src, edge_sel)
+    before = label[dst]
+    np.minimum.at(label, dst, cand)
+    lowered = label[dst] < before
+    if label.ndim == 2:
+        lowered = np.any(lowered, axis=1)
+    return ComputeResult(
+        np.unique(dst[lowered]), int(len(dst)) * columns, int(len(active_ids))
+    )
+
+
+def bfs_pull(lg, label, inf):
+    unreached = label[lg.indices] >= inf
+    dst = lg.indices[unreached]
+    if len(dst) == 0:
+        return ComputeResult(np.empty(0, dtype=np.int64), 0, 0)
+    src = lg.edge_sources()[unreached]
+    before = label[dst]
+    np.minimum.at(label, dst, label[src] + 1)
+    return ComputeResult(
+        np.unique(dst[label[dst] < before]), int(len(dst)),
+        int(np.count_nonzero(label >= inf)),
+    )
+
+
+def kcore_compute(lg, state):
+    pending = state["dead_pending"]
+    srcs_pending = np.where(pending)[0]
+    if len(srcs_pending) == 0:
+        return ComputeResult(np.empty(0, dtype=np.int64), 0, 0)
+    dst = lg.indices[np.repeat(pending, np.diff(lg.indptr))]
+    pending[srcs_pending] = False
+    if len(dst) == 0:
+        return ComputeResult(np.empty(0, dtype=np.int64), 0, len(srcs_pending))
+    np.add.at(state["removals"], dst, 1)
+    return ComputeResult(np.unique(dst), int(len(dst)), int(len(srcs_pending)))
+
+
+def ppr_compute(lg, state, num_sources):
+    dst = lg.indices
+    if len(dst) == 0:
+        return ComputeResult(np.empty(0, dtype=np.int64), 0, lg.num_local)
+    np.add.at(state["partial"], dst, state["contrib"][lg.edge_sources()])
+    return ComputeResult(
+        np.unique(dst), int(len(dst)) * num_sources, int(lg.num_local)
+    )

@@ -1,5 +1,10 @@
-"""The simulated runtimes never import their instruments: contexts are
-assigned onto the fabric and read back as plain attributes."""
+"""Source-level rules, checked with ``ast``.
+
+The simulated runtimes never import their instruments: contexts are
+assigned onto the fabric and read back as plain attributes.  The setup
+path and the per-round array kernels call none of NumPy's set
+operations.
+"""
 
 import ast
 from pathlib import Path
@@ -25,3 +30,62 @@ def test_runtime_packages_do_not_import_obs():
                               for name in names
                               if (name + ".").startswith("repro.obs.")]
     assert offenders == []
+
+
+#: NumPy's sort- or hash-based set operations.  On the setup path and in
+#: the per-round kernels a bitmap or one grouping sort does the same job
+#: (``graph.csr.stable_argsort``, ``engine.vertex_program.sorted_unique``)
+#: at a fraction of the cost, and does not change speed with the NumPy
+#: release; ``reference()`` solvers are off the clock and may use them.
+SET_OPERATIONS = {"unique", "union1d", "setdiff1d", "intersect1d", "isin"}
+ARRAY_KERNEL_SOURCES = (
+    "apps", "engine", "serve/programs.py", "graph/csr.py", "graph/partition",
+)
+
+
+def _set_operation_calls(tree):
+    """(line, name) of every set-operation call outside ``reference``."""
+    def walk(node, in_reference):
+        for child in ast.iter_child_nodes(node):
+            inside = in_reference or (
+                isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and child.name == "reference"
+            )
+            if not inside and isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in SET_OPERATIONS:
+                    yield child.lineno, name
+            yield from walk(child, inside)
+    return list(walk(tree, False))
+
+
+def test_array_kernels_call_no_numpy_set_operations():
+    root = Path(repro.__file__).parent
+    offenders = []
+    for source in ARRAY_KERNEL_SOURCES:
+        target = root / source
+        paths = sorted(target.rglob("*.py")) if target.is_dir() else [target]
+        assert paths, source
+        for path in paths:
+            offenders += [
+                f"{path.relative_to(root)}:{line}: {name}"
+                for line, name in _set_operation_calls(
+                    ast.parse(path.read_text()))
+            ]
+    assert offenders == []
+
+
+def test_set_operation_check_sees_calls_but_not_references():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy import isin\n"
+        "def compute(x):\n"
+        "    return np.unique(x), isin(x, x)\n"
+        "class App:\n"
+        "    def reference(self, x):\n"
+        "        def helper():\n"
+        "            return np.union1d(x, x)\n"
+        "        return np.unique(x)\n"
+    )
+    assert _set_operation_calls(tree) == [(4, "unique"), (4, "isin")]

@@ -1,0 +1,218 @@
+"""The one-pass CSR and partition builders against their oracles.
+
+Every array the fast builders produce must equal the reference
+builders' (``tests/oracles.py``) in value *and* dtype, and the sync-pair
+dicts must come out in the same key order: simulated schedules depend
+on all of it.
+"""
+
+import numpy as np
+import pytest
+
+from repro.engine.bsp import symmetrize
+from repro.graph.csr import CsrGraph, group_offsets, stable_argsort
+from repro.graph.generators import GRAPH_FAMILIES
+from repro.graph.partition import edge_cut, make_partition, vertex_cut
+from repro.graph.partition.proxies import build_partition
+from tests import oracles
+
+HOSTS = (1, 2, 3, 4, 7, 8, 16, 32, 128)
+POLICIES = ("cvc", "edge-cut")
+LOCAL_ARRAYS = ("global_ids", "indptr", "indices", "edge_data",
+                "is_edge_src", "is_edge_dst", "_src_cache")
+
+
+def assert_same_array(got, want, what):
+    if want is None:
+        assert got is None, what
+        return
+    assert got.dtype == want.dtype, f"{what}: {got.dtype} != {want.dtype}"
+    assert np.array_equal(got, want), what
+
+
+def assert_same_graph(got, want):
+    assert got.num_nodes == want.num_nodes and got.name == want.name
+    for field in ("indptr", "indices", "edge_data"):
+        assert_same_array(getattr(got, field), getattr(want, field), field)
+
+
+def assert_same_partition(got, want):
+    assert_same_array(got.owner, want.owner, "owner")
+    assert len(got.locals) == len(want.locals)
+    for a, b in zip(got.locals, want.locals):
+        assert (a.host, a.num_masters) == (b.host, b.num_masters)
+        for field in LOCAL_ARRAYS:
+            assert_same_array(getattr(a, field), getattr(b, field),
+                              f"host {a.host} {field}")
+    for kind in ("reduce_pairs", "bcast_pairs"):
+        pairs, ref = getattr(got, kind), getattr(want, kind)
+        assert list(pairs) == list(ref), f"{kind} key order"
+        for key, sp in pairs.items():
+            assert (sp.mirror_host, sp.master_host) == key
+            assert_same_array(sp.mirror_ids, ref[key].mirror_ids, (kind, key))
+            assert_same_array(sp.master_ids, ref[key].master_ids, (kind, key))
+    for view in ("reduce_out", "reduce_in", "bcast_out", "bcast_in"):
+        for h in range(got.num_hosts):
+            assert ([(sp.mirror_host, sp.master_host)
+                     for sp in getattr(got, view)(h)]
+                    == [(sp.mirror_host, sp.master_host)
+                        for sp in getattr(want, view)(h)])
+
+
+@pytest.fixture
+def oracle_partition(monkeypatch):
+    """``make_partition`` with the reference builder behind the same
+    policy code (same ``owner`` / ``edge_owner`` assignment)."""
+    def make(graph, hosts, policy):
+        with monkeypatch.context() as patch:
+            for module in (edge_cut, vertex_cut):
+                patch.setattr(module, "build_partition",
+                              oracles.build_partition)
+            return make_partition(graph, hosts, policy)
+    return make
+
+
+# ----------------------------------------------------------------------
+# stable_argsort: every tier equals NumPy's stable argsort
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("bound", [255, 256, 257, 65_535, 65_536, 65_537])
+def test_narrowed_sort_key_never_wraps(bound):
+    """256 hosts still fit 8 bits and 65 536 fit 16; one more does not,
+    and its largest key must not come back as 0."""
+    keys = np.array([0, bound - 1, 0, bound - 1, 1], dtype=np.int64)
+    assert stable_argsort(keys, bound).tolist() == [0, 2, 4, 1, 3]
+    narrowed = keys.astype(np.min_scalar_type(bound - 1))
+    assert narrowed.tolist() == keys.tolist()
+    assert narrowed.itemsize == (1 if bound <= 256 else
+                                 2 if bound <= 65_536 else 4)
+
+
+@pytest.mark.parametrize("bound", [
+    1, 2, 255, 256, 257, 65_535, 65_536, 65_537,  # radix tiers and edge
+    1 << 34, 1 << 40,                              # packed above position
+    1 << 58, 1 << 62,                              # does not fit 63 bits
+])
+@pytest.mark.parametrize("count", [0, 1, 2, 1000])
+def test_stable_argsort_equals_numpy(bound, count):
+    rng = np.random.default_rng([bound % 9973, count])
+    keys = rng.integers(0, bound, size=count, dtype=np.int64)
+    if count >= 2:
+        # plenty of ties, and the extremes of the range
+        keys[count // 2:] = keys[: count - count // 2]
+        keys[0], keys[-1] = bound - 1, 0
+    want = np.argsort(keys, kind="stable")
+    got = stable_argsort(keys, bound)
+    assert_same_array(got, want, f"bound {bound}")
+
+
+def test_stable_argsort_packs_exactly_up_to_63_bits():
+    """Both sides of the one arithmetic fact that picks the tier."""
+    for bound in (1 << 53, (1 << 53) + 1):  # 53 + 10 = 63 | 54 + 10 = 64
+        # 1024 keys (10 position bits); the largest would pack into the
+        # sign bit if 64 bits were taken to fit.
+        keys = np.array([5, bound - 1, 5, 0] * 256, dtype=np.int64)
+        assert_same_array(stable_argsort(keys, bound),
+                          np.argsort(keys, kind="stable"), bound)
+
+
+def test_group_offsets():
+    ids = np.array([2, 0, 2, 2, 5], dtype=np.int64)
+    assert group_offsets(ids, 7).tolist() == [0, 1, 1, 4, 4, 4, 5, 5]
+    assert group_offsets(ids[:0], 3).tolist() == [0, 0, 0, 0]
+
+
+# ----------------------------------------------------------------------
+# CsrGraph.from_edges
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dedup", [False, True])
+@pytest.mark.parametrize("weights", [False, True])
+@pytest.mark.parametrize("num_nodes, num_edges", [
+    (1, 0), (1, 5), (5, 40), (200, 3000), (300, 100_000),
+    (70_000, 5000),  # sources wider than the 16-bit radix tier
+])
+def test_from_edges_equals_oracle(num_nodes, num_edges, weights, dedup):
+    rng = np.random.default_rng([num_nodes, num_edges])
+    src = rng.integers(0, num_nodes, size=num_edges)
+    dst = rng.integers(0, num_nodes, size=num_edges)
+    data = rng.integers(1, 64, size=num_edges) if weights else None
+    got = CsrGraph.from_edges(src, dst, num_nodes, edge_data=data,
+                              dedup=dedup, name="g")
+    want = oracles.from_edges(src, dst, num_nodes, edge_data=data,
+                              dedup=dedup, name="g")
+    assert_same_graph(got, want)
+    assert_same_graph(got.transpose(), oracles.from_edges(
+        want.indices, want.edge_sources(), num_nodes,
+        edge_data=want.edge_data, name="g.T",
+    ))
+
+
+def test_from_edges_float_edge_data_keeps_dtype_and_first_duplicate():
+    src = np.array([3, 1, 3, 1, 2, 2])
+    dst = np.array([0, 2, 0, 2, 2, 0])
+    data = np.array([0.5, 1.5, 2.5, 3.5, 4.5, 5.5])
+    g = CsrGraph.from_edges(src, dst, 4, edge_data=data, dedup=True)
+    assert_same_graph(
+        g, oracles.from_edges(src, dst, 4, edge_data=data, dedup=True))
+    # (1,2) and (3,0) keep their first weight; the (2,2) loop is dropped
+    assert g.edge_data.tolist() == [1.5, 5.5, 0.5]
+
+
+# ----------------------------------------------------------------------
+# Generators, symmetrize, transpose, and their partitions
+# ----------------------------------------------------------------------
+def reference_graph(family, scale, seed, weights, monkeypatch):
+    """The family's generator with the reference CSR builder."""
+    with monkeypatch.context() as patch:
+        patch.setattr(CsrGraph, "from_edges", staticmethod(oracles.from_edges))
+        graph = GRAPH_FAMILIES[family](scale, seed=seed, weights=weights)
+        return graph, symmetrize(graph), graph.transpose()
+
+
+@pytest.mark.parametrize("weights", [False, True])
+@pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+def test_graphs_and_partitions_equal_oracles(
+    family, weights, monkeypatch, oracle_partition
+):
+    for seed in (1, 5):
+        graph = GRAPH_FAMILIES[family](7, seed=seed, weights=weights)
+        forms = (graph, symmetrize(graph), graph.transpose())
+        wanted = reference_graph(family, 7, seed, weights, monkeypatch)
+        for form, want in zip(forms, wanted):
+            assert_same_graph(form, want)
+            for hosts in HOSTS:
+                for policy in POLICIES:
+                    assert_same_partition(
+                        make_partition(form, hosts, policy),
+                        oracle_partition(form, hosts, policy),
+                    )
+
+
+@pytest.mark.parametrize("hosts", [1, 3, 8, 300])
+def test_arbitrary_assignments_equal_oracle(hosts):
+    """``build_partition`` takes any assignment, not only the two
+    policies' contiguous blocks: scattered owners, hosts without nodes
+    or edges, more hosts than the 8-bit key holds."""
+    graph = GRAPH_FAMILIES["rmat"](7, seed=9, weights=True)
+    rng = np.random.default_rng(hosts)
+    owner = rng.integers(0, hosts, size=graph.num_nodes)
+    edge_owner = rng.integers(0, hosts, size=graph.num_edges)
+    if hosts > 2:
+        owner[owner == 1] = 0        # host 1 owns nothing
+        edge_owner[edge_owner == 2] = 0  # host 2 computes nothing
+    assert_same_partition(
+        build_partition(graph, hosts, owner, edge_owner, "random"),
+        oracles.build_partition(graph, hosts, owner, edge_owner, "random"),
+    )
+
+
+def test_assignments_outside_the_host_range_are_rejected():
+    graph = GRAPH_FAMILIES["rmat"](5, seed=1)
+    owner = np.zeros(graph.num_nodes, dtype=np.int64)
+    edge_owner = np.zeros(graph.num_edges, dtype=np.int64)
+    for bad in (-1, 2, 256):  # 256 would wrap to 0 in an 8-bit key
+        for name in ("owner", "edge_owner"):
+            args = {"owner": owner.copy(), "edge_owner": edge_owner.copy()}
+            args[name][3] = bad
+            with pytest.raises(ValueError, match=f"{name} out of host range"):
+                build_partition(graph, 2, args["owner"], args["edge_owner"],
+                                "bad")
