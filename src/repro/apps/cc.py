@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.apps.bfs import INF
 from repro.engine.vertex_program import ComputeResult, VertexProgram, min_relax
@@ -75,6 +74,11 @@ class ConnectedComponents(VertexProgram):
     # -- reference ----------------------------------------------------------
     def reference(self, graph: CsrGraph, **kwargs) -> np.ndarray:
         """Components via scipy; labels canonicalized to min node id."""
+        # Imported here: the reference solver is the package's only use
+        # of scipy, and no run should pay to load it.
+        import scipy.sparse as sp
+        import scipy.sparse.csgraph  # noqa: F401  (binds sp.csgraph)
+
         n = graph.num_nodes
         src, dst = graph.edges()
         mat = sp.coo_matrix(

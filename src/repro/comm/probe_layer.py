@@ -250,7 +250,12 @@ class ProbeCommLayer(CommLayer):
                 self._pending_recvs = still_r
 
                 # 5. Idle: sleep until new work or the next flush deadline.
-                if not did_work and not self._sendq:
+                # A message already in the unexpected queue is work: the
+                # progress pass inside step 4's tests can park one there
+                # after step 3 probed and found nothing, and no arrival
+                # will ever announce it again.
+                if (not did_work and not self._sendq
+                        and not len(ep.unexpected)):
                     waits = [self.ep.nic.wait_arrival()]
                     ev = Event(env)
                     self._sendq_event = ev

@@ -170,23 +170,32 @@ class PacketPool:
         obs.register_probe("lci.pool_free", host, lambda: self.free_packets)
 
     # ------------------------------------------------------------------
-    def alloc(self, thread: object = None, for_recv: bool = False):
+    def alloc(self, thread: object = None, for_recv: bool = False,
+              lead: tuple = ()):
         """Generator: try to take a packet budget; returns bool success.
 
         Charges a fraction of an atomic on a local-cache hit, a full
         atomic on a shared-pool hit, and a full atomic on failure (the
         failed fetch still crossed the cache line).  Send-side allocs
         (``for_recv=False``) cannot dip into the receive reserve.
+
+        ``lead`` is what the caller has charged since its last wake; a
+        shared-pool fetch chains its atomic onto it (the pool is first
+        touched after that charge), a cache lookup has to wait it out.
         """
-        local = self._local.get(thread, 0)
-        if thread is not None and local > 0:
-            self._local[thread] = local - 1
-            self._c_local_hits.add()
-            if self._sanitizer is not None:
-                self._sanitizer.on_alloc()
-            yield self._atomic_local
-            return True
-        yield self._atomic
+        if thread is not None:
+            if lead:
+                yield lead
+                lead = ()
+            local = self._local.get(thread, 0)
+            if local > 0:
+                self._local[thread] = local - 1
+                self._c_local_hits.add()
+                if self._sanitizer is not None:
+                    self._sanitizer.on_alloc()
+                yield self._atomic_local
+                return True
+        yield lead + (self._atomic,) if lead else self._atomic
         floor = 0 if for_recv else self.rx_reserve
         if self._free > floor:
             self._free -= 1

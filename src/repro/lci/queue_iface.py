@@ -162,15 +162,16 @@ class LciQueue:
                           op="send_enq", dst=dst, bytes=size)
         req = LciRequest("send", dst, tag, size)
         if size <= self.config.packet_data_bytes:
-            # Short protocol: copy into the packet, fire, done.
-            yield self.cpu.memcpy_time(size)
+            # Short protocol: copy into the packet, fire, done.  Nothing
+            # happens between the copy and the send overhead, so the two
+            # charges are one chained delay.
+            yield (self.cpu.memcpy_time(size), self._send_overhead)
             pkt = self.pool.make_packet(
                 PacketType.EGR, self.rank, dst, tag, size, payload=payload
             )
             pkt.request = req
             if trace is not None:
                 pkt.meta["trace"] = trace
-            yield from self.charge_send_overhead()
             ok = self._lc_send(
                 pkt, on_local_complete=lambda: self.pool.free_nowait(thread)
             )
@@ -240,8 +241,7 @@ class LciQueue:
         req = LciRequest("recv", pkt.src, pkt.tag, pkt.size)
         if pkt.ptype is PacketType.EGR:
             # Allocate a user buffer and copy out; free the pool packet.
-            yield self.cpu.alloc_cost
-            yield self.cpu.memcpy_time(pkt.size)
+            yield (self.cpu.alloc_cost, self.cpu.memcpy_time(pkt.size))
             req._complete(pkt.payload)
             if tr is not None:
                 self.obs.emit(tr, "complete", self.rank, bytes=pkt.size)

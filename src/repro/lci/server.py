@@ -123,6 +123,7 @@ class LciRuntime(LciQueue):
         harvest_cost = (
             self.nic.model.recv_overhead + self.backend.progress_extra
         )
+        harvest_lead = (harvest_cost,)
         c_server_pkts = self.stats.counter("server_pkts")
         try:
             while not self._stopping:
@@ -131,37 +132,49 @@ class LciRuntime(LciQueue):
                     yield self.nic.wait_arrival()
                     continue
                 c_server_pkts.add()
-                # Harvesting one completion from the NIC.
-                yield harvest_cost
+                # Harvesting one completion from the NIC.  The recovery
+                # protocol answers a harvested packet at once (acks), so
+                # its cost is paid here; otherwise it leads the handler's
+                # first charge.
                 if self.reliability is not None:
+                    yield harvest_cost
                     pkt = self.reliability.on_receive(pkt)
                     if pkt is None:
                         continue  # an ACK or a duplicate: consumed
-                yield from self._handle(pkt)
+                    yield from self._handle(pkt, ())
+                else:
+                    yield from self._handle(pkt, harvest_lead)
         except Interrupt:
             return
 
-    def _handle(self, pkt: Packet):
+    def _handle(self, pkt: Packet, lead: tuple):
+        """Run the callback for one harvested packet; ``lead`` is the
+        harvest cost when the server loop has not paid it yet."""
         # A recycled packet showing up here again (e.g. a duplicate
         # delivery after the receive path freed it) is a use-after-free.
         self.pool.touch(pkt)
         tr = pkt.meta.get("trace") if self.obs is not None else None
         if tr is not None:
-            self.obs.emit(tr, "progress", self.rank, ptype=pkt.ptype.name)
+            self.obs.emit(tr, "progress", self.rank, at=self.env.due(lead),
+                          ptype=pkt.ptype.name)
         if pkt.ptype in (PacketType.EGR, PacketType.RTS):
             # Take a receive-buffer budget; stall (backpressure) if dry.
             # Receive allocs may use the reserve the send path cannot.
             while True:
-                ok = yield from self.pool.alloc(for_recv=True)
+                ok = yield from self.pool.alloc(for_recv=True, lead=lead)
                 if ok:
                     break
+                lead = ()
                 self.stats.counter("server_pool_stalls").add()
                 yield self.pool.wait_available(for_recv=True)
             yield from self.queue.enqueue(pkt)
             if tr is not None:
                 self.obs.emit(tr, "queue_wait", self.rank,
                               depth=len(self.queue))
-        elif pkt.ptype is PacketType.RTR:
+            return
+        if lead:
+            yield lead
+        if pkt.ptype is PacketType.RTR:
             yield from self._serve_rtr(pkt)
         elif pkt.ptype is PacketType.RDMA:
             recv_req = pkt.meta["recv_req"]

@@ -137,6 +137,7 @@ class MpiEndpoint:
         # Hoisted per-call costs and counters (the progress engine and
         # the isend/irecv/iprobe entry points are the hottest MPI code).
         self._entry_cost = self.cpu.call_overhead + self.config.call_overhead
+        self._entry_lead = (self._entry_cost,)
         self._recv_overhead = self.nic.model.recv_overhead
         self._probe_overhead = self.config.probe_overhead
         self._match_cost = self.config.match_cost_per_element
@@ -168,11 +169,18 @@ class MpiEndpoint:
             yield seconds
 
     def _enter(self, thread: Optional[object]):
-        """Pay the cost of entering the library under the thread mode."""
-        yield self._entry_cost
+        """Enter the library under the thread mode.
+
+        Returns the entry cost still owed, as the lead of the caller's
+        first chained delay: under MULTIPLE the library lock is taken
+        once the cost is paid, so it is paid here and nothing is owed;
+        otherwise nothing but the ownership check depends on it.
+        """
         if self.thread_mode is ThreadMode.MULTIPLE:
+            yield self._entry_cost
             yield from self._lock.acquire()
-        elif thread is not None:
+            return ()
+        if thread is not None:
             if self.funneled_owner is None:
                 self.funneled_owner = thread
             elif self.funneled_owner is not thread:
@@ -180,6 +188,7 @@ class MpiEndpoint:
                     f"rank {self.rank}: MPI_THREAD_FUNNELED violated — "
                     f"thread {thread!r} called MPI but {self.funneled_owner!r} owns it"
                 )
+        return self._entry_lead
 
     def _exit(self):
         if self.thread_mode is ThreadMode.MULTIPLE:
@@ -225,8 +234,11 @@ class MpiEndpoint:
     # ------------------------------------------------------------------
     # Injection with internal retry (MPI hides TX-queue-full)
     # ------------------------------------------------------------------
-    def _inject(self, pkt: Packet, on_local_complete=None, notify_target=True):
-        yield self._send_overhead
+    def _inject(self, pkt: Packet, on_local_complete=None, notify_target=True,
+                lead=()):
+        """Charge the send overhead (chained onto ``lead``: the caller's
+        charges since its last wake), then inject with internal retry."""
+        yield lead + (self._send_overhead,) if lead else self._send_overhead
         while not self.nic.try_inject(pkt, on_local_complete, notify_target):
             self._c_tx_retries.add()
             yield self._tx_backoff
@@ -251,27 +263,34 @@ class MpiEndpoint:
         """
         if tag < 0:
             raise MPIUsageError(f"negative user tag {tag}")
-        yield from self._enter(thread)
+        lead = yield from self._enter(thread)
         try:
             req = MpiRequest("send", dst, tag, size)
             self._c_isends.add()
             if self.sanitizer is not None:
                 self.sanitizer.on_send(req)
             if self.obs is not None and trace is not None:
-                self.obs.emit(trace, "lib", self.rank,
+                self.obs.emit(trace, "lib", self.rank, at=self.env.due(lead),
                               op="isend", dst=dst, bytes=size)
             if size <= self.config.eager_limit:
-                yield from self._eager_send(req, dst, tag, size, payload, trace)
+                yield from self._eager_send(
+                    req, dst, tag, size, payload, trace, lead
+                )
             else:
-                yield from self._rndv_send(req, dst, tag, size, payload, trace)
+                yield from self._rndv_send(
+                    req, dst, tag, size, payload, trace, lead
+                )
             return req
         finally:
             self._exit()
 
-    def _eager_send(self, req, dst, tag, size, payload, trace=None):
+    def _eager_send(self, req, dst, tag, size, payload, trace, lead):
         # Bounce-buffer copy so the user buffer is immediately reusable.
         copy = self.cpu.memcpy_time(size) * self.config.eager_copy_factor
-        yield from self._charge(copy)
+        if copy > 0:
+            lead += (copy,)
+        if lead:
+            yield lead
         yield from self._consume_credit(dst)
         pkt = Packet(PacketType.EGR, self.rank, dst, tag, size, payload=payload)
         pkt.meta["mpi"] = True
@@ -281,14 +300,14 @@ class MpiEndpoint:
         self._c_eager_sends.add()
         req._complete()
 
-    def _rndv_send(self, req, dst, tag, size, payload, trace=None):
+    def _rndv_send(self, req, dst, tag, size, payload, trace, lead):
         pkt = Packet(PacketType.RTS, self.rank, dst, tag, size)
         pkt.meta["mpi"] = True
         pkt.meta["send_req"] = req
         pkt.meta["data"] = payload
         if trace is not None:
             pkt.meta["trace"] = trace
-        yield from self._inject(pkt)
+        yield from self._inject(pkt, lead=lead)
         self._c_rndv_sends.add()
 
     def irecv(
@@ -298,15 +317,19 @@ class MpiEndpoint:
         thread: Optional[object] = None,
     ):
         """Nonblocking receive (wildcards allowed); returns a request."""
-        yield from self._enter(thread)
+        lead = yield from self._enter(thread)
         try:
+            if lead:
+                # The walk takes the queue as it is once the entry is paid.
+                yield lead
             req = MpiRequest("recv", source, tag, 0)
             self._c_irecvs.add()
             msg, inspected = self.unexpected.match_receive(source, tag)
             cost = inspected * self._unexpected_cost
-            if cost > 0:
-                yield cost
+            chain = (cost,) if cost > 0 else ()
             if msg is None:
+                if chain:
+                    yield chain
                 if self.sanitizer is not None:
                     self.sanitizer.on_post_recv(
                         self.posted.items, source, tag, ANY_SOURCE, ANY_TAG
@@ -314,14 +337,19 @@ class MpiEndpoint:
                 self.posted.post(PostedReceive.alloc(req, source, tag))
                 return req
             if self.obs is not None and msg.trace is not None:
+                matched_at = self.env.due(chain)
                 self.obs.emit(
-                    msg.trace, "handler", self.rank,
-                    waited=self.obs.now - msg.arrived_at,
+                    msg.trace, "handler", self.rank, at=matched_at,
+                    waited=matched_at - msg.arrived_at,
                     inspected=inspected, protocol=msg.protocol,
                 )
             if msg.protocol == "eager":
                 # Copy out of the MPI-internal buffer; credit goes home.
-                yield from self._charge(self.cpu.memcpy_time(msg.size))
+                copy = self.cpu.memcpy_time(msg.size)
+                if copy > 0:
+                    chain += (copy,)
+                if chain:
+                    yield chain
                 req._complete(
                     msg.payload, MpiStatus(msg.source, msg.tag, msg.size)
                 )
@@ -333,14 +361,15 @@ class MpiEndpoint:
             else:  # rendezvous RTS parked unexpected
                 rts_pkt = msg.token
                 msg.recycle()
-                yield from self._answer_rts(rts_pkt, req)
+                yield from self._answer_rts(rts_pkt, req, chain)
             return req
         finally:
             self._exit()
 
-    def _answer_rts(self, rts_pkt: Packet, req: MpiRequest):
+    def _answer_rts(self, rts_pkt: Packet, req: MpiRequest, lead=()):
         """Post the RTR reply that lets the sender RDMA the payload."""
-        yield from self._charge(self.cpu.alloc_cost)  # allocate recv buffer
+        if self.cpu.alloc_cost > 0:  # allocate recv buffer
+            lead += (self.cpu.alloc_cost,)
         rtr = Packet(
             PacketType.RTR, self.rank, rts_pkt.src, rts_pkt.tag,
             rts_pkt.size,
@@ -351,7 +380,7 @@ class MpiEndpoint:
         rtr.meta["recv_req"] = req
         if rts_pkt.meta.get("trace") is not None:
             rtr.meta["trace"] = rts_pkt.meta["trace"]
-        yield from self._inject(rtr)
+        yield from self._inject(rtr, lead=lead)
 
     def _peer_credit_home(self, src: int) -> None:
         """We consumed an eager message from ``src``; return their credit."""
@@ -379,12 +408,12 @@ class MpiEndpoint:
         loop of probes would never observe arrivals), which is exactly the
         overhead the paper's "probe" curve in Fig. 1 pays.
         """
-        yield from self._enter(thread)
+        lead = yield from self._enter(thread)
         try:
             self._c_iprobes.add()
             if self._probe_overhead > 0:
-                yield self._probe_overhead
-            yield from self._progress_locked()
+                lead += (self._probe_overhead,)
+            yield from self._progress_locked(lead)
             # Probe semantics: report the match, leave it queued.
             msg, inspected = self.unexpected.match_receive(source, tag, False)
             cost = inspected * self._unexpected_cost
@@ -402,10 +431,13 @@ class MpiEndpoint:
         Costs a library call plus a progress pass — the paper contrasts
         this with LCI's free status-flag read.
         """
-        yield from self._enter(thread)
+        lead = yield from self._enter(thread)
         try:
             self._c_tests.add()
-            yield from self._charge(self.config.test_overhead)
+            if self.config.test_overhead > 0:
+                lead += (self.config.test_overhead,)
+            if lead:
+                yield lead
             if not req.done:
                 yield from self._progress_locked()
             return req.done
@@ -449,15 +481,20 @@ class MpiEndpoint:
     # ------------------------------------------------------------------
     def progress(self, thread: Optional[object] = None):
         """One externally-invoked progress pass (drains the NIC)."""
-        yield from self._enter(thread)
+        lead = yield from self._enter(thread)
         try:
-            yield from self._progress_locked()
+            yield from self._progress_locked(lead)
         finally:
             self._exit()
 
-    def _progress_locked(self):
+    def _progress_locked(self, lead=()):
+        """One pass of the progress engine; ``lead`` is what the caller
+        has charged since its last wake (chained onto the pass's own
+        overhead)."""
         po = self.config.progress_overhead
-        if po > 0:
+        if lead:
+            yield lead + (po,) if po > 0 else lead
+        elif po > 0:
             yield po
         poll = self.nic.poll
         recv_overhead = self._recv_overhead

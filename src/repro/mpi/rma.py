@@ -126,7 +126,7 @@ class MpiWindow:
         world = self.world
         ep = world.endpoint(rank)
         cost = ep.config.win_create_cost_per_rank * world.size
-        yield self.env.timeout(cost)
+        yield cost
         for (origin, target), nbytes in self._sizes.items():
             if target != rank:
                 continue
@@ -179,9 +179,9 @@ class MpiWindow:
         pkt = Packet(PacketType.EGR, rank, dst, -3, 16)
         pkt.meta["rma_win"] = self.win_id
         pkt.meta["rma_op"] = op
-        yield self.env.timeout(ep.nic.model.send_overhead * 0.5)
+        yield ep.nic.model.send_overhead * 0.5
         while not ep.nic.try_inject(pkt):
-            yield self.env.timeout(4 * ep.nic.model.injection_gap)
+            yield 4 * ep.nic.model.injection_gap
 
     def _await(self, rank: int, ready: Callable[[], bool]):
         """Wait until ``ready()``.
@@ -218,7 +218,7 @@ class MpiWindow:
             raise MPIUsageError(f"rank {rank}: nested exposure epoch")
         origins = set(origins)
         ep = self.world.endpoint(rank)
-        yield self.env.timeout(ep.config.rma_sync_overhead)
+        yield ep.config.rma_sync_overhead
         st.exposed_to = origins
         st.completes_seen = set()
         st.recv_order = []
@@ -236,7 +236,7 @@ class MpiWindow:
             raise MPIUsageError(f"rank {rank}: nested access epoch")
         targets = set(targets)
         ep = self.world.endpoint(rank)
-        yield self.env.timeout(ep.config.rma_sync_overhead)
+        yield ep.config.rma_sync_overhead
         t0 = self.env.now
         yield from self._await(rank, lambda: targets <= st.posts_seen)
         if self.obs is not None:
@@ -274,7 +274,6 @@ class MpiWindow:
         if self.obs is not None and trace is not None:
             self.obs.emit(trace, "lib", rank,
                           op="put", dst=target, bytes=nbytes)
-        yield self.env.timeout(ep.config.rma_put_overhead)
         pkt = Packet(PacketType.RDMA, rank, target, -3, nbytes, payload=payload)
         pkt.meta["rkey"] = buf.rkey
         pkt.meta["offset"] = offset
@@ -288,8 +287,12 @@ class MpiWindow:
                 st.wake.succeed(None)
                 st.wake = None
 
-        # Hardware put: the target CPU is not notified.
-        yield from ep._inject(pkt, on_local_complete=_acked, notify_target=False)
+        # Hardware put: the target CPU is not notified.  The put overhead
+        # leads the injection's send overhead as one chained delay.
+        yield from ep._inject(
+            pkt, on_local_complete=_acked, notify_target=False,
+            lead=(ep.config.rma_put_overhead,),
+        )
 
     def complete(self, rank: int, flush: bool = True):
         """Close the access epoch (MPI_Win_complete).
@@ -299,7 +302,7 @@ class MpiWindow:
         """
         st = self._state[rank]
         ep = self.world.endpoint(rank)
-        yield self.env.timeout(ep.config.rma_sync_overhead)
+        yield ep.config.rma_sync_overhead
         if flush:
             t0 = self.env.now
             yield from self._await(rank, lambda: st.pending_puts == 0)
@@ -319,7 +322,7 @@ class MpiWindow:
         """
         st = self._state[rank]
         ep = self.world.endpoint(rank)
-        yield self.env.timeout(ep.config.rma_sync_overhead)
+        yield ep.config.rma_sync_overhead
         t0 = self.env.now
         yield from self._await(
             rank, lambda: st.exposed_to <= st.completes_seen

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.engine import Environment, Event, SimulationError
 from repro.sim.machine import MachineModel, NicModel
@@ -95,6 +95,10 @@ class Nic:
         self._arrival_waiters: List[Event] = []
         self._tx_free_at = 0.0
         self._tx_outstanding = 0
+        #: Calendar positions of the departures that give a transmit
+        #: slot back and do nothing else.  They get no calendar entry:
+        #: whoever reads the slot count first settles the past ones.
+        self._tx_departures: Deque[Tuple[float, int]] = deque()
         self._registered: Dict[int, RegisteredBuffer] = {}
         # Hoisted counter objects: one dict lookup per counter per run
         # instead of one per packet.
@@ -117,7 +121,9 @@ class Nic:
 
         ``on_local_complete`` fires when the send buffer may be reused:
         at wire departure for plain sends, and after the remote ACK for
-        RDMA puts.  ``notify_target`` controls whether the destination CPU
+        RDMA puts.  A departure with nothing to fire only gives its
+        transmit slot back, which :attr:`tx_outstanding` accounts for
+        without a calendar entry.  ``notify_target`` controls whether the destination CPU
         sees the packet in its receive queue (False models a pure RDMA
         write with no completion at the target, as used by MPI-RMA).
         """
@@ -133,7 +139,7 @@ class Nic:
             # the retryable condition the comm layers already handle.
             self._c_tx_full.add()
             return False
-        if self._tx_outstanding >= model.tx_queue_depth:
+        if self.tx_outstanding >= model.tx_queue_depth:
             self._c_tx_full.add()
             return False
 
@@ -155,12 +161,15 @@ class Nic:
         departure = start + ser
         arrival = departure + latency
 
+        # The instant a calendar entry for the departure fires at.
+        departs_at = now + (departure - now)
         self._tx_outstanding += 1
         self._c_pkts_sent.add()
         self._c_bytes_sent.add(wire_bytes)
         obs = fabric.obs
         if obs is not None:
             obs.on_inject(pkt)
+            obs.on_depart(pkt, departs_at)
         commstats = fabric.commstats
         if commstats is not None:
             # Counted at injection, right after the always-on NIC
@@ -168,14 +177,14 @@ class Nic:
             # pkts_sent/bytes_sent (dropped packets included).
             commstats.on_inject(pkt)
 
-        def _departed() -> None:
-            self._tx_outstanding -= 1
-            if obs is not None:
-                obs.on_depart(pkt)
-            if not is_rdma and on_local_complete is not None:
+        if is_rdma or on_local_complete is None:
+            self._tx_departures.append((departs_at, env._seq))
+        else:
+            def _departed() -> None:
+                self._tx_outstanding -= 1
                 on_local_complete()
 
-        env.call_later(departure - now, _departed)
+            env.call_later(departure - now, _departed)
 
         dst_nic = fabric.nic(pkt.dst)
         fate = faults.transit_fate(pkt) if faults is not None else None
@@ -277,6 +286,13 @@ class Nic:
 
     @property
     def tx_outstanding(self) -> int:
+        """Packets injected and not yet departed."""
+        departures = self._tx_departures
+        if departures:
+            reached = self.env.fired_before
+            while departures and departures[0] < reached:
+                departures.popleft()
+                self._tx_outstanding -= 1
         return self._tx_outstanding
 
 

@@ -31,6 +31,7 @@ produces bit-identical :class:`~repro.engine.metrics.RunMetrics`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.monitor import TimeSeries
@@ -168,13 +169,25 @@ class ObsContext:
         self._seq[src] = n + 1
         return f"{layer}:{src}>{dst}:{n}"
 
-    def emit(self, trace: str, stage: str, host: int, **args) -> None:
-        """Record that ``trace`` entered ``stage`` on ``host`` now."""
+    def emit(self, trace: str, stage: str, host: int,
+             at: Optional[float] = None, **args) -> None:
+        """Record that ``trace`` entered ``stage`` on ``host`` — now,
+        or at the instant ``at`` when the caller reports it from another
+        wake than the one it happens at: a chained delay elides that
+        one (``at=env.due(links before it)``), a departure has no
+        calendar entry (the NIC knows the instant when it injects)."""
         if not self.config.trace_messages:
             return
         self.events.append(
-            MsgEvent(trace, stage, host, self.now, args or None)
+            MsgEvent(trace, stage, host, self.now if at is None else at,
+                     args or None)
         )
+
+    def ordered_events(self) -> List[MsgEvent]:
+        """The events in time order, ties in emission order: the order
+        of emission itself unless an event was stamped ``at`` a later
+        or earlier instant than it was reported."""
+        return sorted(self.events, key=attrgetter("t"))
 
     def stall(self, host: int, kind: str, start: float, end: float) -> None:
         """Record a closed blocked interval (only if it has width)."""
@@ -193,10 +206,11 @@ class ObsContext:
             self.emit(tr, "inject", pkt.src,
                       bytes=pkt.wire_bytes, ptype=pkt.ptype.name)
 
-    def on_depart(self, pkt) -> None:
+    def on_depart(self, pkt, at: float) -> None:
+        """The NIC reports a departure when it injects the packet."""
         tr = pkt.meta.get("trace")
         if tr is not None:
-            self.emit(tr, "wire", pkt.src)
+            self.emit(tr, "wire", pkt.src, at=at)
 
     def on_drop(self, pkt) -> None:
         self._inflight[pkt.src] = (
@@ -264,7 +278,7 @@ class ObsContext:
             "kind": "repro-obs-timeline",
             "meta": dict(meta or {}),
             "columns": ["trace", "stage", "host", "t", "args"],
-            "events": [ev.as_row() for ev in self.events],
+            "events": [ev.as_row() for ev in self.ordered_events()],
             "samples": [
                 {
                     "probe": name,

@@ -103,7 +103,7 @@ def events_of(source) -> List[Tuple[str, str, int, float, Dict]]:
         ]
     return [
         (ev.trace, ev.stage, ev.host, ev.t, ev.args or {})
-        for ev in source.events
+        for ev in source.ordered_events()
     ]
 
 

@@ -11,7 +11,9 @@ are:
   ``timeout(d)``-then-resume pattern has a zero-allocation fast path: a
   process may ``yield`` a plain number instead of a :class:`Timeout` and
   the kernel schedules a raw tuple-entry bound to the process, no Event
-  object at all.
+  object at all; a tuple of numbers is a *chained delay* — back-to-back
+  waits with nothing observable in between, filed as one entry due when
+  the last of them would have fired.
 * **Small surface** — only the primitives the communication runtimes need:
   one-shot events, timeouts, processes, and all-of/any-of conditions.
 
@@ -50,6 +52,7 @@ Typical usage::
 
 from __future__ import annotations
 
+import gc
 from contextlib import nullcontext
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
@@ -247,10 +250,19 @@ class Process(Event):
     yielded event triggers, the process resumes with the event's value
     (or has the failure exception thrown into it).  When the generator
     returns, the process event succeeds with the return value.
+
+    A non-empty tuple of numbers ``(d0, d1, ...)`` is a *chained delay*:
+    one calendar entry due at ``((now + d0) + d1) + ...``, summed left to
+    right — bit for bit the instant at which the last of those timeouts,
+    yielded one after the other, would have fired — with the wakes in
+    between elided.  It stands for CPU charges that follow each other
+    with nothing another process could observe in between (docs/MODEL.md
+    §13.6 has the rule).  The chain takes its one sequence number when
+    it starts; the last of the separate waits took its own a wake later,
+    which only an exact tie with another process's entry can tell apart.
     """
 
-    __slots__ = ("_gen", "_target", "name", "_resume_cb", "_fast_cb",
-                 "_fast_token")
+    __slots__ = ("_gen", "_target", "name", "_resume_cb", "_fast_token")
 
     def __init__(self, env: "Environment", gen: Generator, name: str = ""):
         super().__init__(env)
@@ -259,19 +271,24 @@ class Process(Event):
         self._gen = gen
         self._target: Optional[Event] = None
         self.name = name or getattr(gen, "__name__", "process")
-        # Pre-bound callbacks: one bound-method allocation per process
-        # lifetime instead of one per wait.
+        # Pre-bound callback: one bound-method allocation per process
+        # lifetime instead of one per wait.  Dropped when the generator
+        # finishes, so a finished process is not a reference cycle and
+        # is freed by reference count.
         self._resume_cb = self._resume
-        self._fast_cb = self._fast_fire
-        #: Generation token of the pending fast-timeout entry, if any.
-        #: Bumped on every fast wait *and* on interrupt, so a stale entry
-        #: popped later compares unequal and becomes a no-op (this is how
-        #: the fast path supports Interrupt without queue surgery).
+        #: Generation token of the pending fast entry, if any.  Bumped
+        #: on every fast wait *and* on interrupt, so a stale entry popped
+        #: later compares unequal and becomes a no-op (this is how the
+        #: fast path supports Interrupt without queue surgery).
         self._fast_token = 0
-        # Bootstrap: resume the generator at the current time.
-        init = Event(env)
-        init.callbacks.append(self._resume_cb)
-        init.succeed(None)
+        # Bootstrap: a fast entry resuming the generator at the current
+        # time.  It carries token 0, which interrupt() leaves alone, so
+        # an interrupt that lands before the first resume does not cancel
+        # the start.
+        seq = env._seq + 1
+        env._seq = seq
+        now = env._now
+        env._push(now, (now, seq, self, 0))
 
     @property
     def is_alive(self) -> bool:
@@ -285,8 +302,11 @@ class Process(Event):
             raise SimulationError("a process cannot interrupt itself")
         # Detach from whatever it is waiting on, then resume with the error.
         # A pending fast-timeout entry cannot be removed from the calendar
-        # cheaply; invalidating its token makes it fizzle instead.
-        self._fast_token += 1
+        # cheaply; invalidating its token makes it fizzle instead.  Token
+        # 0 means no fast wait was ever scheduled: there is nothing to
+        # invalidate but the bootstrap entry, which has to fire.
+        if self._fast_token:
+            self._fast_token += 1
         target = self._target
         if target is not None and target.callbacks is not None:
             try:
@@ -300,13 +320,6 @@ class Process(Event):
         kick.defuse()
 
     # -- internals ------------------------------------------------------
-    def _fast_fire(self, token: int) -> None:
-        """A fast-timeout calendar entry reached its timestamp."""
-        if token != self._fast_token:
-            return  # cancelled by interrupt(): stale generation
-        self._fast_token = token + 1
-        self._resume(_FAST_TRIGGER)
-
     def _resume(self, trigger) -> None:
         env = self.env
         gen = self._gen
@@ -322,38 +335,68 @@ class Process(Event):
                     event._defused = True
                     nxt = gen.throw(event._value)
             except StopIteration as stop:
-                env._active_gen = None
-                Event.succeed(self, stop.value)
+                self._finish(True, stop.value)
                 return
             except BaseException as exc:
-                env._active_gen = None
-                Event.fail(self, exc)
+                self._finish(False, exc)
                 return
             cls = nxt.__class__
             if cls is float or cls is int:
-                # Zero-allocation timeout: schedule a raw calendar entry
-                # bound to this process, no Timeout object.
+                # Zero-allocation timeout: a raw calendar entry bound to
+                # this process (filed below), no Timeout object.
                 if nxt < 0:
-                    env._active_gen = None
-                    Event.fail(
-                        self, SimulationError(f"negative timeout delay: {nxt}")
+                    self._finish(
+                        False, SimulationError(f"negative timeout delay: {nxt}")
                     )
                     return
-                env._schedule_fast(self, nxt)
-                break
-            if not isinstance(nxt, Event):
-                env._active_gen = None
+                when = env._now + nxt
+            elif cls is tuple and nxt:
+                # Chained delay: the sums the separate waits would have
+                # made, in their order; one entry at the last of them.
+                when = env._now
+                bad = None
+                try:
+                    for delay in nxt:
+                        if delay < 0:
+                            bad = f"negative timeout delay: {delay}"
+                            break
+                        when += delay
+                except TypeError:
+                    bad = f"process {self.name!r} yielded non-event {nxt!r}"
+                if bad is not None:
+                    self._finish(False, SimulationError(bad))
+                    return
+            elif not isinstance(nxt, Event):
                 msg = f"process {self.name!r} yielded non-event {nxt!r}"
-                Event.fail(self, SimulationError(msg))
+                self._finish(False, SimulationError(msg))
                 return
-            if nxt.callbacks is None:
+            elif nxt.callbacks is None:
                 # Already processed: resume immediately with its value.
                 event = nxt
                 continue
-            nxt.callbacks.append(self._resume_cb)
-            self._target = nxt
+            else:
+                nxt.callbacks.append(self._resume_cb)
+                self._target = nxt
+                break
+            # The fast entry: the equivalent of ``Timeout`` + resume
+            # callback (consumes exactly one sequence number, fires in
+            # exactly the same order).
+            seq = env._seq + 1
+            env._seq = seq
+            token = self._fast_token + 1
+            self._fast_token = token
+            env._push(when, (when, seq, self, token))
             break
         env._active_gen = None
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        """The generator is done: fire the process event, cut the cycle."""
+        self.env._active_gen = None
+        self._resume_cb = None
+        if ok:
+            Event.succeed(self, value)
+        else:
+            Event.fail(self, value)
 
 
 class _Condition(Event):
@@ -442,6 +485,9 @@ class Environment:
             raise SimulationError(f"bucket width must be positive: {width}")
         self._now = float(initial_time)
         self._seq = 0
+        #: Sequence number of the entry being dispatched; ``inf`` while
+        #: nothing is (see :attr:`fired_before`).
+        self._firing = _INF
         self._active_gen: Optional[Generator] = None
         # -- calendar state --
         self._width = float(width)
@@ -473,6 +519,15 @@ class Environment:
         """Current simulated time in seconds."""
         return self._now
 
+    @property
+    def fired_before(self) -> tuple:
+        """The calendar position ``(when, seq)`` the run has reached:
+        every entry that orders before it has fired, no other has.  It
+        lets a component account for an effect that is due at a known
+        position — ``(when, env._seq)`` read where the entry would have
+        been scheduled — without a calendar entry to deliver it."""
+        return (self._now, self._firing)
+
     # -- factories ------------------------------------------------------
     def event(self) -> Event:
         return Event(self)
@@ -491,6 +546,15 @@ class Environment:
         if self.faults is not None:
             delay = self.faults.dilate(actor, delay, self._now)
         return delay
+
+    def due(self, chain: Iterable[float]) -> float:
+        """The instant at which a process yielding the chained delay
+        ``chain`` now resumes (the empty chain: now) — for stamping what
+        the process would have done at a wake the chain elides."""
+        when = self._now
+        for delay in chain:
+            when += delay
+        return when
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name=name)
@@ -528,17 +592,6 @@ class Environment:
         self._seq = seq
         when = self._now + delay
         self._push(when, (when, seq, event))
-
-    def _schedule_fast(self, proc: Process, delay: float) -> None:
-        """Raw calendar entry resuming ``proc`` — the zero-allocation
-        equivalent of ``Timeout`` + resume callback (consumes exactly one
-        sequence number, fires in exactly the same order)."""
-        seq = self._seq + 1
-        self._seq = seq
-        token = proc._fast_token + 1
-        proc._fast_token = token
-        when = self._now + delay
-        self._push(when, (when, seq, proc._fast_cb, token))
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` — a raw calendar entry with no
@@ -659,7 +712,11 @@ class Environment:
     # -- execution ------------------------------------------------------
     def _dispatch(self, entry: tuple) -> None:
         if len(entry) == 4:
-            entry[2](entry[3])        # fast-timeout resume
+            # Fast entry (when, seq, process, token): resume unless an
+            # interrupt() made the token stale.
+            proc = entry[2]
+            if entry[3] == proc._fast_token:
+                proc._resume(_FAST_TRIGGER)
             return
         obj = entry[2]
         if isinstance(obj, Event):
@@ -673,6 +730,7 @@ class Environment:
             raise IndexError("pop from an empty event queue")
         entry = heappop(self._cur)
         self._now = entry[0]
+        self._firing = entry[1]
         self._dispatch(entry)
 
     def peek(self) -> float:
@@ -696,6 +754,11 @@ class Environment:
         limit = max_events if max_events is not None else _INF
         pop = heappop
         with nullcontext() if prof is None else prof.cell("sim.engine.run"):
+            # The loop makes no cyclic garbage (a finished process is not
+            # a cycle), so every pass of the cyclic collector over the
+            # live simulation is pure cost: it sits the loop out.
+            collecting = gc.isenabled()
+            gc.disable()
             try:
                 while True:
                     # Re-read each iteration: callbacks may promote a bucket
@@ -706,15 +769,17 @@ class Environment:
                             break
                         cur = self._cur
                     if until is not None and cur[0][0] > until:
-                        self._now = until
-                        return
+                        break
                     entry = pop(cur)
                     self._now = entry[0]
+                    self._firing = entry[1]
                     count += 1
                     # Inlined _dispatch: this branch pair is the hottest code
                     # in the simulator.
                     if len(entry) == 4:
-                        entry[2](entry[3])
+                        proc = entry[2]
+                        if entry[3] == proc._fast_token:
+                            proc._resume(_FAST_TRIGGER)
                     else:
                         obj = entry[2]
                         if isinstance(obj, Event):
@@ -727,7 +792,10 @@ class Environment:
                         )
                 if until is not None:
                     self._now = until
+                self._firing = _INF
             finally:
+                if collecting:
+                    gc.enable()
                 if prof is not None:
                     scheduled = self._seq - seq0
                     ctr = prof.counters

@@ -6,8 +6,12 @@ host and NumPy set operations in the partition builder, ``np.unique`` in
 the CSR builder and the relax kernels, 2-D ``ufunc.at`` in the
 multi-source programs.  They are slow and obviously right; the tests
 require the fast paths to equal them array for array, dtype included.
+
+:func:`unchained` is the reference for the simulator's chained delays:
+it runs the same program with every chain replayed wake by wake.
 """
 
+from contextlib import contextmanager
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -15,6 +19,7 @@ import numpy as np
 from repro.engine.vertex_program import ComputeResult
 from repro.graph.csr import CsrGraph
 from repro.graph.partition.proxies import LocalGraph, Partition, SyncPair
+from repro.sim.engine import Environment
 
 
 # ----------------------------------------------------------------------
@@ -174,3 +179,59 @@ def ppr_compute(lg, state, num_sources):
     return ComputeResult(
         np.unique(dst), int(len(dst)) * num_sources, int(lg.num_local)
     )
+
+
+# ----------------------------------------------------------------------
+# Chained delays
+# ----------------------------------------------------------------------
+def _unchained(gen):
+    """Drive ``gen``, replaying every chained delay it yields as the
+    separate waits the chain replaced.
+
+    It wraps the generator handed to ``env.process``, so it sees a
+    tuple yielded at any ``yield from`` depth below it.  Everything
+    else — events, plain delays, values sent back, exceptions thrown in
+    (an ``Interrupt`` may land between two links of a replayed chain) —
+    passes through untouched.
+    """
+    value, thrown = None, None
+    while True:
+        try:
+            if thrown is None:
+                item = gen.send(value)
+            else:
+                item, thrown = gen.throw(thrown), None
+        except StopIteration as stop:
+            return stop.value
+        value = None
+        try:
+            if item.__class__ is tuple:
+                for delay in item:
+                    yield delay
+            else:
+                value = yield item
+        except BaseException as exc:  # handed on to the wrapped generator
+            thrown = exc
+
+
+@contextmanager
+def unchained():
+    """Every process started inside the block runs through
+    :func:`_unchained`: the schedule the program had when each CPU
+    charge was a wake of its own.  A chain is exact unless an entry of
+    *another* process, scheduled while the chain sleeps, is due at the
+    very float instant the chain ends (the chain took its sequence
+    number earlier than the wake it replaces would have); a run that
+    differs from its unchained twin has hit that, or a chain spans
+    something another process can see."""
+    real = Environment.process
+
+    def process(self, gen, name=""):
+        return real(self, _unchained(gen),
+                    name or getattr(gen, "__name__", "process"))
+
+    Environment.process = process
+    try:
+        yield
+    finally:
+        Environment.process = real

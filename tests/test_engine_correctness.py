@@ -72,6 +72,27 @@ def test_bfs_webcrawl_input():
     assert np.array_equal(eng.assemble_global(), app.reference(g))
 
 
+def test_bfs_probe_layer_wakes_for_a_message_parked_by_its_own_tests():
+    # Regression (lost wake-up): rmat16 on 4 hosts, graph seed 3, from
+    # vertex 6.  Host 3's comm thread probes and finds nothing; the
+    # progress pass inside its MPI_Test loop then parks host 1's 206 KB
+    # RTS in the unexpected queue *and* completes the last pending
+    # request, so it went to sleep on an arrival that had already come,
+    # with no deadline, while host 1 re-polled every flush timeout for
+    # ever.  The event cap turns a relapse into a quick failure.
+    from repro.bench.scenarios import Scenario, build_engine
+
+    sc = Scenario(app="bfs", graph="rmat", scale=16, hosts=4,
+                  layer="mpi-probe", seed=3)
+    app = Bfs(source=6)
+    eng = build_engine(sc, app=app)
+    eng.config.max_events = 300_000
+    metrics = eng.run()
+    assert metrics.rounds == 4
+    assert metrics.layer_counters["rndv_sends"] > 0
+    assert np.array_equal(eng.assemble_global(), app.reference(eng.graph))
+
+
 # ---------------------------------------------------------------------------
 # SSSP
 # ---------------------------------------------------------------------------

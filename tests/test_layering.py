@@ -1,12 +1,15 @@
-"""Source-level rules, checked with ``ast``.
+"""Source-level rules, checked with ``ast`` — and one on what an
+import drags in, checked in a fresh interpreter.
 
 The simulated runtimes never import their instruments: contexts are
 assigned onto the fabric and read back as plain attributes.  The setup
 path and the per-round array kernels call none of NumPy's set
-operations.
+operations.  Importing the package loads neither scipy nor networkx.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -89,3 +92,20 @@ def test_set_operation_check_sees_calls_but_not_references():
         "        return np.unique(x)\n"
     )
     assert _set_operation_calls(tree) == [(4, "unique"), (4, "isin")]
+
+
+def test_importing_the_package_loads_no_heavy_optional_dependency():
+    # scipy (0.15 s, 24 MiB) is only `reference()` solvers' business;
+    # a run, a sweep, the service and every benchmark child must start
+    # without it.
+    probe = (
+        "import sys\n"
+        "import repro.cli, repro.apps, repro.serve, repro.bench.scenarios\n"
+        "print(sorted({'scipy', 'networkx'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -113,6 +113,53 @@ def test_local_complete_at_departure(env, fab):
     assert times == [pytest.approx(ser)]
 
 
+def test_silent_departure_needs_no_calendar_entry(env, fab):
+    """A departure that only gives the transmit slot back is accounted
+    for when the slot count is read, not by an entry of its own."""
+    nic0 = fab.nic(0)
+    pkt = make_pkt(size=1000)
+    ser = stampede2().nic.serialization_time(pkt.wire_bytes)
+    seq0 = env._seq
+    assert nic0.try_inject(pkt)
+    assert env._seq - seq0 == 1  # the arrival, nothing for the departure
+    assert nic0.tx_outstanding == 1
+    env.run(until=ser / 2)
+    assert nic0.tx_outstanding == 1
+    env.run(until=ser)  # entries due at `until` fire: so has this
+    assert nic0.tx_outstanding == 0
+    # One with something to do at departure keeps its entry.
+    seq0 = env._seq
+    assert nic0.try_inject(make_pkt(size=1000), on_local_complete=lambda: None)
+    assert env._seq - seq0 == 2
+
+
+def test_silent_departure_ties_break_like_a_calendar_entry(env):
+    """At the very instant of a departure, an entry scheduled before the
+    injection still finds the slot taken, one scheduled after finds it
+    free — the order a calendar entry for the departure would impose."""
+    from dataclasses import replace
+
+    machine = stampede2()
+    machine = replace(machine, nic=replace(machine.nic, tx_queue_depth=1))
+    nic0 = Fabric(env, 2, machine).nic(0)
+    first = make_pkt(size=1000)
+    departs = machine.nic.serialization_time(first.wire_bytes)
+    seen = []
+
+    def retry(label):
+        seen.append((label, env.now == departs, nic0.tx_outstanding,
+                     nic0.try_inject(make_pkt(size=1000))))
+
+    env.call_later(departs, lambda: retry("scheduled before"))
+    assert nic0.try_inject(first)
+    assert not nic0.try_inject(make_pkt(size=1000))  # depth 1: full
+    env.call_later(departs, lambda: retry("scheduled after"))
+    env.run()
+    assert seen == [("scheduled before", True, 1, False),
+                    ("scheduled after", True, 0, True)]
+    assert nic0.stats.counter_value("tx_queue_full") == 2
+
+
 def test_wrong_source_rejected(env, fab):
     with pytest.raises(SimulationError, match="injected from host"):
         fab.nic(0).try_inject(make_pkt(src=1, dst=0))

@@ -151,6 +151,35 @@ def test_trace_ids_are_deterministic(traced_runs):
     assert [ev.t for ev in obs.events] == [ev.t for ev in obs2.events]
 
 
+def test_events_stamped_at_another_instant_export_in_time_order():
+    obs = ObsContext(ObsConfig(sample_period=0.0))
+    obs.emit("t:0>1:0", "api", 0)                    # t = 0.0 (no env)
+    obs.emit("t:0>1:0", "wire", 0, at=3.0)           # reported early
+    obs.emit("t:0>1:1", "api", 0, at=1.0)
+    obs.emit("t:0>1:0", "inject", 0, at=1.0)         # tie: emission order
+    obs.emit("t:0>1:0", "lib", 0, at=0.5, op="x")    # reported late
+    rows = obs.as_timeline()["events"]
+    assert [(r[1], r[3]) for r in rows] == [
+        ("api", 0.0), ("lib", 0.5), ("api", 1.0), ("inject", 1.0),
+        ("wire", 3.0),
+    ]
+    assert rows[1][4] == {"op": "x"}  # `at` is not an event argument
+    # A live context and its exported document read the same.
+    live = [tl.events for tl in build_timelines(obs)]
+    assert live == [tl.events for tl in build_timelines(obs.as_timeline())]
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_exported_timeline_is_time_ordered(traced_runs, layer):
+    _p, _m, obs = traced_runs[layer]
+    times = [row[3] for row in obs.as_timeline()["events"]]
+    assert times == sorted(times)
+    # Each layer reports some stage from a wake other than the one the
+    # stage is entered at (a chained delay elides that one), so the
+    # order of emission alone is not the order of time.
+    assert [ev.t for ev in obs.events] != times
+
+
 # ---------------------------------------------------------------------------
 # Probes and sampler
 # ---------------------------------------------------------------------------

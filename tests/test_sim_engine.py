@@ -1,10 +1,13 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+
 import pytest
 
 from repro.sim.engine import (
     Environment,
     Interrupt,
+    Process,
     SimulationError,
 )
 
@@ -480,3 +483,261 @@ def test_calendar_and_pure_heap_orders_identical():
     pure = workload(Environment(bucket_width=float("inf")))
     assert fast == pure
     assert len(fast) > 25
+
+
+# ----------------------------------------------------------------------
+# Chained delays: one entry where back-to-back waits were several
+# ----------------------------------------------------------------------
+
+#: Calendar geometries: the default, the single-heap degenerate, and a
+#: width so small that every schedule goes through the overflow heap.
+GEOMETRIES = {
+    "default": {},
+    "pure-heap": {"bucket_width": float("inf")},
+    "tiny-width": {"bucket_width": 1e-12, "num_buckets": 4},
+}
+
+#: Delays that do not add associatively in binary floating point, ints,
+#: zeros, one hop over many buckets and one past the calendar window.
+CHAINS = [
+    (0.1, 0.2, 0.3),
+    (1e-7, 3.3e-7, 5e-8),
+    (0, 2, 0.0, 1.5),
+    (0.0,),
+    (7e-7,),
+    (1e-7, 2e-3, 1e-7),
+    (3e-7, 5.0, 1e-9),
+]
+
+
+def _chain_workload(env, chained):
+    """Workers sleeping through CHAINS (as one chained yield each, or
+    link by link) between rivals that wake on a grid of their own."""
+    log = []
+
+    def worker(name, offset):
+        yield offset
+        for chain in CHAINS:
+            if chained:
+                yield chain
+            else:
+                for delay in chain:
+                    yield delay
+            log.append((env.now.hex(), name))
+
+    def rival(name, step):
+        for _ in range(40):
+            yield step
+            log.append((env.now.hex(), name))
+
+    for i, offset in enumerate((0.0, 1e-7, 0.25)):
+        env.process(worker(f"w{i}", offset))
+    for i, step in enumerate((1e-7, 0.1, 0.15, 0.5)):
+        env.process(rival(f"r{i}", step))
+    env.run()
+    return log
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_chained_delay_equals_the_waits_it_replaces(geometry):
+    kw = GEOMETRIES[geometry]
+    chained = _chain_workload(Environment(**kw), True)
+    separate = _chain_workload(Environment(**kw), False)
+    assert chained == separate
+    assert len(chained) == 3 * len(CHAINS) + 4 * 40
+
+
+def test_chained_delay_sums_left_to_right_in_one_entry():
+    env = Environment()
+    seen = []
+
+    def proc():
+        yield 0.7
+        yield (0.1, 0.3, 0.2)
+        seen.append(env.now)
+
+    env.process(proc())
+    seq0 = env._seq
+    env.run()
+    assert seen == [((0.7 + 0.1) + 0.3) + 0.2]
+    assert seen != [0.7 + (0.1 + 0.3 + 0.2)]  # the order is observable
+    assert env._seq - seq0 == 3  # the wait, the chain, the process event
+    assert env.due((0.1, 0.2)) == (env.now + 0.1) + 0.2
+    assert env.due(()) == env.now
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((1.0, -0.5, 1.0), "negative timeout delay: -0.5"),
+    ((1.0, "soon"), "yielded non-event"),
+    ((), "yielded non-event"),
+])
+def test_bad_chained_delay_fails_the_process(bad, message):
+    env = Environment()
+
+    def proc():
+        yield bad
+
+    p = env.process(proc())
+    with pytest.raises(SimulationError, match=message):
+        env.run()
+    assert p.triggered and not p.ok
+    assert env.now == 0.0  # nothing was scheduled for it
+
+
+def test_interrupt_mid_chain_cancels_the_whole_chain():
+    env = Environment()
+    log = []
+
+    def sleeper():
+        try:
+            yield (1.0, 1.0, 1.0)
+            log.append(("slept", env.now))
+        except Interrupt as exc:
+            log.append(("interrupted", env.now, exc.cause))
+            yield (0.25, 0.25)
+            log.append(("resumed", env.now))
+
+    p = env.process(sleeper())
+
+    def waker():
+        yield 1.5  # between the first and the second link
+        p.interrupt("wake")
+    env.process(waker())
+    env.run()
+    assert log == [("interrupted", 1.5, "wake"), ("resumed", 2.0)]
+    assert env.now == 3.0  # the cancelled entry drains as a no-op
+
+
+# ----------------------------------------------------------------------
+# Process bootstrap and lifetime
+# ----------------------------------------------------------------------
+
+def test_processes_start_in_creation_order_among_other_entries():
+    env = Environment()
+    order = []
+
+    def proc(tag):
+        order.append(tag)
+        yield 0.0
+        order.append(tag + "'")
+
+    env.process(proc("a"))
+    env.call_later(0.0, lambda: order.append("raw"))
+    env.process(proc("b"))
+    env.timeout(0.0).callbacks.append(lambda _ev: order.append("timeout"))
+    env.process(proc("c"))
+    assert order == []  # nothing runs at creation
+    env.run()
+    assert order == ["a", "raw", "b", "timeout", "c", "a'", "b'", "c'"]
+
+
+def test_interrupt_before_first_resume_lands_at_the_first_yield():
+    # The process still starts at its place in the order; the interrupt
+    # reaches it where it first waits (twice if sent twice).
+    env = Environment()
+    log = []
+
+    def proc():
+        log.append("started")
+        for _ in range(3):
+            try:
+                yield 10.0
+                log.append(("slept", env.now))
+            except Interrupt as exc:
+                log.append(("interrupted", env.now, exc.cause))
+
+    p = env.process(proc())
+    p.interrupt("first")
+    p.interrupt("second")
+    env.run()
+    assert log == [
+        "started", ("interrupted", 0.0, "first"),
+        ("interrupted", 0.0, "second"), ("slept", 10.0),
+    ]
+
+
+def test_finished_process_is_freed_without_the_collector():
+    def live_processes():
+        return sum(isinstance(o, Process) for o in gc.get_objects())
+
+    env = Environment()
+
+    def child():
+        yield (1e-6, 1e-6)
+        return 7
+
+    def parent():
+        for _ in range(3):
+            assert (yield env.process(child())) == 7
+
+    def interrupted():
+        try:
+            yield 5.0
+        except Interrupt:
+            return
+
+    def interrupter(victim):
+        yield 1e-6
+        victim.interrupt()
+
+    gc.collect()
+    before = live_processes()
+    gc.disable()
+    try:
+        env.process(parent())
+        env.process(interrupter(env.process(interrupted())))
+        assert live_processes() == before + 3
+        env.run()
+        # All six are gone, and not as garbage waiting for a pass.
+        assert live_processes() == before
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("raises", [False, True])
+def test_run_pauses_the_collector_and_restores_its_state(enabled, raises):
+    env = Environment()
+    seen = []
+
+    def proc():
+        yield 1.0
+        seen.append(gc.isenabled())
+        if raises:
+            raise ValueError("boom")
+
+    env.process(proc())
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(ValueError, match="boom"):
+                env.run()
+        else:
+            env.run(until=5.0)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_fired_before_is_the_position_of_the_entry_being_dispatched():
+    env = Environment()
+    inf = float("inf")
+    assert env.fired_before == (0.0, inf)  # idle: nothing at or before now
+    seen = []
+    for _ in range(3):
+        # Where an entry scheduled here would sit: after everything
+        # already scheduled, before everything scheduled later.
+        position = (1.0, env._seq)
+        env.call_later(1.0, lambda p=position: seen.append(
+            (p < env.fired_before, env.fired_before[0])))
+    env.step()
+    assert env.fired_before[0] == 1.0 and env.fired_before[1] < inf
+    env.run(until=1.0)
+    # Each callback saw its own position as already passed.
+    assert seen == [(True, 1.0)] * 3
+    assert env.fired_before == (1.0, inf)
+    env.run()
+    assert env.fired_before == (1.0, inf)
