@@ -46,7 +46,7 @@ CANONICAL_SCENARIOS: Tuple[Scenario, ...] = (
              system="gemini"),
     # The scale the ROADMAP's sweeps need: a million-node graph across
     # 128 hosts, feasible as a canonical scenario only since the
-    # calendar-queue/slotted-record core (PR 9) — single-digit seconds
+    # fast-path/slotted-record core (PR 9) — single-digit seconds
     # per engine run (graph generation is cached and untimed).
     Scenario(app="bfs", graph="rmat", scale=20, hosts=128, layer="lci"),
 )

@@ -12,34 +12,24 @@ atomic cost.
 Allocation is non-blocking and can return ``None``; that is the API
 contract (Algorithm 1 returns NULL when ``packetAlloc`` fails).
 
-Representation: the pool is struct-of-arrays.  The *budget* (how many
-packets a host may have in flight) is plain integer arithmetic
-(``_free`` plus per-thread cache counts), and the packet descriptors
-themselves live in a slot-indexed parallel list (``_slot_pkts``) with an
-integer free-stack (``_free_idx``) — acquiring a descriptor pops a slot
-index and re-stamps the resident object in place, releasing one pushes
-the index back.  No allocation, no collection, on the steady-state path.
-Descriptor reuse is only armed (:meth:`enable_packet_reuse`) when no
-fault injector, tracer, or sanitizer could still be holding the old
-incarnation; otherwise :meth:`make_packet` falls back to fresh objects
-and behaviour is exactly the historical one.
+The pool manages a *budget* (how many packets a host may have in
+flight), which is plain integer arithmetic: ``_free`` plus per-thread
+cache counts.  The packet descriptors drawn on that budget are ordinary
+objects, built by :meth:`make_packet` and dropped when the last holder
+lets go — the same path whether or not a fault injector, tracer or
+sanitizer is attached.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.netapi import packet as _packet_mod
 from repro.netapi.packet import Packet, PacketType
 from repro.sim.engine import Environment, Event
 from repro.sim.machine import CpuModel
 from repro.sim.monitor import StatRegistry
 
 __all__ = ["PacketPool"]
-
-
-def _noop_lifecycle(pkt) -> None:
-    """Shared no-op bound into ``touch``/``retire`` when nothing listens."""
 
 
 class PacketPool:
@@ -77,30 +67,15 @@ class PacketPool:
         self.local_hit_cost_factor = local_hit_cost_factor
         self.stats = stats or StatRegistry("lci.pool")
         #: Free descriptors in the shared pool (counts, not objects: the
-        #: *budget* is what flow control manages; the descriptor slots
-        #: below are managed independently).
+        #: *budget* is what flow control manages).
         self._free = size
         #: thread-key -> private free count.
         self._local: Dict[object, int] = {}
         self._availability_waiters: List[Event] = []
-        # -- slot-indexed descriptor storage (struct-of-arrays) --
-        #: slot id -> resident Packet object (lazily built on first use).
-        self._slot_pkts: List[Optional[Packet]] = [None] * size
-        #: free slot ids; acquire = pop, release = append.
-        self._free_idx: List[int] = list(range(size - 1, -1, -1))
-        #: Descriptor reuse armed (see module docstring).
-        self._reuse = False
         #: Optional lifecycle checker (repro.sanitize.lci_checks.
         #: LciSanitizer), attached by the owning queue when sanitizers
         #: are armed.  Pure observation: never charges simulated time.
-        #: Assigning it rebinds the ``touch``/``retire`` hook slots.
-        self._sanitizer = None
-        self.touch = _noop_lifecycle
-        self.retire = _noop_lifecycle
-        #: Pure slot reclamation for descriptors that die without a
-        #: ``retire`` (the RTS after its RTR is built): a no-op unless
-        #: reuse is armed, and never visible to sanitizers/analyzers.
-        self.reclaim = _noop_lifecycle
+        self.sanitizer = None
         # Hoisted counters: one registry lookup per pool, not per op.
         self._c_local_hits = self.stats.counter("alloc_local_hits")
         self._c_global_hits = self.stats.counter("alloc_global_hits")
@@ -114,42 +89,6 @@ class PacketPool:
         self._atomic_local = cpu.atomic_op * local_hit_cost_factor
         # Memory accounting: the pool preallocates all its buffers once.
         self.stats.peak("pool_bytes").add(size * packet_data_bytes)
-
-    # ------------------------------------------------------------------
-    @property
-    def sanitizer(self):
-        return self._sanitizer
-
-    @sanitizer.setter
-    def sanitizer(self, value) -> None:
-        self._sanitizer = value
-        self._rebind_lifecycle()
-
-    def enable_packet_reuse(self) -> None:
-        """Arm slot-resident descriptor reuse.
-
-        Only call when no fault injector (duplicate deliveries keep dead
-        descriptors live), no obs tracer, and no sanitizer (tracks
-        per-descriptor lifecycles) is attached — the owning queue checks
-        those conditions at wiring time.
-        """
-        self._reuse = True
-        self._rebind_lifecycle()
-
-    def _rebind_lifecycle(self) -> None:
-        if self._sanitizer is not None:
-            self._reuse = False
-            self.touch = self._touch_sanitized
-            self.retire = self._retire_sanitized
-            self.reclaim = _noop_lifecycle
-        elif self._reuse:
-            self.touch = _noop_lifecycle
-            self.retire = self._retire_reuse
-            self.reclaim = self._retire_reuse
-        else:
-            self.touch = _noop_lifecycle
-            self.retire = _noop_lifecycle
-            self.reclaim = _noop_lifecycle
 
     # ------------------------------------------------------------------
     @property
@@ -191,8 +130,8 @@ class PacketPool:
             if local > 0:
                 self._local[thread] = local - 1
                 self._c_local_hits.add()
-                if self._sanitizer is not None:
-                    self._sanitizer.on_alloc()
+                if self.sanitizer is not None:
+                    self.sanitizer.on_alloc()
                 yield self._atomic_local
                 return True
         yield lead + (self._atomic,) if lead else self._atomic
@@ -200,8 +139,8 @@ class PacketPool:
         if self._free > floor:
             self._free -= 1
             self._c_global_hits.add()
-            if self._sanitizer is not None:
-                self._sanitizer.on_alloc()
+            if self.sanitizer is not None:
+                self.sanitizer.on_alloc()
             return True
         # Steal path: the shared pool is at its floor but other threads'
         # private caches may hold free packets; raid the fullest cache
@@ -216,8 +155,8 @@ class PacketPool:
             if victim is not None:
                 self._local[victim] -= 1
                 self._c_steals.add()
-                if self._sanitizer is not None:
-                    self._sanitizer.on_alloc()
+                if self.sanitizer is not None:
+                    self.sanitizer.on_alloc()
                 yield self._atomic
                 return True
         self._c_failures.add()
@@ -225,8 +164,8 @@ class PacketPool:
 
     def free(self, thread: object = None):
         """Generator: return a packet budget to the pool."""
-        if self._sanitizer is not None:
-            self._sanitizer.on_free(self)
+        if self.sanitizer is not None:
+            self.sanitizer.on_free(self)
         if thread is not None:
             local = self._local.get(thread, 0)
             if local < self.local_cache_packets:
@@ -243,8 +182,8 @@ class PacketPool:
     def free_nowait(self, thread: object = None) -> None:
         """Zero-cost variant for completion callbacks (cost was prepaid by
         the operation that armed the callback)."""
-        if self._sanitizer is not None:
-            self._sanitizer.on_free(self)
+        if self.sanitizer is not None:
+            self.sanitizer.on_free(self)
         self._c_free_nowait.add()
         if thread is not None:
             local = self._local.get(thread, 0)
@@ -280,66 +219,21 @@ class PacketPool:
         self, ptype: PacketType, src: int, dst: int, tag: int, size: int,
         payload=None,
     ) -> Packet:
-        """Build a packet descriptor drawing on an already-allocated budget.
-
-        With reuse armed, the descriptor comes out of a pool slot and is
-        re-stamped in place (fresh ``uid``, cleared ``meta``); otherwise a
-        fresh object is built.  Either way the caller sees a packet in the
-        exact state a newly-constructed one would have.
-        """
-        if self._reuse and self._free_idx:
-            slot = self._free_idx.pop()
-            pkt = self._slot_pkts[slot]
-            if pkt is None:
-                pkt = Packet(ptype, src, dst, tag, size, payload=payload)
-                pkt.slot = slot
-                self._slot_pkts[slot] = pkt
-            else:
-                pkt.ptype = ptype
-                pkt.src = src
-                pkt.dst = dst
-                pkt.tag = tag
-                pkt.size = size
-                pkt.payload = payload
-                pkt.slot = slot
-                if pkt.meta:
-                    pkt.meta.clear()
-                pkt.uid = next(_packet_mod._packet_ids)
-                pkt.request = None
-            pkt.pool = self
-            return pkt
+        """Build a packet descriptor drawing on an already-allocated budget."""
         pkt = Packet(ptype, src, dst, tag, size, payload=payload)
         pkt.pool = self
-        if self._sanitizer is not None:
-            self._sanitizer.on_packet_made(pkt)
+        if self.sanitizer is not None:
+            self.sanitizer.on_packet_made(pkt)
         return pkt
 
-    # ------------------------------------------------------------------
-    # Packet lifecycle hook slots.
-    #
-    # ``touch(pkt)`` declares that a packet's buffer is being read or
-    # handled; ``retire(pkt)`` marks it recycled (its budget is being
-    # freed) — touching it afterwards is a use-after-free.  Both are
-    # *rebindable slots*: plain no-ops by default, sanitizer checks when
-    # one is attached, slot reclamation when descriptor reuse is armed.
-    # The historical ``if sanitizer is not None`` branch is gone from
-    # every per-packet call site.
-    # ------------------------------------------------------------------
-    def _retire_reuse(self, pkt: Packet) -> None:
-        owner = pkt.pool
-        if owner is not None and pkt.slot >= 0:
-            # Cross-host retire is the norm (the receiver retires the
-            # sender's descriptor): the slot goes back to its *owner*.
-            owner._free_idx.append(pkt.slot)
-            # slot < 0 while the descriptor sits on the free list makes
-            # a double retire a no-op instead of handing the same slot
-            # out twice; make_packet re-stamps it on reacquisition.
-            pkt.slot = -1
-            pkt.payload = None
-            pkt.request = None
+    # -- packet lifecycle, seen only by an attached sanitizer -------------
+    def touch(self, pkt: Packet) -> None:
+        """``pkt``'s buffer is being read or handled."""
+        if self.sanitizer is not None:
+            self.sanitizer.on_packet_use(pkt)
 
-    def _retire_sanitized(self, pkt: Packet) -> None:
-        self._sanitizer.on_packet_retired(pkt)
-
-    def _touch_sanitized(self, pkt: Packet) -> None:
-        self._sanitizer.on_packet_use(pkt)
+    def retire(self, pkt: Packet) -> None:
+        """``pkt`` is recycled (its budget is being freed): touching it
+        afterwards is a use-after-free."""
+        if self.sanitizer is not None:
+            self.sanitizer.on_packet_retired(pkt)

@@ -104,12 +104,6 @@ class LciQueue:
         prof = nic.fabric.profiler
         if prof is not None:
             prof.add_source(self._profile_counts)
-        # Descriptor-slot reuse: only safe when nothing can hold a dead
-        # packet across its next incarnation — no retransmit buffers
-        # (faults), no trace events, no lifecycle sanitizer.
-        if (faults is None and self.sanitizer is None and self.obs is None
-                and self.reliability is None):
-            self.pool.enable_packet_reuse()
         # Hoisted per-op costs and counters for the hot generators below.
         self._send_overhead = (
             self.nic.model.send_overhead + self.backend.send_extra
@@ -266,9 +260,6 @@ class LciQueue:
             while not self._lc_send(rtr):
                 yield self.config.retry_backoff
             self._c_rtr_sends.add()
-            # The RTS descriptor is dead now that the RTR carries its
-            # references (budget still travels with the protocol).
-            self.pool.reclaim(pkt)
         else:  # pragma: no cover - server never enqueues other types
             raise RuntimeError(f"unexpected packet in Q: {pkt!r}")
         return req

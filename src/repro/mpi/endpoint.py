@@ -334,7 +334,7 @@ class MpiEndpoint:
                     self.sanitizer.on_post_recv(
                         self.posted.items, source, tag, ANY_SOURCE, ANY_TAG
                     )
-                self.posted.post(PostedReceive.alloc(req, source, tag))
+                self.posted.post(PostedReceive(req, source, tag))
                 return req
             if self.obs is not None and msg.trace is not None:
                 matched_at = self.env.due(chain)
@@ -357,11 +357,8 @@ class MpiEndpoint:
                     self.obs.emit(msg.trace, "complete", self.rank,
                                   bytes=msg.size)
                 self._peer_credit_home(msg.source)
-                msg.recycle()
             else:  # rendezvous RTS parked unexpected
-                rts_pkt = msg.token
-                msg.recycle()
-                yield from self._answer_rts(rts_pkt, req, chain)
+                yield from self._answer_rts(msg.token, req, chain)
             return req
         finally:
             self._exit()
@@ -545,7 +542,6 @@ class MpiEndpoint:
         tr = pkt.meta.get("trace") if self.obs is not None else None
         if entry is not None:
             req = entry.req
-            entry.recycle()
             if tr is not None:
                 self.obs.emit(tr, "handler", self.rank,
                               inspected=inspected, posted=True)
@@ -559,7 +555,7 @@ class MpiEndpoint:
         else:
             self._c_unexpected.add()
             self.unexpected.add(
-                UnexpectedMessage.alloc(
+                UnexpectedMessage(
                     pkt.src, pkt.tag, pkt.size, pkt.payload, "eager",
                     trace=pkt.meta.get("trace"),
                 )
@@ -574,7 +570,6 @@ class MpiEndpoint:
             yield cost
         if entry is not None:
             req = entry.req
-            entry.recycle()
             if self.obs is not None and pkt.meta.get("trace") is not None:
                 self.obs.emit(pkt.meta["trace"], "handler", self.rank,
                               inspected=inspected, posted=True)
@@ -582,7 +577,7 @@ class MpiEndpoint:
         else:
             self._c_unexpected.add()
             self.unexpected.add(
-                UnexpectedMessage.alloc(
+                UnexpectedMessage(
                     pkt.src, pkt.tag, pkt.size, None, "rndv", token=pkt,
                     trace=pkt.meta.get("trace"),
                 )

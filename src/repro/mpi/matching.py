@@ -8,10 +8,8 @@ charge traversal time proportionally.  Wildcards (``ANY_SOURCE`` /
 ``ANY_TAG``) and the FIFO-per-(source, tag) ordering guarantee are
 implemented exactly; these are the semantics LCI drops.
 
-Queue entries are ``__slots__`` records with class-level free-lists
-(:meth:`PostedReceive.alloc` / :meth:`UnexpectedMessage.alloc`): every
-message on a matching layer churns one of each, and recycling a consumed
-entry is two list ops instead of an allocate/initialize/collect cycle.
+Queue entries are plain ``__slots__`` records: every message on a
+matching layer builds one of each and drops it once matched.
 """
 
 from __future__ import annotations
@@ -28,33 +26,10 @@ class PostedReceive:
 
     __slots__ = ("req", "source", "tag")
 
-    #: Dead entries awaiting reuse.
-    _free: List["PostedReceive"] = []
-
     def __init__(self, req: MpiRequest, source: int, tag: int):
         self.req = req
         self.source = source
         self.tag = tag
-
-    @classmethod
-    def alloc(cls, req: MpiRequest, source: int, tag: int) -> "PostedReceive":
-        free = cls._free
-        if free:
-            entry = free.pop()
-            entry.req = req
-            entry.source = source
-            entry.tag = tag
-            return entry
-        return cls(req, source, tag)
-
-    def recycle(self) -> None:
-        """Hand a matched-and-consumed entry back to the free-list.
-
-        Caller contract: the entry has left its queue and its ``req`` has
-        been extracted — no live reference remains.
-        """
-        self.req = None
-        PostedReceive._free.append(self)
 
     def matches(self, src: int, tag: int) -> bool:
         return (self.source in (ANY_SOURCE, src)) and (self.tag in (ANY_TAG, tag))
@@ -67,9 +42,6 @@ class UnexpectedMessage:
         "source", "tag", "size", "payload", "protocol", "token",
         "trace", "arrived_at",
     )
-
-    #: Dead entries awaiting reuse.
-    _free: List["UnexpectedMessage"] = []
 
     def __init__(
         self,
@@ -95,42 +67,6 @@ class UnexpectedMessage:
         #: (0.0 until observability stamps it); the matching wait the
         #: paper blames is measured from here.
         self.arrived_at = 0.0
-
-    @classmethod
-    def alloc(
-        cls,
-        source: int,
-        tag: int,
-        size: int,
-        payload: Any,
-        protocol: str,
-        token: Any = None,
-        trace: Optional[str] = None,
-    ) -> "UnexpectedMessage":
-        free = cls._free
-        if free:
-            msg = free.pop()
-            msg.source = source
-            msg.tag = tag
-            msg.size = size
-            msg.payload = payload
-            msg.protocol = protocol
-            msg.token = token
-            msg.trace = trace
-            msg.arrived_at = 0.0
-            return msg
-        return cls(source, tag, size, payload, protocol, token=token, trace=trace)
-
-    def recycle(self) -> None:
-        """Hand a matched-and-consumed entry back to the free-list.
-
-        Payload/token references are dropped eagerly so recycling never
-        extends the lifetime of message data or parked RTS packets.
-        """
-        self.payload = None
-        self.token = None
-        self.trace = None
-        UnexpectedMessage._free.append(self)
 
     def matched_by(self, source: int, tag: int) -> bool:
         return (source in (ANY_SOURCE, self.source)) and (

@@ -75,7 +75,7 @@ class Nic:
     that reads the fabric's optional instruments (``faults``, ``obs``,
     ``commstats``) as plain attributes on every call, so attaching or
     detaching one needs no rebinding and a run schedules exactly the same
-    calendar entries either way.
+    queue entries either way.
     """
 
     def __init__(
@@ -95,8 +95,8 @@ class Nic:
         self._arrival_waiters: List[Event] = []
         self._tx_free_at = 0.0
         self._tx_outstanding = 0
-        #: Calendar positions of the departures that give a transmit
-        #: slot back and do nothing else.  They get no calendar entry:
+        #: Queue positions of the departures that give a transmit
+        #: slot back and do nothing else.  They get no queue entry:
         #: whoever reads the slot count first settles the past ones.
         self._tx_departures: Deque[Tuple[float, int]] = deque()
         self._registered: Dict[int, RegisteredBuffer] = {}
@@ -123,7 +123,7 @@ class Nic:
         at wire departure for plain sends, and after the remote ACK for
         RDMA puts.  A departure with nothing to fire only gives its
         transmit slot back, which :attr:`tx_outstanding` accounts for
-        without a calendar entry.  ``notify_target`` controls whether the destination CPU
+        without a queue entry.  ``notify_target`` controls whether the destination CPU
         sees the packet in its receive queue (False models a pure RDMA
         write with no completion at the target, as used by MPI-RMA).
         """
@@ -161,7 +161,7 @@ class Nic:
         departure = start + ser
         arrival = departure + latency
 
-        # The instant a calendar entry for the departure fires at.
+        # The instant a queue entry for the departure fires at.
         departs_at = now + (departure - now)
         self._tx_outstanding += 1
         self._c_pkts_sent.add()

@@ -19,15 +19,12 @@ The MPI layers reuse the same wire packets with their own headers stored in
 ``meta`` (tags, communicator context, window/offset for RMA), which mirrors
 how real MPIs layer matching information over the raw transport.
 
-Packets are ``__slots__`` records with a class-level free-list
-(:meth:`Packet.alloc` / :meth:`Packet.recycle`): the per-message object
-churn is one of the simulator's dominant costs, and recycling a dead
-descriptor is two list ops versus a full allocate/initialize/collect
-cycle.  Recycling is strictly opt-in — only call sites that can prove the
-descriptor is dead (no fault injector duplicating deliveries, no tracer
-holding a reference) hand packets back; everything else just drops them
-and the GC does what it always did.  ``uid`` stays globally unique across
-reuse, so traces and tie-breaks never alias.
+Packets are ``__slots__`` records built fresh per message and freed by
+reference count; ``uid`` is unique per construction, so traces and
+tie-breaks never alias.  :meth:`Packet.alloc` / :meth:`Packet.recycle`
+(a class-level free-list) have no caller in the runtime — measured, the
+allocator is as fast — and remain only because ``benchmarks/perf/probes.py``
+calls them.
 """
 
 from __future__ import annotations
@@ -68,7 +65,7 @@ class Packet:
     """A message descriptor moving through the simulated fabric."""
 
     __slots__ = ("ptype", "src", "dst", "tag", "size", "payload", "meta",
-                 "uid", "request", "pool", "slot")
+                 "uid", "request", "pool")
 
     #: Dead descriptors awaiting reuse (see module docstring).
     _free: List["Packet"] = []
@@ -103,9 +100,6 @@ class Packet:
         self.uid = next(_packet_ids) if uid is None else uid
         self.request = request
         self.pool = pool
-        #: Owning pool's descriptor-slot index, or -1 for unpooled
-        #: packets (see :mod:`repro.lci.packet_pool`).
-        self.slot = -1
 
     @classmethod
     def alloc(
@@ -145,7 +139,6 @@ class Packet:
         self.payload = None
         self.request = None
         self.pool = None
-        self.slot = -1
         Packet._free.append(self)
 
     @property

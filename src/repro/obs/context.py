@@ -175,7 +175,7 @@ class ObsContext:
         or at the instant ``at`` when the caller reports it from another
         wake than the one it happens at: a chained delay elides that
         one (``at=env.due(links before it)``), a departure has no
-        calendar entry (the NIC knows the instant when it injects)."""
+        queue entry (the NIC knows the instant when it injects)."""
         if not self.config.trace_messages:
             return
         self.events.append(

@@ -25,7 +25,7 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Lock, Resource, Store
+from repro.sim.resources import Lock, Resource
 from repro.sim.monitor import Counter, PeakTracker, TimeSeries, StatRegistry
 from repro.sim.rng import RngFactory
 
@@ -40,7 +40,6 @@ __all__ = [
     "Timeout",
     "Lock",
     "Resource",
-    "Store",
     "Counter",
     "PeakTracker",
     "TimeSeries",

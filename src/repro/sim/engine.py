@@ -6,35 +6,23 @@ are:
 * **Determinism** — events scheduled for the same timestamp fire in
   scheduling order (a monotonically increasing sequence number breaks ties),
   so a run is a pure function of its inputs and seeds.
-* **Low overhead** — the scheduler is a *calendar queue* (bucketed by
-  timestamp, heap fallback for far-future events) and the dominant
-  ``timeout(d)``-then-resume pattern has a zero-allocation fast path: a
-  process may ``yield`` a plain number instead of a :class:`Timeout` and
-  the kernel schedules a raw tuple-entry bound to the process, no Event
-  object at all; a tuple of numbers is a *chained delay* — back-to-back
-  waits with nothing observable in between, filed as one entry due when
-  the last of them would have fired.
+* **Low overhead** — the event queue is one binary heap driven by the C
+  ``heapq`` functions, and the dominant ``timeout(d)``-then-resume
+  pattern has a zero-allocation fast path: a process may ``yield`` a
+  plain number instead of a :class:`Timeout` and the kernel schedules a
+  raw tuple-entry bound to the process, no Event object at all; a tuple
+  of numbers is a *chained delay* — back-to-back waits with nothing
+  observable in between, filed as one entry due when the last of them
+  would have fired.
 * **Small surface** — only the primitives the communication runtimes need:
   one-shot events, timeouts, processes, and all-of/any-of conditions.
 
-Scheduler structure (see docs/MODEL.md §13 for the full design):
-
-* the **current bucket** is a real heap (``heappush``/``heappop``), so the
-  next event is O(1) to find;
-* **future buckets** inside the calendar window are plain append-only
-  lists — scheduling into them is one list append; a bucket is heapified
-  once, when the clock reaches it;
-* events beyond the window go to an **overflow heap**; when the window
-  drains the calendar *rebases* onto the overflow minimum and migrates
-  everything that now fits.  Workloads whose delays dwarf the bucket
-  width degrade gracefully: a streak of near-empty rebases grows the
-  bucket width geometrically (the calendar resize), and with
-  ``bucket_width=float("inf")`` the calendar degenerates to the classic
-  single-heap scheduler (used by the determinism property tests).
-
-Every entry is ``(when, seq, ...)`` and pops are strictly lexicographic
-on ``(when, seq)``, so the event order — and therefore every simulated
-run — is bit-identical to the single-heap scheduler's.
+Every queue entry is ``(when, seq, ...)`` and pops are strictly
+lexicographic on ``(when, seq)``; ``seq`` is unique, so the heap never
+compares past it.  The benchmark workloads keep 3–351 entries pending on
+average and 3 135 at most, depths at which ``heappush`` / ``heappop``
+beat a structure maintained in Python (docs/MODEL.md §13.1 has the
+numbers, and what the calendar queue this replaced cost).
 
 Typical usage::
 
@@ -54,7 +42,7 @@ from __future__ import annotations
 
 import gc
 from contextlib import nullcontext
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -71,21 +59,6 @@ __all__ = [
 _PENDING = object()
 
 _INF = float("inf")
-
-#: Default calendar geometry.  The simulated runtimes operate at
-#: sub-microsecond granularity (atomic ops ~5e-8 s, NIC latency ~1e-6 s,
-#: aggregate flush timeouts 1e-4 s), so a 1 µs bucket over a ~1 ms window
-#: keeps every delay the communication stack produces inside the calendar;
-#: only pathological far-future events touch the overflow heap.
-_DEFAULT_BUCKET_WIDTH = 1e-6
-_DEFAULT_NUM_BUCKETS = 1024
-
-#: A rebase that migrates at most this many entries is "near empty".
-_SPARSE_REBASE = 2
-#: After this many consecutive near-empty rebases the bucket width grows.
-_RESIZE_STREAK = 4
-#: Geometric growth factor of the calendar resize.
-_RESIZE_FACTOR = 16.0
 
 
 class SimulationError(RuntimeError):
@@ -209,7 +182,7 @@ class Timeout(Event):
         seq = env._seq + 1
         env._seq = seq
         when = env._now + delay
-        env._push(when, (when, seq, self))
+        heappush(env._queue, (when, seq, self))
 
     def _run_callbacks(self) -> None:
         # The value materializes only when the timer fires, so a pending
@@ -252,7 +225,7 @@ class Process(Event):
     returns, the process event succeeds with the return value.
 
     A non-empty tuple of numbers ``(d0, d1, ...)`` is a *chained delay*:
-    one calendar entry due at ``((now + d0) + d1) + ...``, summed left to
+    one queue entry due at ``((now + d0) + d1) + ...``, summed left to
     right — bit for bit the instant at which the last of those timeouts,
     yielded one after the other, would have fired — with the wakes in
     between elided.  It stands for CPU charges that follow each other
@@ -288,7 +261,7 @@ class Process(Event):
         seq = env._seq + 1
         env._seq = seq
         now = env._now
-        env._push(now, (now, seq, self, 0))
+        heappush(env._queue, (now, seq, self, 0))
 
     @property
     def is_alive(self) -> bool:
@@ -300,26 +273,40 @@ class Process(Event):
             return
         if self._gen is self.env._active_gen:
             raise SimulationError("a process cannot interrupt itself")
-        # Detach from whatever it is waiting on, then resume with the error.
-        # A pending fast-timeout entry cannot be removed from the calendar
-        # cheaply; invalidating its token makes it fizzle instead.  Token
-        # 0 means no fast wait was ever scheduled: there is nothing to
-        # invalidate but the bootstrap entry, which has to fire.
-        if self._fast_token:
-            self._fast_token += 1
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume_cb)
-            except ValueError:
-                pass
-        self._target = None
+        self._detach()
         kick = Event(self.env)
-        kick.callbacks.append(self._resume_cb)
+        kick.callbacks.append(self._interrupted)
         kick.fail(Interrupt(cause))
         kick.defuse()
 
     # -- internals ------------------------------------------------------
+    def _detach(self) -> None:
+        """Abandon whatever the process is parked on, so that it cannot
+        resume the process later."""
+        # A pending fast entry cannot be removed from the queue cheaply;
+        # invalidating its token makes it fizzle instead.  Token 0 means
+        # no fast wait was ever scheduled: there is nothing to invalidate
+        # but the bootstrap entry, which has to fire.
+        if self._fast_token:
+            self._fast_token += 1
+        target = self._target
+        if target is not None:
+            self._target = None
+            if target.callbacks is not None:
+                try:
+                    target.callbacks.remove(self._resume_cb)
+                except ValueError:
+                    pass
+
+    def _interrupted(self, kick: Event) -> None:
+        """Deliver an interrupt.  The process may have parked since
+        :meth:`interrupt` was called — it had not started yet, or the
+        handler of an earlier interrupt waits — and that wait ends here
+        too; if it has finished instead, there is nobody to tell."""
+        if self.is_alive:
+            self._detach()
+            self._resume(kick)
+
     def _resume(self, trigger) -> None:
         env = self.env
         gen = self._gen
@@ -342,7 +329,7 @@ class Process(Event):
                 return
             cls = nxt.__class__
             if cls is float or cls is int:
-                # Zero-allocation timeout: a raw calendar entry bound to
+                # Zero-allocation timeout: a raw queue entry bound to
                 # this process (filed below), no Timeout object.
                 if nxt < 0:
                     self._finish(
@@ -385,7 +372,7 @@ class Process(Event):
             env._seq = seq
             token = self._fast_token + 1
             self._fast_token = token
-            env._push(when, (when, seq, self, token))
+            heappush(env._queue, (when, seq, self, token))
             break
         env._active_gen = None
 
@@ -462,44 +449,19 @@ class AllOf(_Condition):
 
 
 class Environment:
-    """The simulation clock and calendar-queue event scheduler.
+    """The simulation clock and the event queue: one heap of
+    ``(when, seq, ...)`` entries, popped in that order."""
 
-    ``bucket_width``/``num_buckets`` pin the calendar geometry (mostly
-    for tests): ``bucket_width=float("inf")`` collapses the calendar to
-    the classic single-heap scheduler, tiny widths force every schedule
-    through the overflow-heap fallback.  The default geometry covers the
-    communication stack's whole delay spectrum, and the width grows
-    automatically when a workload's timescale dwarfs it.
-    """
-
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        bucket_width: Optional[float] = None,
-        num_buckets: int = _DEFAULT_NUM_BUCKETS,
-    ):
-        if num_buckets < 1:
-            raise SimulationError("calendar needs at least one bucket")
-        width = _DEFAULT_BUCKET_WIDTH if bucket_width is None else bucket_width
-        if width <= 0:
-            raise SimulationError(f"bucket width must be positive: {width}")
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._seq = 0
         #: Sequence number of the entry being dispatched; ``inf`` while
         #: nothing is (see :attr:`fired_before`).
         self._firing = _INF
         self._active_gen: Optional[Generator] = None
-        # -- calendar state --
-        self._width = float(width)
-        self._nb = int(num_buckets)
-        self._base = self._now            # absolute time of bucket 0
-        self._cur: List[tuple] = []       # heap: entries with when < _cur_end
-        self._cur_idx = 0                 # bucket index mapped into _cur
-        self._cur_end = self._base + self._width
-        self._buckets: List[List[tuple]] = [[] for _ in range(self._nb)]
-        self._far: List[tuple] = []       # overflow heap beyond the window
-        self._far_ops = 0                 # heap-fallback pushes + migrations
-        self._rebase_streak = 0
+        #: The event queue.  Schedule sites ``heappush`` onto it directly
+        #: and :meth:`run` holds an alias: never rebind it.
+        self._queue: List[tuple] = []
         #: Optional :class:`repro.faults.FaultInjector`.  When installed,
         #: :meth:`charged_timeout` dilates CPU-work delays through its
         #: straggler model; ``None`` keeps the hook a no-op.
@@ -507,11 +469,9 @@ class Environment:
         #: Optional :class:`repro.obs.profile.ProfileContext`.  When
         #: installed, :meth:`run` brackets the dispatch loop in a
         #: ``sim.engine.run`` region and folds event/scheduler work counts
-        #: into the counter registry on exit.  The hot path (dispatch /
-        #: ``_push``) is untouched either way: schedules are already
-        #: counted by ``_seq``, fires by the run loop, and fallback ops by
-        #: a plain attribute touched only on the (rare) overflow path —
-        #: profiling adds zero per-event cost.
+        #: into the counter registry on exit.  Schedules are already
+        #: counted by ``_seq`` and fires by the run loop, so profiling
+        #: adds zero per-event cost.
         self.profiler = None
 
     @property
@@ -521,11 +481,11 @@ class Environment:
 
     @property
     def fired_before(self) -> tuple:
-        """The calendar position ``(when, seq)`` the run has reached:
+        """The queue position ``(when, seq)`` the run has reached:
         every entry that orders before it has fired, no other has.  It
         lets a component account for an effect that is due at a known
         position — ``(when, env._seq)`` read where the entry would have
-        been scheduled — without a calendar entry to deliver it."""
+        been scheduled — without a queue entry to deliver it."""
         return (self._now, self._firing)
 
     # -- factories ------------------------------------------------------
@@ -566,41 +526,21 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling -----------------------------------------------------
-    def _push(self, when: float, entry: tuple) -> None:
-        """File ``entry`` (keyed ``(when, seq, ...)``) into the calendar."""
-        if when < self._cur_end:
-            heappush(self._cur, entry)
-            return
-        i = int((when - self._base) / self._width)
-        if i < self._nb:
-            # Floating point can floor a boundary value back into the
-            # already-drained span; the next bucket is where it belongs.
-            if i <= self._cur_idx:
-                i = self._cur_idx + 1
-                if i >= self._nb:
-                    self._far_ops += 1
-                    heappush(self._far, entry)
-                    return
-            self._buckets[i].append(entry)
-        else:
-            self._far_ops += 1
-            heappush(self._far, entry)
-
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         event._scheduled = True
         seq = self._seq + 1
         self._seq = seq
         when = self._now + delay
-        self._push(when, (when, seq, event))
+        heappush(self._queue, (when, seq, event))
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` after ``delay`` — a raw calendar entry with no
+        """Run ``fn()`` after ``delay`` — a raw queue entry with no
         Event allocated.  The fire-and-forget sibling of
         :meth:`schedule_callback` for callers that discard the event."""
         seq = self._seq + 1
         self._seq = seq
         when = self._now + delay
-        self._push(when, (when, seq, fn))
+        heappush(self._queue, (when, seq, fn))
 
     def schedule_callback(
         self, delay: float, fn: Callable[[], None]
@@ -609,105 +549,6 @@ class Environment:
         ev = Timeout(self, delay)
         ev.callbacks.append(lambda _ev: fn())
         return ev
-
-    # -- calendar maintenance -------------------------------------------
-    def _advance(self) -> bool:
-        """Move the current-bucket heap to the next nonempty span.
-
-        Returns False when the whole calendar (buckets and overflow heap)
-        is empty.  Idempotent: re-entering while ``_cur`` holds entries is
-        a no-op, so nested uses (``peek()`` from inside a dispatched
-        callback, then the run loop) cannot promote past a live bucket.
-        """
-        if self._cur:
-            return True
-        buckets = self._buckets
-        nb = self._nb
-        i = self._cur_idx + 1
-        while True:
-            while i < nb:
-                b = buckets[i]
-                if b:
-                    buckets[i] = []
-                    heapify(b)
-                    self._cur = b
-                    self._cur_idx = i
-                    self._cur_end = self._base + (i + 1) * self._width
-                    return True
-                i += 1
-            # Window exhausted: rebase onto the overflow heap.
-            far = self._far
-            if not far:
-                return False
-            width = self._width
-            self._base = base = far[0][0]
-            horizon = base + nb * width
-            migrated = 0
-            while far and far[0][0] < horizon:
-                e = heappop(far)
-                j = int((e[0] - base) / width)
-                if j >= nb:
-                    j = nb - 1
-                buckets[j].append(e)
-                migrated += 1
-            self._far_ops += migrated
-            # Calendar resize: a streak of near-empty rebases means the
-            # workload's timescale dwarfs the bucket width (the calendar
-            # is degenerating into one heap op per event).  Growing the
-            # width geometrically restores O(1) scheduling; order is
-            # untouched because entries carry their own (when, seq) keys.
-            if migrated <= _SPARSE_REBASE:
-                self._rebase_streak += 1
-                if self._rebase_streak >= _RESIZE_STREAK and width < _INF:
-                    self._rebase_streak = 0
-                    self._resize(width * _RESIZE_FACTOR)
-                    # _resize rebuilt _cur/_buckets/_far (and set
-                    # _cur_idx/_cur_end) under the new geometry; the
-                    # locals drained above and the rebase below refer
-                    # to the *old* calendar.  Restart the scan on the
-                    # fresh state instead of falling through.
-                    if self._cur:
-                        return True
-                    buckets = self._buckets
-                    i = self._cur_idx + 1
-                    continue
-            else:
-                self._rebase_streak = 0
-            self._cur_idx = -1
-            self._cur_end = base
-            i = 0
-
-    def _resize(self, new_width: float) -> None:
-        """Redistribute every pending entry under a new bucket width.
-
-        Safe at any point between event dispatches: entries carry their
-        own ``(when, seq)`` keys, so pop order — and therefore the run —
-        is unaffected.  Exposed for tests via :meth:`resize`.
-        """
-        if new_width <= 0:
-            raise SimulationError(f"bucket width must be positive: {new_width}")
-        pending: List[tuple] = list(self._cur)
-        for b in self._buckets:
-            if b:
-                pending.extend(b)
-                # Empty the drained list in place so any stale alias
-                # (e.g. a scan loop holding the old bucket table) sees
-                # an empty bucket rather than re-delivering entries.
-                del b[:]
-        pending.extend(self._far)
-        self._width = float(new_width)
-        self._base = self._now
-        self._cur = []
-        self._cur_idx = 0
-        self._cur_end = self._base + self._width
-        self._buckets = [[] for _ in range(self._nb)]
-        self._far = []
-        for e in pending:
-            self._push(e[0], e)
-
-    def resize(self, bucket_width: float) -> None:
-        """Change the calendar bucket width mid-run (order-preserving)."""
-        self._resize(bucket_width)
 
     # -- execution ------------------------------------------------------
     def _dispatch(self, entry: tuple) -> None:
@@ -726,18 +567,14 @@ class Environment:
 
     def step(self) -> None:
         """Process the next event; raises IndexError when queue is empty."""
-        if not self._cur and not self._advance():
-            raise IndexError("pop from an empty event queue")
-        entry = heappop(self._cur)
+        entry = heappop(self._queue)
         self._now = entry[0]
         self._firing = entry[1]
         self._dispatch(entry)
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if none."""
-        if not self._cur and not self._advance():
-            return _INF
-        return self._cur[0][0]
+        return self._queue[0][0] if self._queue else _INF
 
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None
@@ -747,12 +584,16 @@ class Environment:
         ``max_events`` is a safety valve against accidental livelock in
         polling loops; exceeding it raises :class:`SimulationError`.
         """
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"run(until={until}) is in the past: the clock is at {self._now}"
+            )
         prof = self.profiler
         seq0 = self._seq
-        far0 = self._far_ops
         count = 0
         limit = max_events if max_events is not None else _INF
         pop = heappop
+        queue = self._queue
         with nullcontext() if prof is None else prof.cell("sim.engine.run"):
             # The loop makes no cyclic garbage (a finished process is not
             # a cycle), so every pass of the cyclic collector over the
@@ -760,17 +601,14 @@ class Environment:
             collecting = gc.isenabled()
             gc.disable()
             try:
+                # ``while True``, not ``while queue``: CPython 3.11 starts
+                # specializing a function at an unconditional backward
+                # jump or its eighth call, and a simulation calls run()
+                # once or twice.
                 while True:
-                    # Re-read each iteration: callbacks may promote a bucket
-                    # (via peek/step) or resize the calendar, replacing _cur.
-                    cur = self._cur
-                    if not cur:
-                        if not self._advance():
-                            break
-                        cur = self._cur
-                    if until is not None and cur[0][0] > until:
+                    if not queue or (until is not None and queue[0][0] > until):
                         break
-                    entry = pop(cur)
+                    entry = pop(queue)
                     self._now = entry[0]
                     self._firing = entry[1]
                     count += 1
@@ -801,18 +639,8 @@ class Environment:
                     ctr = prof.counters
                     ctr.inc("sim.events_scheduled", scheduled)
                     ctr.inc("sim.events_fired", count)
-                    # Total scheduler ops: every schedule files an entry,
-                    # every fire pops one (the counter's meaning since the
-                    # single-heap scheduler; kept for trajectory continuity).
+                    # Every schedule pushes an entry, every fire pops one.
                     ctr.inc("sim.heap_ops", scheduled + count)
-                    # Fallback breakdown, only when the overflow heap actually
-                    # engaged: the canonical workloads fit entirely inside the
-                    # calendar window, and emitting always-zero keys would
-                    # change their counter fingerprints for no information.
-                    far = self._far_ops - far0
-                    if far:
-                        ctr.inc("sim.heap_fallback_ops", far)
-                        ctr.inc("sim.bucket_ops", scheduled + count - far)
 
     def run_process(self, proc: Process, until: Optional[float] = None) -> Any:
         """Run until ``proc`` completes and return its value."""

@@ -2,9 +2,6 @@
 
 These mirror the primitives the communication runtimes are built from:
 
-* :class:`Store` — an unbounded (or bounded) FIFO channel; the simulated
-  analogue of a producer/consumer queue whose *synchronization cost* is
-  charged separately by the caller (the data-structure itself is exact).
 * :class:`Resource` — a counting semaphore (e.g. NIC injection credits).
 * :class:`Lock` — a mutex with optional per-acquisition cost, used to model
   the global lock of ``MPI_THREAD_MULTIPLE`` implementations.
@@ -15,81 +12,11 @@ All wait queues are FIFO, which keeps runs deterministic.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque
 
 from repro.sim.engine import Environment, Event, SimulationError
 
-__all__ = ["Store", "Resource", "Lock"]
-
-
-class Store:
-    """FIFO channel of Python objects with blocking ``get``/``put`` events.
-
-    ``capacity`` bounds the number of buffered items; ``put`` on a full
-    store blocks until space frees.  ``items`` exposes the current buffer
-    for inspection (tests, monitors) — do not mutate it directly.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise SimulationError("Store capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, item)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> Event:
-        """Deposit ``item``; the returned event fires once it is stored."""
-        ev = Event(self.env)
-        if self._getters:
-            # Hand off directly to the longest-waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed(None)
-        elif len(self.items) < self.capacity:
-            self.items.append(item)
-            ev.succeed(None)
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False if the store is full."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return True
-        if len(self.items) < self.capacity:
-            self.items.append(item)
-            return True
-        return False
-
-    def get(self) -> Event:
-        """Remove and return the oldest item (event value)."""
-        ev = Event(self.env)
-        if self.items:
-            ev.succeed(self.items.popleft())
-            self._admit_putter()
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns None when empty."""
-        if self.items:
-            item = self.items.popleft()
-            self._admit_putter()
-            return item
-        return None
-
-    def _admit_putter(self) -> None:
-        if self._putters and len(self.items) < self.capacity:
-            ev, item = self._putters.popleft()
-            self.items.append(item)
-            ev.succeed(None)
+__all__ = ["Resource", "Lock"]
 
 
 class Resource:

@@ -9,6 +9,8 @@ require the fast paths to equal them array for array, dtype included.
 
 :func:`unchained` is the reference for the simulator's chained delays:
 it runs the same program with every chain replayed wake by wake.
+:class:`ListEnvironment` is the reference for its event queue: the same
+generator programs over a list re-sorted by ``(when, seq)``.
 """
 
 from contextlib import contextmanager
@@ -19,7 +21,7 @@ import numpy as np
 from repro.engine.vertex_program import ComputeResult
 from repro.graph.csr import CsrGraph
 from repro.graph.partition.proxies import LocalGraph, Partition, SyncPair
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Interrupt
 
 
 # ----------------------------------------------------------------------
@@ -235,3 +237,119 @@ def unchained():
         yield
     finally:
         Environment.process = real
+
+
+# ----------------------------------------------------------------------
+# Event queue
+# ----------------------------------------------------------------------
+class ListScheduler:
+    """The event queue as a list, sorted by ``(when, seq)`` after every
+    schedule and popped from the front.  ``seq`` is the count of entries
+    ``scheduled`` so far, so ties fire in scheduling order."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.scheduled = 0
+        self._entries = []  # (when, seq, action)
+
+    def schedule(self, when, action):
+        """File ``action`` for the instant ``when``; the returned token
+        cancels it."""
+        self.scheduled += 1
+        self._entries.append((when, self.scheduled, action))
+        self._entries.sort(key=lambda entry: entry[:2])
+        return self.scheduled
+
+    def cancel(self, token):
+        """Defuse an entry.  It stays due — the clock still moves to it
+        when it drains — and does nothing."""
+        self._entries = [(when, seq, None if seq == token else action)
+                         for when, seq, action in self._entries]
+
+    def pop(self):
+        """Move the clock to the earliest entry; its action, or None."""
+        self.now, _seq, action = self._entries.pop(0)
+        return action
+
+
+class _ListTimeout:
+    def __init__(self, value):
+        self.value = value
+        self.waiter = None
+
+
+class _ListProcess:
+    """A generator driven over :class:`ListScheduler`: it may yield a
+    delay, a chained delay or a timeout it has just made."""
+
+    def __init__(self, env, gen):
+        self.env = env
+        self.gen = gen
+        self.is_alive = True
+        self.parked = None  # token of the entry that will wake it
+        env.schedule(env.now, self._advance)  # nothing cancels the start
+
+    def interrupt(self, cause=None):
+        if self.is_alive:
+            self._unpark()
+            self.env.schedule(
+                self.env.now, lambda: self._advance(thrown=Interrupt(cause)))
+
+    def _unpark(self):
+        if self.parked is not None:
+            self.env.cancel(self.parked)
+            self.parked = None
+
+    def _advance(self, value=None, thrown=None):
+        if not self.is_alive:
+            return  # an interrupt for a process that has since finished
+        self._unpark()  # ... or has since parked again (else: a no-op)
+        env = self.env
+        try:
+            if thrown is None:
+                item = self.gen.send(value)
+            else:
+                item = self.gen.throw(thrown)
+        except StopIteration:
+            self.is_alive = False
+            env.schedule(env.now, None)  # its completion: nobody waits
+            return
+        if isinstance(item, _ListTimeout):
+            item.waiter = self
+            self.parked = item.token
+        else:
+            when = env.now
+            for delay in item if isinstance(item, tuple) else (item,):
+                when += delay
+            self.parked = env.schedule(when, self._advance)
+
+
+class ListEnvironment(ListScheduler):
+    """Stands in for ``Environment`` under a test workload: ``now``,
+    ``process`` (``interrupt``, ``is_alive``), ``timeout``,
+    ``call_later``, ``peek``, ``step``, ``run``."""
+
+    def process(self, gen):
+        return _ListProcess(self, gen)
+
+    def timeout(self, delay, value=None):
+        timeout = _ListTimeout(value)
+        timeout.token = self.schedule(
+            self.now + delay,
+            lambda: timeout.waiter and timeout.waiter._advance(timeout.value))
+        return timeout
+
+    def call_later(self, delay, fn):
+        self.schedule(self.now + delay, fn)
+
+    def peek(self):
+        return self._entries[0][0] if self._entries else float("inf")
+
+    def step(self):
+        action = self.pop()
+        if action is not None:
+            action()
+
+    def run(self):
+        while self._entries:
+            self.step()

@@ -5,7 +5,7 @@ Every cell runs twice: as the program is, and inside
 separate waits it stands for.  The two runs must agree exactly — every
 simulated timestamp, footprint, counter and answer, and the whole obs
 timeline (events, probe samples, stalls) — and differ only in how many
-calendar entries they needed.  The suite runs in CI with and without
+queue entries they needed.  The suite runs in CI with and without
 ``REPRO_SANITIZE=1``, so the comparison covers the sanitized paths too.
 """
 
@@ -28,7 +28,7 @@ FAULT_PLANS = ("drop-5pct", "reorder-heavy", "flaky-link")
 
 def observe(sc):
     """Run one cell with obs attached; every deterministic output, and
-    the number of calendar entries it took."""
+    the number of queue entries it took."""
     obs = ObsContext()
     eng = build_engine(sc, obs=obs)
     m = eng.run()

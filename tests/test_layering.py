@@ -5,14 +5,18 @@ The simulated runtimes never import their instruments: contexts are
 assigned onto the fabric and read back as plain attributes.  The setup
 path and the per-round array kernels call none of NumPy's set
 operations.  Importing the package loads neither scipy nor networkx.
+The kernel has one event queue with no geometry to set, and the
+libraries build plain records: no free-lists, no rebound hook slots.
 """
 
 import ast
+import inspect
 import subprocess
 import sys
 from pathlib import Path
 
 import repro
+from repro.sim.engine import Environment
 
 RUNTIME_PACKAGES = ("sim", "netapi", "lci", "mpi", "comm", "engine")
 
@@ -92,6 +96,77 @@ def test_set_operation_check_sees_calls_but_not_references():
         "        return np.unique(x)\n"
     )
     assert _set_operation_calls(tree) == [(4, "unique"), (4, "isin")]
+
+
+def test_environment_takes_a_start_time_and_nothing_else():
+    parameters = inspect.signature(Environment.__init__).parameters.values()
+    assert [(p.name, p.default) for p in parameters] == [
+        ("self", inspect.Parameter.empty), ("initial_time", 0.0)]
+
+
+#: Records are built per message and freed by reference count (measured
+#: equal to recycling them, MODEL.md §13.3), and an attached instrument
+#: is read where it is used, never bound in as a different method.
+#: ``Packet.alloc`` / ``recycle`` stay for ``benchmarks/perf/probes.py``.
+LIFECYCLE_HOOKS = {"touch", "retire", "reclaim"}
+
+
+def _recycling_and_rebinding(tree):
+    """(line, what) of every class-level ``_free`` list, ``recycle``
+    method and assignment to an instance attribute named like a packet
+    lifecycle hook."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [getattr(stmt, "target", None)])
+                if any(isinstance(t, ast.Name) and t.id == "_free"
+                       for t in targets):
+                    yield stmt.lineno, f"{node.name}._free"
+                if (isinstance(stmt, ast.FunctionDef)
+                        and stmt.name == "recycle"):
+                    yield stmt.lineno, f"{node.name}.recycle"
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for t in targets:
+                if isinstance(t, ast.Attribute) and t.attr in LIFECYCLE_HOOKS:
+                    yield node.lineno, f"assigns .{t.attr}"
+
+
+def test_libraries_recycle_no_records_and_rebind_no_hooks():
+    root = Path(repro.__file__).parent
+    offenders = []
+    for package in ("sim", "netapi", "lci", "mpi"):
+        for path in sorted((root / package).rglob("*.py")):
+            if path.relative_to(root).as_posix() == "netapi/packet.py":
+                continue
+            offenders += [
+                f"{path.relative_to(root)}:{line}: {what}"
+                for line, what in _recycling_and_rebinding(
+                    ast.parse(path.read_text()))
+            ]
+    assert offenders == []
+
+
+def test_recycling_check_sees_free_lists_recycle_methods_and_rebinding():
+    tree = ast.parse(
+        "class Entry:\n"
+        "    _free: list = []\n"
+        "    def recycle(self):\n"
+        "        Entry._free.append(self)\n"
+        "class Pool:\n"
+        "    _free = []\n"
+        "    def __init__(self):\n"
+        "        self._free = 4\n"
+        "        self.retire = self._retire_fast\n"
+        "    def touch(self, pkt):\n"
+        "        pass\n"
+    )
+    assert list(_recycling_and_rebinding(tree)) == [
+        (2, "Entry._free"), (3, "Entry.recycle"), (6, "Pool._free"),
+        (9, "assigns .retire"),
+    ]
 
 
 def test_importing_the_package_loads_no_heavy_optional_dependency():

@@ -10,7 +10,6 @@ and double-free bugs.
 """
 
 from repro.lci import PacketPool
-from repro.netapi.packet import PacketType
 from repro.mpi.matching import (
     PostedQueue,
     PostedReceive,
@@ -333,25 +332,3 @@ def test_pool_wait_available_wakes_on_free():
     assert order[1][1] >= 5.0
     assert len(ctx) == 0
 
-
-def test_pool_reuse_double_retire_is_noop():
-    # With descriptor reuse armed, retiring the same descriptor twice
-    # must not put its slot on the free list twice — that would hand the
-    # same resident Packet object out as two concurrently-live packets.
-    env = Environment()
-    pool = PacketPool(env, stampede2().cpu, size=2, packet_data_bytes=1024)
-    pool.enable_packet_reuse()
-
-    a = pool.make_packet(PacketType.EGR, src=0, dst=1, tag=7, size=64)
-    slot_a = a.slot
-    assert slot_a >= 0
-    pool.retire(a)
-    assert a.slot == -1                  # parked: marked free
-    pool.retire(a)                       # double retire: no-op
-    assert pool._free_idx.count(slot_a) == 1
-
-    # The slot comes back exactly once, re-stamped for the next packet.
-    b = pool.make_packet(PacketType.EGR, src=1, dst=0, tag=8, size=32)
-    assert b is a and b.slot == slot_a
-    c = pool.make_packet(PacketType.EGR, src=0, dst=1, tag=9, size=16)
-    assert c is not b

@@ -136,7 +136,7 @@ def test_silent_departure_needs_no_calendar_entry(env, fab):
 def test_silent_departure_ties_break_like_a_calendar_entry(env):
     """At the very instant of a departure, an entry scheduled before the
     injection still finds the slot taken, one scheduled after finds it
-    free — the order a calendar entry for the departure would impose."""
+    free — the order a queue entry for the departure would impose."""
     from dataclasses import replace
 
     machine = stampede2()

@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import gc
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import (
     Environment,
@@ -10,6 +12,8 @@ from repro.sim.engine import (
     Process,
     SimulationError,
 )
+
+from tests.oracles import ListEnvironment
 
 
 def test_timeout_advances_clock():
@@ -272,6 +276,15 @@ def test_run_until_stops_clock():
     assert env.now == 3.5
 
 
+def test_run_until_an_instant_in_the_past_is_rejected():
+    env = Environment()
+    env.run(until=5.0)
+    env.run(until=5.0)  # the present is not the past
+    with pytest.raises(SimulationError, match=r"until=3\.0.* at 5\.0"):
+        env.run(until=3.0)
+    assert env.now == 5.0
+
+
 def test_max_events_guard():
     env = Environment()
 
@@ -311,103 +324,219 @@ def test_run_process_unfinished_raises():
 
 
 # ----------------------------------------------------------------------
-# Calendar-queue scheduler determinism
+# Event order against the list model (tests/oracles.py)
 # ----------------------------------------------------------------------
 
-def _record_order(env, log, label, delay):
-    def proc():
+def _sleepers(env, log, delays):
+    """One process per delay, each logging the instant it wakes."""
+    def proc(label, delay):
         yield delay
         log.append((env.now, label))
-    return env.process(proc())
+    for label, delay in enumerate(delays):
+        env.process(proc(label, delay))
 
 
-def test_same_timestamp_ordering_across_bucket_boundaries():
-    # Schedule pairs of events at the same timestamp where one lands in
-    # the current bucket and its twin beyond the calendar horizon (far
-    # heap); scheduling order must still decide the tie everywhere.
-    env = Environment(bucket_width=1e-6, num_buckets=4)  # 4 us horizon
-    log = []
-    for i, when in enumerate([3e-6, 3e-6, 50e-6, 50e-6, 0.5e-6, 0.5e-6]):
-        _record_order(env, log, i, when)
-    env.run()
-    assert log == [
-        (0.5e-6, 4), (0.5e-6, 5),
-        (3e-6, 0), (3e-6, 1),
-        (50e-6, 2), (50e-6, 3),
-    ]
+def _tie_pairs(env, log):
+    # Pairs due at the same instant — half a microsecond out, a few, and
+    # far beyond them: scheduling order decides each tie.
+    _sleepers(env, log, [3e-6, 3e-6, 50e-6, 50e-6, 0.5e-6, 0.5e-6])
 
 
-def test_calendar_resize_mid_run_preserves_order():
-    env = Environment(bucket_width=1e-6, num_buckets=8)
-    log = []
-    for i, when in enumerate([2e-6, 2e-6, 5e-6, 300e-6, 300e-6, 301e-6]):
-        _record_order(env, log, i, when)
+def _mid_run_wake(env, log):
+    # A process waking between the near entries and the far ones.
+    _sleepers(env, log, [2e-6, 2e-6, 5e-6, 300e-6, 300e-6, 301e-6])
 
-    def resizer():
+    def waker():
         yield 4e-6
-        env.resize(100e-6)  # re-bucket everything still pending
-        log.append((env.now, "resized"))
-    env.process(resizer())
-    env.run()
-    assert log == [
-        (2e-6, 0), (2e-6, 1),
-        (4e-6, "resized"),
-        (5e-6, 2),
-        (300e-6, 3), (300e-6, 4),
-        (301e-6, 5),
-    ]
+        log.append((env.now, "woke"))
+    env.process(waker())
 
 
-def test_automatic_resize_drops_and_duplicates_nothing():
-    # Regression: a streak of sparse rebases triggers the automatic
-    # width growth *inside* _advance.  The resize rebuilds the calendar
-    # mid-scan; the scan must restart on the fresh state or it will
-    # re-deliver (from the stale bucket table) and/or clobber the
-    # rebuilt current heap, losing events.  Both historical failure
-    # modes are pinned here.
-    def fire_at(times):
-        env = Environment(bucket_width=1.0, num_buckets=4)
-        fired = []
+def _raw_timers(times):
+    def workload(env, log):
         for t in times:
-            env.call_later(t, (lambda tt: (lambda: fired.append(tt)))(t))
-        env.run()
-        assert env._width > 1.0  # the automatic resize actually ran
-        return fired
-
-    # Lost-event shape: 306 lands in the rebuilt current heap, which a
-    # stale fall-through used to overwrite.
-    assert fire_at([100, 200, 300, 305, 306]) == [100, 200, 300, 305, 306]
-    # Duplicate-event shape: 400 sat in a drained-but-uncleared old
-    # bucket and used to be delivered twice.
-    assert fire_at([100, 200, 300, 400, 500]) == [100, 200, 300, 400, 500]
+            env.call_later(t, lambda t=t: log.append((env.now, t)))
+    return workload
 
 
-def test_sparse_rebase_streak_matches_pure_heap():
-    # Coarse-timescale workload: every delay dwarfs the whole calendar
-    # window (bucket_width * num_buckets = 4 s vs ~1000 s gaps), so each
-    # rebase migrates one or two entries and the resize streak trips
-    # repeatedly.  The fire order must equal the degenerate single-heap
-    # scheduler's, event for event.
-    import random
+def _coarse_timescale(env, log):
+    # Every delay is 100-1 100 s: a handful of entries, far apart.
+    rng = random.Random(99)
 
-    def workload(env):
-        rng = random.Random(99)
-        log = []
+    def proc(name):
+        for _ in range(6):
+            yield 100.0 + rng.random() * 1000.0
+            log.append((env.now, name))
 
-        def proc(name):
-            for _ in range(6):
-                yield 100.0 + rng.random() * 1000.0
-                log.append((env.now, name))
+    for i in range(6):
+        env.process(proc(f"p{i}"))
 
-        for i in range(6):
-            env.process(proc(f"p{i}"))
-        env.run()
-        return log
 
-    calendar = workload(Environment(bucket_width=1.0, num_buckets=4))
-    pure = workload(Environment(bucket_width=float("inf")))
-    assert calendar == pure
-    assert len(calendar) == 36
+def _sparse_to_dense_flip(env, log):
+    # Hundreds of seconds between entries, then a burst a few hundred
+    # nanoseconds apart (ties included) where the last of them lands,
+    # then sparse again.
+    rng = random.Random(7)
+
+    def proc(name):
+        for _ in range(3):
+            yield 100.0 * rng.randint(1, 5)
+            log.append((env.now, name, "sparse"))
+        yield 2000.0 - env.now
+        for _ in range(20):
+            yield rng.choice([0.0, 1e-7, 1e-7, 3e-7])
+            log.append((env.now, name, "dense"))
+        yield 100.0 * rng.randint(1, 5)
+        log.append((env.now, name, "sparse"))
+
+    for i in range(5):
+        env.process(proc(f"p{i}"))
+
+
+def _seeded_mix(env, log):
+    # Seeded timers, chained resumes and interrupts.
+    rng = random.Random(1234)
+
+    def jittery(name):
+        for _ in range(rng.randint(1, 5)):
+            yield rng.choice([0.0, 1e-7, 3.7e-6, 1e-3]) * rng.random()
+            log.append((env.now, name))
+
+    def sleeper(name):
+        # Long fast-path sleeps that expect to be poked awake.
+        try:
+            yield 1e-2
+            log.append((env.now, name, "slept"))
+        except Interrupt:
+            log.append((env.now, name, "poked"))
+            yield rng.random() * 1e-5
+            log.append((env.now, name, "back"))
+
+    for i in range(25):
+        env.process(jittery(f"p{i}"))
+    sleepers = [env.process(sleeper(f"s{i}")) for i in range(5)]
+
+    def meddler():
+        yield 2e-6
+        for p in sleepers[::2]:
+            if p.is_alive:
+                p.interrupt("poke")
+        log.append((env.now, "meddled"))
+    env.process(meddler())
+
+
+def _nested_peek_and_step(env, log):
+    # A callback looks ahead and dispatches the next entry itself; the
+    # run loop carries on behind it.
+    _sleepers(env, log, [1e-6, 2e-6, 2e-6, 3e-6])
+
+    def meddle():
+        log.append((env.now, "peeked", env.peek()))
+        env.step()
+        log.append((env.now, "stepped", env.peek()))
+    env.call_later(1.5e-6, meddle)
+
+
+#: name -> (workload, entries it logs)
+WORKLOADS = {
+    "tie-pairs": (_tie_pairs, 6),
+    "mid-run-wake": (_mid_run_wake, 7),
+    "raw-timers-close-after-sparse": (_raw_timers([100, 200, 300, 305, 306]), 5),
+    "raw-timers-evenly-sparse": (_raw_timers([100, 200, 300, 400, 500]), 5),
+    "coarse-timescale": (_coarse_timescale, 36),
+    "sparse-to-dense-flip": (_sparse_to_dense_flip, 5 * 24),
+    "seeded-mix": (_seeded_mix, 79),
+    "nested-peek-and-step": (_nested_peek_and_step, 6),
+}
+
+
+def _observe(env, workload, *args):
+    log = []
+    workload(env, log, *args)
+    env.run()
+    return log, env.now
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_kernel_fires_in_the_model_order(name):
+    workload, entries = WORKLOADS[name]
+    kernel, model = Environment(), ListEnvironment()
+    observed = _observe(kernel, workload)
+    assert observed == _observe(model, workload)
+    assert len(observed[0]) == entries
+    assert kernel._seq == model.scheduled  # entry for entry
+
+
+_DELAYS = st.sampled_from([0.0, 1e-7, 2e-7, 3e-7, 0.1, 0.2, 100.0])
+_OPS = st.one_of(
+    st.tuples(st.sampled_from(["sleep", "timeout", "call_later"]), _DELAYS),
+    st.tuples(st.just("chain"),
+              st.lists(_DELAYS, min_size=1, max_size=3).map(tuple)),
+    st.tuples(st.just("interrupt"), st.integers(0, 5)),
+)
+
+
+def _programs(env, log, programs):
+    """One process per program; an op that is interrupted is logged as
+    such and the program moves on to its next op."""
+    procs = []
+
+    def proc(me, ops):
+        for i, (op, arg) in enumerate(ops):
+            got = None
+            try:
+                if op == "timeout":
+                    got = yield env.timeout(arg, value=(me, i))
+                elif op == "call_later":
+                    env.call_later(
+                        arg, lambda i=i: log.append((env.now, me, i, "fired")))
+                elif op == "interrupt":
+                    victim = arg % len(procs)
+                    if victim != me:
+                        procs[victim].interrupt((me, i))
+                else:  # "sleep": a delay; "chain": a tuple of them
+                    yield arg
+            except Interrupt as exc:
+                got = ("interrupted by", exc.cause)
+            log.append((env.now, me, i, op, got))
+
+    for me, ops in enumerate(programs):
+        procs.append(env.process(proc(me, ops)))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.lists(st.lists(_OPS, max_size=6), min_size=1, max_size=6))
+def test_random_programs_fire_in_the_model_order(programs):
+    kernel, model = Environment(), ListEnvironment()
+    assert (_observe(kernel, _programs, programs)
+            == _observe(model, _programs, programs))
+    assert kernel._seq == model.scheduled
+
+
+def test_mass_cancellation_drains_stale_entries_as_noops():
+    env = Environment()
+    woke, poked = [], []
+
+    def sleeper(i):
+        try:
+            yield 1.0 + i * 1e-6
+            woke.append(i)
+        except Interrupt:
+            poked.append((i, env.now))
+
+    procs = [env.process(sleeper(i)) for i in range(10_000)]
+
+    def canceller():
+        yield 0.5
+        for p in procs[1::2]:
+            p.interrupt()
+    env.process(canceller())
+    env.run()
+    assert woke == list(range(0, 10_000, 2))
+    assert poked == [(i, 0.5) for i in range(1, 10_000, 2)]
+    # The 5 000 cancelled entries stayed queued and drained as no-ops:
+    # the clock ends on the last of them.
+    assert env.now == 1.0 + 9_999 * 1e-6
 
 
 def test_interrupt_from_fast_timeout_path():
@@ -433,72 +562,17 @@ def test_interrupt_from_fast_timeout_path():
     env.run()
     assert log == [("interrupted", 2.0, "wake"), ("resumed", 3.0)]
     # The defused 100 s timer still drains as a no-op pop (exactly like
-    # a historical Timeout whose callbacks were removed), so event and
-    # clock accounting match the pre-calendar engine.
+    # a Timeout whose callbacks were removed), so it counts as an event
+    # and moves the clock.
     assert env.now == 100.0
-
-
-def test_calendar_and_pure_heap_orders_identical():
-    # Property-style: a randomized seeded workload of timers, chained
-    # resumes, and interrupts must fire in the identical order under the
-    # calendar queue and under the pure-heap degenerate configuration.
-    import random
-
-    def workload(env):
-        rng = random.Random(1234)
-        log = []
-
-        def jittery(name):
-            for _ in range(rng.randint(1, 5)):
-                yield rng.choice([0.0, 1e-7, 3.7e-6, 1e-3]) * rng.random()
-                log.append((env.now, name))
-
-        def sleeper(name):
-            # Long fast-path sleeps that expect to be poked awake.
-            try:
-                yield 1e-2
-                log.append((env.now, name, "slept"))
-            except Interrupt:
-                log.append((env.now, name, "poked"))
-                yield rng.random() * 1e-5
-                log.append((env.now, name, "back"))
-
-        for i in range(25):
-            env.process(jittery(f"p{i}"))
-        sleepers = [env.process(sleeper(f"s{i}")) for i in range(5)]
-
-        def meddler():
-            yield 2e-6
-            for p in sleepers[::2]:
-                if p.is_alive:
-                    p.interrupt("poke")
-            log.append((env.now, "meddled"))
-        env.process(meddler())
-        env.run()
-        return log
-
-    fast = workload(Environment(bucket_width=1e-6, num_buckets=16))
-    # Interrupted processes raise into jittery generators which have no
-    # handler; both runs must crash identically or succeed identically.
-    pure = workload(Environment(bucket_width=float("inf")))
-    assert fast == pure
-    assert len(fast) > 25
 
 
 # ----------------------------------------------------------------------
 # Chained delays: one entry where back-to-back waits were several
 # ----------------------------------------------------------------------
 
-#: Calendar geometries: the default, the single-heap degenerate, and a
-#: width so small that every schedule goes through the overflow heap.
-GEOMETRIES = {
-    "default": {},
-    "pure-heap": {"bucket_width": float("inf")},
-    "tiny-width": {"bucket_width": 1e-12, "num_buckets": 4},
-}
-
 #: Delays that do not add associatively in binary floating point, ints,
-#: zeros, one hop over many buckets and one past the calendar window.
+#: zeros, and hops of milliseconds and seconds between sub-microsecond ones.
 CHAINS = [
     (0.1, 0.2, 0.3),
     (1e-7, 3.3e-7, 5e-8),
@@ -538,11 +612,9 @@ def _chain_workload(env, chained):
     return log
 
 
-@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-def test_chained_delay_equals_the_waits_it_replaces(geometry):
-    kw = GEOMETRIES[geometry]
-    chained = _chain_workload(Environment(**kw), True)
-    separate = _chain_workload(Environment(**kw), False)
+def test_chained_delay_equals_the_waits_it_replaces():
+    chained = _chain_workload(Environment(), True)
+    separate = _chain_workload(Environment(), False)
     assert chained == separate
     assert len(chained) == 3 * len(CHAINS) + 4 * 40
 
@@ -654,6 +726,61 @@ def test_interrupt_before_first_resume_lands_at_the_first_yield():
         "started", ("interrupted", 0.0, "first"),
         ("interrupted", 0.0, "second"), ("slept", 10.0),
     ]
+
+
+@pytest.mark.parametrize("again", [False, True], ids=["returns", "waits-again"])
+@pytest.mark.parametrize("wait", ["fast", "chained", "event"])
+def test_interrupt_sent_before_the_first_wait_ends_that_wait(wait, again):
+    # The interrupt is delivered at the wait the process starts with;
+    # what that wait was parked on must not resume the process again —
+    # not a handler that returned, not one that moved on to another wait.
+    env = Environment()
+    log = []
+    gate = env.event()
+
+    def proc():
+        try:
+            if wait == "fast":
+                yield 10.0
+            elif wait == "chained":
+                yield (5.0, 5.0)
+            else:
+                yield gate
+            log.append(("slept", env.now))
+        except Interrupt as exc:
+            log.append(("interrupted", env.now, exc.cause))
+            if again:
+                got = yield env.timeout(3.0, value="mine")
+                log.append(("again", env.now, got))
+
+    p = env.process(proc())
+    p.interrupt("early")
+    env.call_later(1.0, lambda: gate.succeed("stale"))
+    env.run()
+    assert log == [("interrupted", 0.0, "early")] + (
+        [("again", 3.0, "mine")] if again else [])
+    assert p.ok and not p.is_alive
+    # The abandoned 10 s entry still drains, as a no-op.
+    assert env.now == (3.0 if wait == "event" and again else
+                       1.0 if wait == "event" else 10.0)
+
+
+def test_interrupt_for_a_process_that_has_since_finished_is_dropped():
+    env = Environment()
+    log = []
+
+    def proc():
+        try:
+            yield 10.0
+        except Interrupt as exc:
+            log.append(exc.cause)
+
+    p = env.process(proc())
+    p.interrupt("first")
+    p.interrupt("second")  # sent while alive, due after it returned
+    env.run()
+    assert log == ["first"]
+    assert p.ok
 
 
 def test_finished_process_is_freed_without_the_collector():

@@ -1,109 +1,9 @@
-"""Unit tests for Store / Resource / Lock."""
+"""Unit tests for Resource / Lock."""
 
 import pytest
 
 from repro.sim.engine import Environment, SimulationError
-from repro.sim.resources import Lock, Resource, Store
-
-
-# ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer(env):
-        for i in range(3):
-            yield env.timeout(1)
-            yield store.put(i)
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield store.get()
-            got.append((env.now, item))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == [(1, 0), (2, 1), (3, 2)]
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer(env):
-        item = yield store.get()
-        got.append((env.now, item))
-
-    def producer(env):
-        yield env.timeout(5)
-        yield store.put("x")
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert got == [(5, "x")]
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    timeline = []
-
-    def producer(env):
-        yield store.put("a")
-        timeline.append(("put-a", env.now))
-        yield store.put("b")
-        timeline.append(("put-b", env.now))
-
-    def consumer(env):
-        yield env.timeout(3)
-        item = yield store.get()
-        timeline.append(("got-" + item, env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert ("put-a", 0) in timeline
-    assert ("put-b", 3) in timeline  # unblocked by the get at t=3
-
-
-def test_store_try_put_try_get():
-    env = Environment()
-    store = Store(env, capacity=2)
-    assert store.try_get() is None
-    assert store.try_put(1)
-    assert store.try_put(2)
-    assert not store.try_put(3)
-    assert store.try_get() == 1
-    assert len(store) == 1
-
-
-def test_store_try_put_hands_to_waiting_getter():
-    env = Environment()
-    store = Store(env, capacity=1)
-    got = []
-
-    def consumer(env):
-        item = yield store.get()
-        got.append(item)
-
-    env.process(consumer(env))
-    env.run()  # consumer now blocked
-    assert store.try_put("direct")
-    env.run()
-    assert got == ["direct"]
-    assert len(store) == 0
-
-
-def test_store_zero_capacity_rejected():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Store(env, capacity=0)
+from repro.sim.resources import Lock, Resource
 
 
 # ---------------------------------------------------------------------------
