@@ -78,7 +78,7 @@ def run_burst(buffered: bool, crash: bool):
     # How often the sending side ran out of eager buffers and had to
     # stall (the pressure the buffered layer is designed to absorb).
     ep0 = layers[0].ep
-    return ("ok", ep0.stats.counter_value("eager_stalls"))
+    return ("ok", ep0.eager_stalls)
 
 
 def test_ablation_buffered_layer(benchmark, results_sink):

@@ -83,15 +83,14 @@ def run_scenario(sc: Scenario) -> RunMetrics:
 
 
 def build_engine(
-    sc: Scenario, tracer=None, fault_plan=None, obs=None, *,
+    sc: Scenario, *, fault_plan=None, obs=None,
     app=None, graph=None, partition=None, profile=None, commstats=None,
 ) -> BspEngine:
     """Construct the (unrun) engine for a scenario.
 
-    ``tracer`` attaches a :class:`repro.sim.trace.Tracer`; ``fault_plan``
-    (a plan object or name) overrides the scenario's own ``fault_plan``
-    field; ``obs`` attaches a :class:`repro.obs.ObsContext` for
-    message-lifecycle tracing; ``profile`` attaches a
+    ``fault_plan`` (a plan object or name) overrides the scenario's own
+    ``fault_plan`` field; ``obs`` attaches a :class:`repro.obs.ObsContext`
+    for message-lifecycle tracing and round spans; ``profile`` attaches a
     :class:`repro.obs.profile.ProfileContext` for host-side region
     profiling and work counters; ``commstats`` attaches a
     :class:`repro.obs.commstats.CommStatsContext` collecting traffic
@@ -99,8 +98,8 @@ def build_engine(
     afterwards — for ``assemble_global`` or injector statistics — use
     this instead of :func:`run_scenario`.
 
-    The keyword-only overrides serve long-lived callers
-    (:class:`repro.serve.ServeEngine`): ``app`` substitutes an
+    The ``app`` / ``graph`` / ``partition`` overrides serve long-lived
+    callers (:class:`repro.serve.ServeEngine`): ``app`` substitutes an
     already-constructed :class:`~repro.engine.VertexProgram` (the
     scenario's ``app`` field is then only a label), ``graph`` substitutes
     a resident graph for the generated one, and ``partition`` passes a
@@ -160,7 +159,6 @@ def build_engine(
         layer=sc.layer,
         layer_kwargs=layer_kwargs,
         work_scale=sc.work_scale,
-        tracer=tracer,
         fault_plan=fault_plan,
         sanitize=sc.sanitize,
         obs=obs,

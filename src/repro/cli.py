@@ -3,7 +3,7 @@
 ::
 
     python -m repro run --app bfs --graph rmat --scale 12 --hosts 16 \\
-        --layer lci [--trace trace.json]
+        --layer lci [--obs-chrome trace.json]
     python -m repro sweep --app pagerank --graph kron --hosts 4 16 64
     python -m repro chaos --plan flaky-link --layer lci [--list-plans]
     python -m repro micro [--sizes 8 512 65536] [--threads 1 8 64]
@@ -79,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["intelmpi", "mvapich2", "openmpi"])
     run.add_argument("--pagerank-rounds", type=int, default=20)
     run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--trace", metavar="PATH",
-                     help="write a chrome://tracing timeline JSON")
     run.add_argument("--sanitize", nargs="?", const="warn",
                      choices=["warn", "raise"], default=None,
                      help="arm the protocol sanitizers (default mode: "
@@ -93,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "`repro explain`)")
     run.add_argument("--obs-chrome", metavar="PATH",
                      help="also export the obs timeline as a Chrome "
-                          "trace with flow arrows (implies --obs)")
+                          "trace: message flow arrows, round spans, "
+                          "fault / sanitizer instants (implies --obs)")
     run.add_argument("--obs-prom", metavar="PATH",
                      help="also export aggregate obs metrics in "
                           "Prometheus text format (implies --obs)")
@@ -125,9 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--machine", default="stampede2",
                        choices=["stampede2", "stampede1"])
     chaos.add_argument("--seed", type=int, default=1)
-    chaos.add_argument("--trace", metavar="PATH",
-                       help="write a chrome://tracing timeline JSON with "
-                            "fault instants")
     chaos.add_argument("--sanitize", nargs="?", const="warn",
                        choices=["warn", "raise"], default=None,
                        help="arm the protocol sanitizers for both the "
@@ -136,6 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="PATH",
                        help="trace the faulted run's message lifecycle "
                             "and write the observability timeline JSON")
+    chaos.add_argument("--obs-chrome", metavar="PATH",
+                       help="also export the faulted run's timeline as a "
+                            "Chrome trace with fault instants (implies "
+                            "--obs)")
 
     explain = sub.add_parser(
         "explain",
@@ -377,10 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    tracer = None
-    if args.trace:
-        from repro.sim.trace import Tracer
-        tracer = Tracer()
     obs = None
     obs_path = args.obs
     if obs_path or args.obs_chrome or args.obs_prom:
@@ -402,15 +398,11 @@ def _cmd_run(args) -> int:
 
     wall0 = wall_now()
     try:
-        m = build_engine(sc, tracer=tracer, obs=obs,
-                         commstats=commstats).run()
+        m = build_engine(sc, obs=obs, commstats=commstats).run()
     except SanitizerError as exc:
         print(f"sanitizer violation: {exc}", file=sys.stderr)
         return SANITIZER_EXIT_CODE
     m.stamp_wall(wall_now() - wall0)
-    if tracer is not None:
-        tracer.save(args.trace)
-        print(f"trace written to {args.trace}")
     comm_doc = None
     if commstats is not None:
         from repro.obs import save_comm_doc
@@ -514,14 +506,13 @@ def _cmd_chaos(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    tracer = None
-    if args.trace:
-        from repro.sim.trace import Tracer
-        tracer = Tracer()
     obs = None
-    if args.obs:
+    obs_path = args.obs
+    if obs_path or args.obs_chrome:
         from repro.obs import ObsContext
         obs = ObsContext()
+        if obs_path is None:
+            obs_path = "obs-timeline.json"
     sc = Scenario(
         app=args.app, graph=args.graph, scale=args.scale, hosts=args.hosts,
         layer=args.layer, system=args.system, machine=args.machine,
@@ -530,23 +521,22 @@ def _cmd_chaos(args) -> int:
     try:
         # --obs also arms the comm observatory so the report can
         # attribute byte deltas (retransmits, drops) to the fault plan.
-        report = run_chaos(sc, plan, tracer=tracer, obs=obs,
-                           commstats=obs is not None)
+        report = run_chaos(sc, plan, obs=obs, commstats=obs is not None)
     except SanitizerError as exc:
         print(f"sanitizer violation: {exc}", file=sys.stderr)
         return SANITIZER_EXIT_CODE
-    if tracer is not None:
-        tracer.save(args.trace)
-        print(f"trace written to {args.trace}")
     if obs is not None:
-        from repro.obs import save_timeline
+        from repro.obs import save_chrome_trace, save_timeline
         timeline = obs.as_timeline(meta={
             "scenario": sc.label(), "layer": sc.layer, "hosts": sc.hosts,
             "plan": report.plan, "outcome": report.outcome,
         })
-        save_timeline(args.obs, timeline)
-        print(f"obs timeline written to {args.obs} "
+        save_timeline(obs_path, timeline)
+        print(f"obs timeline written to {obs_path} "
               f"({len(timeline['events'])} events)")
+        if args.obs_chrome:
+            save_chrome_trace(args.obs_chrome, timeline)
+            print(f"obs chrome trace written to {args.obs_chrome}")
     print(format_chaos_report(report))
     if report.outcome != "recovered":
         return 1
@@ -628,6 +618,7 @@ def _cmd_calibrate(_args) -> int:
 def _cmd_serve(args) -> int:
     import json
 
+    from repro.obs.atomic import atomic_write_text
     from repro.serve import (
         ServeConfig,
         ServeEngine,
@@ -690,19 +681,19 @@ def _cmd_serve(args) -> int:
         return SANITIZER_EXIT_CODE
 
     if args.save_tape:
-        with open(args.save_tape, "w") as fh:
-            fh.write(tape_to_json(spec, queries))
+        atomic_write_text(args.save_tape, tape_to_json(spec, queries))
         print(f"tape written to {args.save_tape}")
     if args.report:
         # Deterministic by default: replaying the same tape must produce
         # a byte-identical report file.  Wall-clock throughput stays
         # available via ServeReport.as_dict(include_wall=True).
-        with open(args.report, "w") as fh:
-            json.dump(report.as_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        atomic_write_text(
+            args.report,
+            json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n",
+        )
         print(f"report written to {args.report}")
     if obs_config is not None and engine.last_obs is not None:
-        from repro.obs import save_prometheus, save_timeline
+        from repro.obs import save_timeline, to_prometheus
 
         timeline = engine.last_obs.as_timeline(meta={
             "scenario": f"serve/{args.graph}{args.scale}"
@@ -716,12 +707,14 @@ def _cmd_serve(args) -> int:
             counters = (
                 profile.counters_dict() if profile is not None else None
             )
-            save_prometheus(args.obs_prom, timeline, counters=counters)
-            with open(args.obs_prom, "a") as fh:
-                lat_lines = report.latency_summary().prometheus_lines(
-                    "repro_serve_query_latency_seconds"
-                )
-                fh.write("\n".join(lat_lines) + "\n")
+            lat_lines = report.latency_summary().prometheus_lines(
+                "repro_serve_query_latency_seconds"
+            )
+            atomic_write_text(
+                args.obs_prom,
+                to_prometheus(timeline, counters=counters)
+                + "\n".join(lat_lines) + "\n",
+            )
             print(f"obs prometheus metrics written to {args.obs_prom}")
     print(format_serve_report(report))
     if report.sanitizer_violations:
@@ -734,6 +727,7 @@ def _cmd_serve(args) -> int:
 def _cmd_commstats(args) -> int:
     import json as _json
 
+    from repro.obs.atomic import atomic_write_text
     from repro.obs.commstats import (
         CommStatsContext,
         baseline_entry,
@@ -787,16 +781,15 @@ def _cmd_commstats(args) -> int:
             payload = _json.dumps(docs, sort_keys=True, indent=2) + "\n"
         else:
             payload = comm_doc_to_json(next(iter(docs.values())))
-        with open(args.json_path, "w") as fh:
-            fh.write(payload)
+        atomic_write_text(args.json_path, payload)
         print(f"comm-doc json written to {args.json_path}")
     if args.csv_path:
         if canonical:
             print("error: --csv needs single-scenario mode",
                   file=sys.stderr)
             return 2
-        with open(args.csv_path, "w") as fh:
-            fh.write(comm_doc_to_csv(next(iter(docs.values()))))
+        atomic_write_text(
+            args.csv_path, comm_doc_to_csv(next(iter(docs.values()))))
         print(f"comm csv written to {args.csv_path}")
     if args.heatmap_path:
         chunks = []
@@ -804,25 +797,24 @@ def _cmd_commstats(args) -> int:
             chunks.append(f"== {label} ==")
             chunks.append(render_heatmap(docs[label]))
             chunks.append("")
-        with open(args.heatmap_path, "w") as fh:
-            fh.write("\n".join(chunks))
+        atomic_write_text(args.heatmap_path, "\n".join(chunks))
         print(f"heatmap written to {args.heatmap_path}")
     if args.prom_path:
         if canonical:
             print("error: --prom needs single-scenario mode",
                   file=sys.stderr)
             return 2
-        with open(args.prom_path, "w") as fh:
-            fh.write(
-                "\n".join(comm_prometheus_lines(next(iter(docs.values()))))
-                + "\n"
-            )
+        atomic_write_text(
+            args.prom_path,
+            "\n".join(comm_prometheus_lines(next(iter(docs.values()))))
+            + "\n",
+        )
         print(f"comm prometheus metrics written to {args.prom_path}")
 
     entries = {label: baseline_entry(docs[label]) for label in docs}
     if args.write_baseline:
-        with open(args.write_baseline, "w") as fh:
-            fh.write(baseline_to_json(make_baseline(entries)))
+        atomic_write_text(
+            args.write_baseline, baseline_to_json(make_baseline(entries)))
         print(f"comm baseline written to {args.write_baseline}")
         return 0
     if args.check_baseline:
@@ -851,10 +843,10 @@ def _write_and_check_bench(doc: dict, args, verb: str) -> int:
     """The shared tail of ``bench-serve`` / ``bench-core``: ``--out``
     writes the canonical document, ``--check`` fails on any drift."""
     from repro.bench.serve_bench import bench_doc_to_json, check_against_file
+    from repro.obs.atomic import atomic_write_text
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(bench_doc_to_json(doc))
+        atomic_write_text(args.out, bench_doc_to_json(doc))
         print(f"benchmark written to {args.out}")
     if args.check:
         diffs = check_against_file(doc, args.check)

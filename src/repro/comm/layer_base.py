@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Tuple
 from repro.comm.serialization import UpdateBlob
 from repro.sim.engine import Environment, Event
 from repro.sim.machine import MachineModel
-from repro.sim.monitor import StatRegistry
+from repro.sim.monitor import PeakTracker
 
 __all__ = ["CommLayer", "LAYER_NAMES", "make_layers"]
 
@@ -52,13 +52,17 @@ class CommLayer:
     #: warm.  The engine multiplies deserialization cost by the machine's
     #: ``cold_read_factor`` when set.
     receive_buffer_cold = False
+    #: The layer's own counts: ``int`` attributes, zeroed at construction.
+    COUNTERS: Tuple[str, ...] = ()
 
     def __init__(self, env: Environment, host: int, machine: MachineModel):
         self.env = env
         self.host = host
         self.machine = machine
-        self.stats = StatRegistry(f"{self.name}.host{host}")
-        self.footprint = self.stats.peak("comm_buffer_bytes")
+        self.footprint = PeakTracker(
+            f"{self.name}.host{host}.comm_buffer_bytes")
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
         #: Optional ObsContext; subclasses overwrite this with the
         #: fabric's context at construction (discovery pattern).
         self.obs = None
@@ -77,6 +81,22 @@ class CommLayer:
 
     def buf_free(self, nbytes: int) -> None:
         self.footprint.sub(nbytes)
+
+    # ------------------------------------------------------------------
+    # Counts
+    # ------------------------------------------------------------------
+    def _counted(self) -> tuple:
+        """The objects whose ``COUNTERS`` this host reports: the layer
+        and the library instance it owns."""
+        return (self,)
+
+    def counters(self) -> Dict[str, int]:
+        """This host's counts by name, read off the components."""
+        return {
+            name: getattr(obj, name)
+            for obj in self._counted()
+            for name in obj.COUNTERS
+        }
 
     # ------------------------------------------------------------------
     # Observability helper

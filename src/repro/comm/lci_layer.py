@@ -35,6 +35,7 @@ __all__ = ["LciCommLayer"]
 
 class LciCommLayer(CommLayer):
     name = "lci"
+    COUNTERS = ("blobs_sent", "send_retries")
 
     def __init__(
         self,
@@ -52,6 +53,10 @@ class LciCommLayer(CommLayer):
         # Fixed pool memory is communication-buffer memory (Fig. 5).
         self.buf_alloc(self.rt.pool.bytes_allocated())
         self._drain_proc = None
+
+    def _counted(self) -> tuple:
+        rel = self.rt.reliability
+        return (self, self.rt) if rel is None else (self, self.rt, rel)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -81,7 +86,7 @@ class LciCommLayer(CommLayer):
         receiving".
         """
         self.buf_alloc(blob.nbytes)
-        self.stats.counter("blobs_sent").add()
+        self.blobs_sent += 1
         thread = f"compute-{self.host}"
         trace = self.trace_send(dst, blob)
         first_fail_at = None
@@ -95,7 +100,7 @@ class LciCommLayer(CommLayer):
                 break
             if first_fail_at is None:
                 first_fail_at = attempt_start
-            self.stats.counter("send_retries").add()
+            self.send_retries += 1
             drained = yield from self.rt.recv_deq(thread=thread)
             if drained is not None:
                 self._absorb(drained)

@@ -62,6 +62,10 @@ class _Aggregate:
 
 class ProbeCommLayer(CommLayer):
     name = "mpi-probe"
+    COUNTERS = (
+        "blobs_sent", "aggregates_flushed", "mpi_isends",
+        "aggregates_received",
+    )
 
     def __init__(
         self,
@@ -89,13 +93,12 @@ class ProbeCommLayer(CommLayer):
         self._stopping = False
         self._thread_token = f"comm-thread-{host}"
         self._atomic = machine.cpu.atomic_op
-        self._c_blobs_sent = self.stats.counter("blobs_sent")
-        self._c_agg_flushed = self.stats.counter("aggregates_flushed")
-        self._c_mpi_isends = self.stats.counter("mpi_isends")
-        self._c_agg_received = self.stats.counter("aggregates_received")
         self._comm_proc = env.process(
             self._comm_thread(), name=f"probe-comm-{host}"
         )
+
+    def _counted(self) -> tuple:
+        return (self, self.ep)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -134,7 +137,7 @@ class ProbeCommLayer(CommLayer):
     def send(self, dst: int, blob: UpdateBlob):
         """Hand a gathered buffer to the communication machinery."""
         self.buf_alloc(blob.nbytes)
-        self._c_blobs_sent.add()
+        self.blobs_sent += 1
         trace = self.trace_send(dst, blob)
         if self.inline_sends:
             # Gemini mode: this thread calls MPI itself (THREAD_MULTIPLE).
@@ -282,7 +285,7 @@ class ProbeCommLayer(CommLayer):
         if agg is None or not agg.items:
             return
         yield from self._isend(dst, agg.items, agg.nbytes)
-        self._c_agg_flushed.add()
+        self.aggregates_flushed += 1
 
     def _isend(self, dst: int, items: List[UpdateBlob], nbytes: int):
         msg_trace = None
@@ -305,7 +308,7 @@ class ProbeCommLayer(CommLayer):
             thread=self._thread_token,
             trace=msg_trace,
         )
-        self._c_mpi_isends.add()
+        self.mpi_isends += 1
         if req.done:
             self.buf_free(nbytes)
         else:
@@ -327,7 +330,7 @@ class ProbeCommLayer(CommLayer):
                     self.obs.emit(tr, "complete", self.host,
                                   src=req.status.source)
             self._deliver(req.status.source, blob)
-        self._c_agg_received.add()
+        self.aggregates_received += 1
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:

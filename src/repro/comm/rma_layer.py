@@ -54,6 +54,7 @@ class RmaCommLayer(CommLayer):
     parallel_send = False
     #: Scatters read NIC-DMA-written window memory: cache-cold.
     receive_buffer_cold = True
+    COUNTERS = ("puts",)
 
     def __init__(
         self,
@@ -74,6 +75,9 @@ class RmaCommLayer(CommLayer):
         self._progress_proc = env.process(
             self._progress_thread(), name=f"rma-progress-{host}"
         )
+
+    def _counted(self) -> tuple:
+        return (self, self.ep)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -163,7 +167,7 @@ class RmaCommLayer(CommLayer):
         # The origin's gathered buffer must survive until win_complete.
         self.buf_alloc(blob.nbytes)
         self._staged[blob.phase] = self._staged.get(blob.phase, 0) + blob.nbytes
-        self.stats.counter("puts").add()
+        self.puts += 1
         trace = self.trace_send(dst, blob)
         yield from win.put(self.host, dst, blob.nbytes, payload=blob,
                            trace=trace)

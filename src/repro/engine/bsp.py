@@ -88,10 +88,6 @@ class EngineConfig:
     #: compute/communication ratio.  Communication is unaffected, so
     #: layer comparisons never depend on it.
     work_scale: float = 1.0
-    #: Optional :class:`repro.sim.trace.Tracer`; when set, the engine
-    #: emits per-round compute/gather/scatter/sync spans for timeline
-    #: visualization (chrome://tracing).
-    tracer: Optional[object] = None
     #: Optional fault injection: a :class:`repro.faults.FaultPlan`, the
     #: name of one (``repro.faults.NAMED_PLANS``), or ``None`` for a
     #: fault-free run (the default; no hooks are installed).
@@ -104,8 +100,9 @@ class EngineConfig:
     #: modules themselves stay environment-independent (lint rule D104).
     sanitize: Optional[str] = None
     #: Optional :class:`repro.obs.ObsContext` for message-lifecycle
-    #: tracing and queue probes.  Installed on the fabric before the
-    #: layers are built (like sanitizers/faults) so every component can
+    #: tracing, queue probes and the engine's per-round compute /
+    #: allreduce spans.  Installed on the fabric before the layers are
+    #: built (like sanitizers/faults) so every component can
     #: self-discover it.  Pure observation: a run with obs enabled is
     #: bit-identical to one without.
     obs: Optional[object] = None
@@ -166,9 +163,7 @@ class BspEngine:
         self.sanitizer_ctx = None
         _san_mode = resolve_mode(config.sanitize)
         if _san_mode is not None:
-            self.sanitizer_ctx = SanitizerContext(
-                _san_mode, env=self.env, tracer=config.tracer
-            )
+            self.sanitizer_ctx = SanitizerContext(_san_mode, env=self.env)
             self.fabric.sanitizer = self.sanitizer_ctx
         # The injector must be installed before the layers are built so
         # LCI can arm its ack/retransmit recovery protocol.
@@ -178,9 +173,9 @@ class BspEngine:
 
             plan = get_plan(config.fault_plan)
             if not plan.empty:
-                self.injector = FaultInjector(
-                    self.env, plan, tracer=config.tracer
-                ).install(self.fabric)
+                self.injector = FaultInjector(self.env, plan).install(
+                    self.fabric
+                )
         # Observability rides the fabric too; must also precede the
         # layers so endpoints register their queue probes at build time.
         self.obs = config.obs
@@ -256,9 +251,6 @@ class BspEngine:
         # Per-(host, pattern) sync-phase geometry (peer lists, id arrays),
         # computed lazily on the first round and reused every round after.
         self._sync_cache = {}
-        self.tracer = config.tracer
-        if self.tracer is not None and self.tracer.env is None:
-            self.tracer.env = self.env
 
     def _profile_counts(self):
         """Deferred profiler source: engine-level work totals.
@@ -344,7 +336,7 @@ class BspEngine:
             app.max_rounds if app.max_rounds is not None else 10**9,
         )
 
-        tracer = self.tracer
+        obs = self.obs
         rnd = 0
         while True:
             # ---------------- compute phase ----------------
@@ -358,8 +350,8 @@ class BspEngine:
                 yield env.charged_timeout(compute_cost, actor=h)
             self._compute_rounds[h].append(env.now - t0)
             t_comm = env.now
-            if tracer is not None:
-                tracer.record(
+            if obs is not None:
+                obs.span(
                     h, "compute", f"round {rnd}", t0, env.now,
                     edges=res.work_edges, nodes=res.work_nodes,
                 )
@@ -411,8 +403,8 @@ class BspEngine:
             # host sees the same value, so decisions stay consistent.
             state["_global_active"] = total
             self._comm_rounds[h].append(env.now - t_comm)
-            if tracer is not None:
-                tracer.record(h, "allreduce", f"round {rnd}", t_ar, env.now)
+            if obs is not None:
+                obs.span(h, "allreduce", f"round {rnd}", t_ar, env.now)
             rnd += 1
             if total == 0 or rnd >= max_rounds:
                 break
@@ -591,25 +583,17 @@ class BspEngine:
             compute_per_round=compute_per_round,
             comm_per_round=comm_per_round,
             footprint_per_host=[l.footprint.peak for l in self.layers],
-            blobs_sent=sum(
-                l.stats.counter_value("blobs_sent")
-                + l.stats.counter_value("puts")
-                for l in self.layers
-            ),
             payload_bytes_sent=sum(self._payload_bytes),
             updates_shipped=sum(self._updates_shipped),
         )
+        # A name is present once its count is non-zero.
         counters: Dict[str, int] = {}
         for l in self.layers:
-            registries = [l.stats]
-            for attr in ("rt", "ep"):  # LCI runtime / MPI endpoint
-                sub = getattr(l, attr, None)
-                if sub is not None:
-                    registries.append(sub.stats)
-            for reg in registries:
-                for name, value in reg.counter_values().items():
-                    counters[name] = counters.get(name, 0) + int(value)
+            for name, value in l.counters().items():
+                if value:
+                    counters[name] = counters.get(name, 0) + value
         m.layer_counters = counters
+        m.blobs_sent = counters.get("blobs_sent", 0) + counters.get("puts", 0)
         if self.injector is not None:
             m.fault_counts = self.injector.counts()
         if self.sanitizer_ctx is not None:

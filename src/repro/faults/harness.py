@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.bench.scenarios import Scenario, build_engine
 from repro.faults.plan import LostCompletionError, get_plan
+from repro.lci.reliability import ReliableLink
 from repro.mpi.exceptions import MPIError
 from repro.sanitize.runtime import format_violations
 from repro.sim.engine import SimulationError
@@ -42,17 +43,6 @@ __all__ = [
     "run_serve_chaos",
     "format_serve_chaos_report",
 ]
-
-#: Recovery-protocol counters surfaced in the report.
-RECOVERY_COUNTERS = (
-    "rel_sends",
-    "retransmissions",
-    "acks",
-    "dup_pkts_dropped",
-    "dup_acks",
-    "retransmit_tx_full",
-    "ack_tx_full",
-)
 
 
 @dataclass
@@ -111,7 +101,6 @@ def run_chaos(
     sc: Scenario,
     plan,
     fault_seed: Optional[int] = None,
-    tracer=None,
     obs=None,
     commstats: bool = False,
 ) -> ChaosReport:
@@ -157,7 +146,7 @@ def run_chaos(
             report.comm = _comm_delta(base_doc, base_doc)
         return report
 
-    engine = build_engine(sc, fault_plan=plan, tracer=tracer, obs=obs,
+    engine = build_engine(sc, fault_plan=plan, obs=obs,
                           commstats=faulted_comm)
     try:
         metrics = engine.run()
@@ -180,9 +169,9 @@ def run_chaos(
             report.outcome = "degraded"
             report.error = "answer differs from fault-free run"
         report.recovery = {
-            k: metrics.layer_counters.get(k, 0)
-            for k in RECOVERY_COUNTERS
-            if metrics.layer_counters.get(k, 0)
+            k: metrics.layer_counters[k]
+            for k in ReliableLink.COUNTERS
+            if k in metrics.layer_counters
         }
     if engine.injector is not None:
         report.fault_counts = engine.injector.counts()

@@ -15,16 +15,16 @@ Every probabilistic draw comes from a per-spec stream of a
 :class:`repro.sim.rng.RngFactory` rooted at the plan's seed, so the same
 (plan, scenario) pair replays a byte-identical fault trace.  The trace —
 one :class:`FaultEvent` per injected packet fault — is the determinism
-witness and feeds Chrome-trace instant events when a tracer is attached.
+witness; an attached :class:`repro.obs.ObsContext` reads it (and the
+plan's windows) at export for the timeline's ``fault`` instants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.faults.plan import FaultPlan
-from repro.sim.monitor import StatRegistry
 from repro.sim.rng import RngFactory
 
 __all__ = ["FaultEvent", "TransitFate", "FaultInjector"]
@@ -56,11 +56,11 @@ class TransitFate(NamedTuple):
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` against live simulation events."""
 
-    def __init__(self, env, plan: FaultPlan, tracer=None):
+    def __init__(self, env, plan: FaultPlan):
         self.env = env
         self.plan = plan
-        self.tracer = tracer
-        self.stats = StatRegistry("faults")
+        #: Injected faults by kind, in first-occurrence order.
+        self._counts: Dict[str, int] = {}
         self.trace: List[FaultEvent] = []
         rng = RngFactory(plan.seed)
         # One independent stream per spec: adding a spec never perturbs
@@ -78,8 +78,6 @@ class FaultInjector:
             (s for s in plan.specs if s.kind == "straggler"),
             key=lambda s: s.start,
         )
-        if tracer is not None:
-            self._trace_windows()
 
     # ------------------------------------------------------------------
     def install(self, fabric) -> "FaultInjector":
@@ -99,7 +97,7 @@ class FaultInjector:
         now = self.env.now
         for spec in self._stall_specs:
             if spec.matches_host(host) and spec.in_window(now):
-                self.stats.counter("nic_stall_rejects").add()
+                self._count("nic_stall_rejects")
                 return True
         return False
 
@@ -110,7 +108,7 @@ class FaultInjector:
             if spec.matches_host(pkt.src) and spec.in_window(now):
                 ser = ser / spec.bandwidth_factor
                 latency = latency * spec.factor
-                self.stats.counter("degraded_pkts").add()
+                self._count("degraded_pkts")
         return ser, latency
 
     def transit_fate(self, pkt) -> Optional[TransitFate]:
@@ -182,50 +180,25 @@ class FaultInjector:
                 work -= done
         wall += max(0.0, work)
         if wall > seconds:
-            self.stats.counter("straggler_dilations").add()
+            self._count("straggler_dilations")
         return wall
 
     # ------------------------------------------------------------------
     # Trace plumbing
     # ------------------------------------------------------------------
+    def _count(self, name: str) -> None:
+        self._counts[name] = self._counts.get(name, 0) + 1
+
     def _record(self, kind: str, pkt, now: float, delay: float = 0.0) -> None:
-        self.stats.counter(f"{kind}s").add()
-        ev = FaultEvent(
+        self._count(f"{kind}s")
+        self.trace.append(FaultEvent(
             now, kind, pkt.src, pkt.dst, pkt.ptype.name, pkt.size, delay
-        )
-        self.trace.append(ev)
-        if self.tracer is not None:
-            self.tracer.instant(
-                pkt.src, f"{kind} {pkt.ptype.name}->{pkt.dst}", now,
-                category="fault", size=pkt.size, delay=delay,
-            )
-
-    def _trace_windows(self) -> None:
-        """Mark windowed faults on the timeline (instants at both edges)."""
-        import math
-
-        for spec in self.plan.specs:
-            if spec.kind not in ("degrade", "nic_stall", "straggler"):
-                continue
-            host = spec.host if spec.host is not None else -1
-            args = {"factor": spec.factor}
-            self.tracer.instant(
-                host, f"{spec.kind} begin", spec.start,
-                category="fault", **args,
-            )
-            if not math.isinf(spec.end):
-                self.tracer.instant(
-                    host, f"{spec.kind} end", spec.end,
-                    category="fault", **args,
-                )
+        ))
 
     # ------------------------------------------------------------------
     def counts(self) -> dict:
         """Flat snapshot of the injector's counters."""
-        return {
-            name: int(v)
-            for name, v in self.stats.counter_values().items()
-        }
+        return dict(self._counts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultInjector({self.plan.name or self.plan.describe()!r})"

@@ -16,11 +16,10 @@ pay for traversing) other sources' packets.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from repro.sim.engine import Environment, Event
 from repro.sim.machine import CpuModel
-from repro.sim.monitor import StatRegistry
 
 __all__ = ["MpmcQueue"]
 
@@ -32,19 +31,16 @@ class MpmcQueue:
         self,
         env: Environment,
         cpu: CpuModel,
-        stats: Optional[StatRegistry] = None,
-        name: str = "lci.q",
     ):
         self.env = env
         self.cpu = cpu
-        self.stats = stats or StatRegistry(name)
         self._items: Deque[Any] = deque()
         self._nonempty_waiters: list = []
         self.max_length = 0
         self._atomic = cpu.atomic_op
-        self._c_enqueues = self.stats.counter("enqueues")
-        self._c_dequeues = self.stats.counter("dequeues")
-        self._c_empty = self.stats.counter("empty_dequeues")
+        self.enqueues = 0
+        self.dequeues = 0
+        self.empty_dequeues = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -53,7 +49,7 @@ class MpmcQueue:
         """Generator: FAA slot claim + publication."""
         yield self._atomic
         self._items.append(item)
-        self._c_enqueues.add()
+        self.enqueues += 1
         if len(self._items) > self.max_length:
             self.max_length = len(self._items)
         if self._nonempty_waiters:
@@ -64,7 +60,7 @@ class MpmcQueue:
     def enqueue_nowait(self, item: Any) -> None:
         """Zero-cost enqueue for contexts that prepaid the atomic."""
         self._items.append(item)
-        self._c_enqueues.add()
+        self.enqueues += 1
         if len(self._items) > self.max_length:
             self.max_length = len(self._items)
         if self._nonempty_waiters:
@@ -80,9 +76,9 @@ class MpmcQueue:
         """
         yield self._atomic
         if self._items:
-            self._c_dequeues.add()
+            self.dequeues += 1
             return self._items.popleft()
-        self._c_empty.add()
+        self.empty_dequeues += 1
         return None
 
     def dequeue_from(self, source: int):
@@ -93,10 +89,10 @@ class MpmcQueue:
             if getattr(item, "src", None) == source:
                 yield i * self._atomic * 0.5
                 del self._items[i]
-                self._c_dequeues.add()
+                self.dequeues += 1
                 return item
         yield len(self._items) * self._atomic * 0.5
-        self._c_empty.add()
+        self.empty_dequeues += 1
         return None
 
     def wait_nonempty(self) -> Event:

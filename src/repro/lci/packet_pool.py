@@ -16,18 +16,17 @@ The pool manages a *budget* (how many packets a host may have in
 flight), which is plain integer arithmetic: ``_free`` plus per-thread
 cache counts.  The packet descriptors drawn on that budget are ordinary
 objects, built by :meth:`make_packet` and dropped when the last holder
-lets go — the same path whether or not a fault injector, tracer or
-sanitizer is attached.
+lets go — the same path whether or not a fault injector, obs context
+or sanitizer is attached.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.netapi.packet import Packet, PacketType
 from repro.sim.engine import Environment, Event
 from repro.sim.machine import CpuModel
-from repro.sim.monitor import StatRegistry
 
 __all__ = ["PacketPool"]
 
@@ -44,7 +43,6 @@ class PacketPool:
         local_cache_packets: int = 4,
         local_hit_cost_factor: float = 0.25,
         rx_reserve: int = 2,
-        stats: Optional[StatRegistry] = None,
     ):
         """``rx_reserve`` packets are usable only by the receive path
         (the communication server's preposted buffers): send-side
@@ -65,7 +63,6 @@ class PacketPool:
         self.packet_data_bytes = packet_data_bytes
         self.local_cache_packets = local_cache_packets
         self.local_hit_cost_factor = local_hit_cost_factor
-        self.stats = stats or StatRegistry("lci.pool")
         #: Free descriptors in the shared pool (counts, not objects: the
         #: *budget* is what flow control manages).
         self._free = size
@@ -76,19 +73,18 @@ class PacketPool:
         #: LciSanitizer), attached by the owning queue when sanitizers
         #: are armed.  Pure observation: never charges simulated time.
         self.sanitizer = None
-        # Hoisted counters: one registry lookup per pool, not per op.
-        self._c_local_hits = self.stats.counter("alloc_local_hits")
-        self._c_global_hits = self.stats.counter("alloc_global_hits")
-        self._c_steals = self.stats.counter("alloc_steals")
-        self._c_failures = self.stats.counter("alloc_failures")
-        self._c_free_local = self.stats.counter("free_local")
-        self._c_free_global = self.stats.counter("free_global")
-        self._c_free_nowait = self.stats.counter("free_nowait")
+        # Counts, read at export.
+        self.alloc_local_hits = 0
+        self.alloc_global_hits = 0
+        self.alloc_steals = 0
+        self.alloc_failures = 0
+        self.free_local = 0
+        self.free_global = 0
+        #: Calls of :meth:`free_nowait` (the method has the plain name).
+        self.free_nowaits = 0
         # Frequently-used cost constants.
         self._atomic = cpu.atomic_op
         self._atomic_local = cpu.atomic_op * local_hit_cost_factor
-        # Memory accounting: the pool preallocates all its buffers once.
-        self.stats.peak("pool_bytes").add(size * packet_data_bytes)
 
     # ------------------------------------------------------------------
     @property
@@ -129,7 +125,7 @@ class PacketPool:
             local = self._local.get(thread, 0)
             if local > 0:
                 self._local[thread] = local - 1
-                self._c_local_hits.add()
+                self.alloc_local_hits += 1
                 if self.sanitizer is not None:
                     self.sanitizer.on_alloc()
                 yield self._atomic_local
@@ -138,7 +134,7 @@ class PacketPool:
         floor = 0 if for_recv else self.rx_reserve
         if self._free > floor:
             self._free -= 1
-            self._c_global_hits.add()
+            self.alloc_global_hits += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_alloc()
             return True
@@ -154,12 +150,12 @@ class PacketPool:
                     victim = key
             if victim is not None:
                 self._local[victim] -= 1
-                self._c_steals.add()
+                self.alloc_steals += 1
                 if self.sanitizer is not None:
                     self.sanitizer.on_alloc()
                 yield self._atomic
                 return True
-        self._c_failures.add()
+        self.alloc_failures += 1
         return False
 
     def free(self, thread: object = None):
@@ -170,13 +166,13 @@ class PacketPool:
             local = self._local.get(thread, 0)
             if local < self.local_cache_packets:
                 self._local[thread] = local + 1
-                self._c_free_local.add()
+                self.free_local += 1
                 yield self._atomic_local
                 self._wake()
                 return
         yield self._atomic
         self._free += 1
-        self._c_free_global.add()
+        self.free_global += 1
         self._wake()
 
     def free_nowait(self, thread: object = None) -> None:
@@ -184,7 +180,7 @@ class PacketPool:
         the operation that armed the callback)."""
         if self.sanitizer is not None:
             self.sanitizer.on_free(self)
-        self._c_free_nowait.add()
+        self.free_nowaits += 1
         if thread is not None:
             local = self._local.get(thread, 0)
             if local < self.local_cache_packets:

@@ -31,13 +31,19 @@ from repro.netapi.packet import Packet, PacketType
 from repro.sanitize.lci_checks import LciSanitizer
 from repro.sim.engine import Environment
 from repro.sim.machine import CpuModel
-from repro.sim.monitor import StatRegistry
 
 __all__ = ["LciQueue"]
 
 
 class LciQueue:
     """One host's LCI endpoint state: pool ``P``, queue ``Q``, NIC."""
+
+    #: The runtime's counts: ``int`` attributes, zeroed at construction.
+    #: The last five are the communication server's.
+    COUNTERS = (
+        "egr_sends", "rts_sends", "egr_recvs", "rtr_sends", "server_pkts",
+        "server_pool_stalls", "rdma_recvs", "rdma_puts", "rdma_tx_retries",
+    )
 
     def __init__(
         self,
@@ -47,7 +53,6 @@ class LciQueue:
         cpu: CpuModel,
         num_hosts: int,
         config: Optional[LciConfig] = None,
-        stats: Optional[StatRegistry] = None,
     ):
         self.env = env
         self.rank = rank
@@ -60,7 +65,6 @@ class LciQueue:
                 f"pick from {sorted(BACKENDS)}"
             )
         self.backend = BACKENDS[self.config.backend]
-        self.stats = stats or StatRegistry(f"lci.rank{rank}")
         self.pool = PacketPool(
             env,
             cpu,
@@ -68,11 +72,8 @@ class LciQueue:
             packet_data_bytes=self.config.packet_data_bytes,
             local_cache_packets=self.config.local_cache_packets,
             local_hit_cost_factor=self.config.local_hit_cost_factor,
-            stats=StatRegistry(f"lci.rank{rank}.pool"),
         )
-        self.queue = MpmcQueue(
-            env, cpu, stats=StatRegistry(f"lci.rank{rank}.q")
-        )
+        self.queue = MpmcQueue(env, cpu)
         # Recovery protocol: armed only when an installed fault plan can
         # lose/duplicate/reorder packets; otherwise sends go straight to
         # the NIC and no protocol state exists.
@@ -81,7 +82,7 @@ class LciQueue:
         if faults is not None and faults.plan.needs_reliability:
             from repro.lci.reliability import ReliableLink
 
-            self.reliability = ReliableLink(env, nic, self.config, self.stats)
+            self.reliability = ReliableLink(env, nic, self.config)
         # Lifecycle sanitizer, discovered like the fault injector.  The
         # pool cannot see the fabric, so the queue hands it the checker.
         self.sanitizer: Optional[LciSanitizer] = None
@@ -98,35 +99,30 @@ class LciQueue:
             )
         # Host-side profiler: the server loop times its harvests through
         # it; pool/server work counts are *deferred* — the pool's
-        # always-on stat registry is snapshotted at flush time instead
-        # of paying per-op increments (the alloc/free paths are the
+        # always-on counts are read at flush time instead of paying
+        # per-op registry increments (the alloc/free paths are the
         # hottest host code in the LCI layer).
         prof = nic.fabric.profiler
         if prof is not None:
             prof.add_source(self._profile_counts)
-        # Hoisted per-op costs and counters for the hot generators below.
+        # Hoisted per-op cost for the hot generators below.
         self._send_overhead = (
             self.nic.model.send_overhead + self.backend.send_extra
         )
-        self._c_egr_sends = self.stats.counter("egr_sends")
-        self._c_rts_sends = self.stats.counter("rts_sends")
-        self._c_egr_recvs = self.stats.counter("egr_recvs")
-        self._c_rtr_sends = self.stats.counter("rtr_sends")
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     def _profile_counts(self):
         """Deferred profiler source: pool traffic + server harvests."""
-        ps = self.pool.stats
+        pool = self.pool
         return (
             ("lci.pool_acquires",
-             ps.counter_value("alloc_local_hits")
-             + ps.counter_value("alloc_global_hits")
-             + ps.counter_value("alloc_steals")),
-            ("lci.pool_alloc_failures", ps.counter_value("alloc_failures")),
+             pool.alloc_local_hits + pool.alloc_global_hits
+             + pool.alloc_steals),
+            ("lci.pool_alloc_failures", pool.alloc_failures),
             ("lci.pool_frees",
-             ps.counter_value("free_local")
-             + ps.counter_value("free_global")
-             + ps.counter_value("free_nowait")),
-            ("lci.server_pkts", self.stats.counter_value("server_pkts")),
+             pool.free_local + pool.free_global + pool.free_nowaits),
+            ("lci.server_pkts", self.server_pkts),
         )
 
     # ------------------------------------------------------------------
@@ -172,7 +168,7 @@ class LciQueue:
             if not ok:
                 self.pool.free_nowait(thread)
                 return None
-            self._c_egr_sends.add()
+            self.egr_sends += 1
             req._complete()
         else:
             # Rendezvous: zero-copy RTS advertising the source buffer.
@@ -188,7 +184,7 @@ class LciQueue:
             if not ok:
                 self.pool.free_nowait(thread)
                 return None
-            self._c_rts_sends.add()
+            self.rts_sends += 1
             # req stays PENDING; completes when the RDMA put is ACKed.
         return req
 
@@ -241,7 +237,7 @@ class LciQueue:
                 self.obs.emit(tr, "complete", self.rank, bytes=pkt.size)
             self.pool.retire(pkt)
             yield from self.pool.free(thread)
-            self._c_egr_recvs.add()
+            self.egr_recvs += 1
         elif pkt.ptype is PacketType.RTS:
             # Rendezvous: allocate the landing buffer, answer with RTR.
             # The received packet is *reused* as the RTR (no new alloc);
@@ -259,7 +255,7 @@ class LciQueue:
             yield from self.charge_send_overhead()
             while not self._lc_send(rtr):
                 yield self.config.retry_backoff
-            self._c_rtr_sends.add()
+            self.rtr_sends += 1
         else:  # pragma: no cover - server never enqueues other types
             raise RuntimeError(f"unexpected packet in Q: {pkt!r}")
         return req

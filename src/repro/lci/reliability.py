@@ -54,12 +54,19 @@ class _Unacked:
 class ReliableLink:
     """Per-host sender/receiver state of the recovery protocol."""
 
-    def __init__(self, env, nic, config, stats):
+    #: The protocol's counts: ``int`` attributes, zeroed at construction.
+    COUNTERS = (
+        "rel_sends", "retransmissions", "acks", "dup_pkts_dropped",
+        "dup_acks", "retransmit_tx_full", "ack_tx_full",
+    )
+
+    def __init__(self, env, nic, config):
         self.env = env
         self.nic = nic
         self.config = config
-        self.stats = stats
         self.closed = False
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
         #: Next sequence number per destination host.
         self._next_seq: Dict[int, int] = {}
         #: (dst, seq) -> in-flight packet state.
@@ -89,7 +96,7 @@ class ReliableLink:
         self._next_seq[dst] = seq + 1
         entry = _Unacked(pkt, on_local_complete, self._initial_rto(pkt))
         self._unacked[(dst, seq)] = entry
-        self.stats.counter("rel_sends").add()
+        self.rel_sends += 1
         self._arm_timer(dst, seq, entry, entry.rto)
         return True
 
@@ -112,14 +119,14 @@ class ReliableLink:
             entry.retries += 1
             entry.rto *= self.config.rto_backoff
             if self.nic.try_inject(entry.pkt):
-                self.stats.counter("retransmissions").add()
+                self.retransmissions += 1
                 self._arm_timer(dst, seq, entry, entry.rto)
             else:
                 # TX full right now: try again shortly without burning
                 # another backoff step.
                 entry.retries -= 1
                 entry.rto /= self.config.rto_backoff
-                self.stats.counter("retransmit_tx_full").add()
+                self.retransmit_tx_full += 1
                 self._arm_timer(
                     dst, seq, entry, 4 * self.nic.model.injection_gap
                 )
@@ -147,10 +154,10 @@ class ReliableLink:
         ack = Packet(PacketType.ACK, self.nic.host, pkt.src, tag=0, size=0)
         ack.meta["ack"] = seq
         if not self.nic.try_inject(ack):
-            self.stats.counter("ack_tx_full").add()
+            self.ack_tx_full += 1
         seen = self._seen.setdefault(pkt.src, set())
         if seq in seen:
-            self.stats.counter("dup_pkts_dropped").add()
+            self.dup_pkts_dropped += 1
             return None
         seen.add(seq)
         return pkt
@@ -158,9 +165,9 @@ class ReliableLink:
     def _handle_ack(self, ack: Packet) -> None:
         entry = self._unacked.pop((ack.src, ack.meta["ack"]), None)
         if entry is None:
-            self.stats.counter("dup_acks").add()
+            self.dup_acks += 1
             return
-        self.stats.counter("acks").add()
+        self.acks += 1
         if entry.on_local_complete is not None:
             entry.on_local_complete()
 

@@ -124,14 +124,13 @@ class LciRuntime(LciQueue):
             self.nic.model.recv_overhead + self.backend.progress_extra
         )
         harvest_lead = (harvest_cost,)
-        c_server_pkts = self.stats.counter("server_pkts")
         try:
             while not self._stopping:
                 pkt = poll()
                 if pkt is None:
                     yield self.nic.wait_arrival()
                     continue
-                c_server_pkts.add()
+                self.server_pkts += 1
                 # Harvesting one completion from the NIC.  The recovery
                 # protocol answers a harvested packet at once (acks), so
                 # its cost is paid here; otherwise it leads the handler's
@@ -165,7 +164,7 @@ class LciRuntime(LciQueue):
                 if ok:
                     break
                 lead = ()
-                self.stats.counter("server_pool_stalls").add()
+                self.server_pool_stalls += 1
                 yield self.pool.wait_available(for_recv=True)
             yield from self.queue.enqueue(pkt)
             if tr is not None:
@@ -184,7 +183,7 @@ class LciRuntime(LciQueue):
             # packetFree(P, p): the budget taken when the RTS arrived.
             self.pool.retire(pkt)
             yield from self.pool.free()
-            self.stats.counter("rdma_recvs").add()
+            self.rdma_recvs += 1
         else:  # pragma: no cover - exhaustive over PacketType
             raise RuntimeError(f"server cannot handle {pkt!r}")
 
@@ -216,9 +215,9 @@ class LciRuntime(LciQueue):
             self._put_ready.add(pkt.src)
         yield put_cost
         while not self._lc_send(rdma, on_local_complete=_acked):
-            self.stats.counter("rdma_tx_retries").add()
+            self.rdma_tx_retries += 1
             yield 4 * self.nic.model.injection_gap
-        self.stats.counter("rdma_puts").add()
+        self.rdma_puts += 1
 
     # ------------------------------------------------------------------
     # RDMA sink registration (address translation for lc_put)

@@ -45,7 +45,6 @@ from repro.netapi.packet import Packet, PacketType
 from repro.sanitize.mpi_checks import MpiSanitizer
 from repro.sim.engine import Environment, Event
 from repro.sim.machine import CpuModel
-from repro.sim.monitor import StatRegistry
 from repro.sim.resources import Lock
 
 __all__ = ["MpiEndpoint"]
@@ -57,6 +56,13 @@ _BARRIER_TAG = -2
 class MpiEndpoint:
     """One rank's view of the simulated MPI library."""
 
+    #: The endpoint's counts: ``int`` attributes, zeroed at construction.
+    COUNTERS = (
+        "isends", "irecvs", "iprobes", "tests", "eager_sends", "rndv_sends",
+        "unexpected_msgs", "tx_retries", "eager_stalls",
+        "eager_exhaustion_aborts",
+    )
+
     def __init__(
         self,
         env: Environment,
@@ -65,7 +71,6 @@ class MpiEndpoint:
         cpu: CpuModel,
         config: MpiConfig,
         thread_mode: ThreadMode = ThreadMode.FUNNELED,
-        stats: Optional[StatRegistry] = None,
     ):
         self.env = env
         self.rank = rank
@@ -73,7 +78,6 @@ class MpiEndpoint:
         self.cpu = cpu
         self.config = config
         self.thread_mode = thread_mode
-        self.stats = stats or StatRegistry(f"mpi.rank{rank}")
 
         self.posted = PostedQueue()
         self.unexpected = UnexpectedQueue()
@@ -134,8 +138,8 @@ class MpiEndpoint:
             )
             prof.add_source(self._profile_counts)
 
-        # Hoisted per-call costs and counters (the progress engine and
-        # the isend/irecv/iprobe entry points are the hottest MPI code).
+        # Hoisted per-call costs (the progress engine and the
+        # isend/irecv/iprobe entry points are the hottest MPI code).
         self._entry_cost = self.cpu.call_overhead + self.config.call_overhead
         self._entry_lead = (self._entry_cost,)
         self._recv_overhead = self.nic.model.recv_overhead
@@ -144,14 +148,8 @@ class MpiEndpoint:
         self._unexpected_cost = self.config.unexpected_cost_per_element
         self._send_overhead = self.nic.model.send_overhead
         self._tx_backoff = 4 * self.nic.model.injection_gap
-        self._c_isends = self.stats.counter("isends")
-        self._c_irecvs = self.stats.counter("irecvs")
-        self._c_iprobes = self.stats.counter("iprobes")
-        self._c_tests = self.stats.counter("tests")
-        self._c_eager_sends = self.stats.counter("eager_sends")
-        self._c_rndv_sends = self.stats.counter("rndv_sends")
-        self._c_unexpected = self.stats.counter("unexpected_msgs")
-        self._c_tx_retries = self.stats.counter("tx_retries")
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     def _profile_counts(self):
         """Deferred profiler source: matching-engine work totals."""
@@ -204,12 +202,12 @@ class MpiEndpoint:
         """Generator: take one eager credit to ``dst``, stalling or aborting."""
         while self._credits_to(dst) <= 0:
             if self.config.crash_on_exhaustion:
-                self.stats.counter("eager_exhaustion_aborts").add()
+                self.eager_exhaustion_aborts += 1
                 raise MPIResourceExhausted(
                     f"rank {self.rank}: eager buffers to rank {dst} exhausted "
                     f"({self.config.name} aborts on resource exhaustion)"
                 )
-            self.stats.counter("eager_stalls").add()
+            self.eager_stalls += 1
             ev = Event(self.env)
             self._credit_waiters.setdefault(dst, []).append(ev)
             yield ev
@@ -240,7 +238,7 @@ class MpiEndpoint:
         charges since its last wake), then inject with internal retry."""
         yield lead + (self._send_overhead,) if lead else self._send_overhead
         while not self.nic.try_inject(pkt, on_local_complete, notify_target):
-            self._c_tx_retries.add()
+            self.tx_retries += 1
             yield self._tx_backoff
 
     # ------------------------------------------------------------------
@@ -266,7 +264,7 @@ class MpiEndpoint:
         lead = yield from self._enter(thread)
         try:
             req = MpiRequest("send", dst, tag, size)
-            self._c_isends.add()
+            self.isends += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_send(req)
             if self.obs is not None and trace is not None:
@@ -297,7 +295,7 @@ class MpiEndpoint:
         if trace is not None:
             pkt.meta["trace"] = trace
         yield from self._inject(pkt)
-        self._c_eager_sends.add()
+        self.eager_sends += 1
         req._complete()
 
     def _rndv_send(self, req, dst, tag, size, payload, trace, lead):
@@ -308,7 +306,7 @@ class MpiEndpoint:
         if trace is not None:
             pkt.meta["trace"] = trace
         yield from self._inject(pkt, lead=lead)
-        self._c_rndv_sends.add()
+        self.rndv_sends += 1
 
     def irecv(
         self,
@@ -323,7 +321,7 @@ class MpiEndpoint:
                 # The walk takes the queue as it is once the entry is paid.
                 yield lead
             req = MpiRequest("recv", source, tag, 0)
-            self._c_irecvs.add()
+            self.irecvs += 1
             msg, inspected = self.unexpected.match_receive(source, tag)
             cost = inspected * self._unexpected_cost
             chain = (cost,) if cost > 0 else ()
@@ -407,7 +405,7 @@ class MpiEndpoint:
         """
         lead = yield from self._enter(thread)
         try:
-            self._c_iprobes.add()
+            self.iprobes += 1
             if self._probe_overhead > 0:
                 lead += (self._probe_overhead,)
             yield from self._progress_locked(lead)
@@ -430,7 +428,7 @@ class MpiEndpoint:
         """
         lead = yield from self._enter(thread)
         try:
-            self._c_tests.add()
+            self.tests += 1
             if self.config.test_overhead > 0:
                 lead += (self.config.test_overhead,)
             if lead:
@@ -553,7 +551,7 @@ class MpiEndpoint:
                 self.obs.emit(tr, "complete", self.rank, bytes=pkt.size)
             self._peer_credit_home(pkt.src)
         else:
-            self._c_unexpected.add()
+            self.unexpected_msgs += 1
             self.unexpected.add(
                 UnexpectedMessage(
                     pkt.src, pkt.tag, pkt.size, pkt.payload, "eager",
@@ -575,7 +573,7 @@ class MpiEndpoint:
                               inspected=inspected, posted=True)
             yield from self._answer_rts(pkt, req)
         else:
-            self._c_unexpected.add()
+            self.unexpected_msgs += 1
             self.unexpected.add(
                 UnexpectedMessage(
                     pkt.src, pkt.tag, pkt.size, None, "rndv", token=pkt,

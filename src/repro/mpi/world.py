@@ -10,7 +10,6 @@ from repro.mpi.endpoint import MpiEndpoint, _BARRIER_TAG
 from repro.netapi.nic import Fabric
 from repro.netapi.packet import Packet, PacketType
 from repro.sim.engine import Environment
-from repro.sim.monitor import StatRegistry
 
 __all__ = ["MpiWorld"]
 
@@ -43,7 +42,6 @@ class MpiWorld:
                 fabric.machine.cpu,
                 config,
                 thread_mode=thread_mode,
-                stats=StatRegistry(f"mpi.{config.name}.rank{rank}"),
             )
             ep._world = self
             self.endpoints.append(ep)

@@ -22,7 +22,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.engine import Environment, Event, SimulationError
 from repro.sim.machine import MachineModel, NicModel
-from repro.sim.monitor import StatRegistry
 from repro.netapi.packet import Packet, PacketType
 
 __all__ = ["RegisteredBuffer", "Nic", "Fabric"]
@@ -84,13 +83,11 @@ class Nic:
         fabric: "Fabric",
         host: int,
         model: NicModel,
-        stats: StatRegistry,
     ):
         self.env = env
         self.fabric = fabric
         self.host = host
         self.model = model
-        self.stats = stats
         self.rx_queue: Deque[Packet] = deque()
         self._arrival_waiters: List[Event] = []
         self._tx_free_at = 0.0
@@ -100,13 +97,12 @@ class Nic:
         #: whoever reads the slot count first settles the past ones.
         self._tx_departures: Deque[Tuple[float, int]] = deque()
         self._registered: Dict[int, RegisteredBuffer] = {}
-        # Hoisted counter objects: one dict lookup per counter per run
-        # instead of one per packet.
-        self._c_tx_full = stats.counter("tx_queue_full")
-        self._c_pkts_sent = stats.counter("pkts_sent")
-        self._c_bytes_sent = stats.counter("bytes_sent")
-        self._c_pkts_recv = stats.counter("pkts_received")
-        self._c_bytes_recv = stats.counter("bytes_received")
+        # Counts, read at export (``Fabric.total``, the profiler source).
+        self.tx_queue_full = 0
+        self.pkts_sent = 0
+        self.bytes_sent = 0
+        self.pkts_received = 0
+        self.bytes_received = 0
 
     # ------------------------------------------------------------------
     # Transmit path
@@ -137,10 +133,10 @@ class Nic:
         if faults is not None and faults.tx_blocked(self.host, pkt):
             # An injected NIC stall looks exactly like a full TX queue:
             # the retryable condition the comm layers already handle.
-            self._c_tx_full.add()
+            self.tx_queue_full += 1
             return False
         if self.tx_outstanding >= model.tx_queue_depth:
-            self._c_tx_full.add()
+            self.tx_queue_full += 1
             return False
 
         env = self.env
@@ -164,8 +160,8 @@ class Nic:
         # The instant a queue entry for the departure fires at.
         departs_at = now + (departure - now)
         self._tx_outstanding += 1
-        self._c_pkts_sent.add()
-        self._c_bytes_sent.add(wire_bytes)
+        self.pkts_sent += 1
+        self.bytes_sent += wire_bytes
         obs = fabric.obs
         if obs is not None:
             obs.on_inject(pkt)
@@ -243,8 +239,8 @@ class Nic:
                 f"packet for host {pkt.dst} delivered to host {self.host}"
             )
         self.rx_queue.append(pkt)
-        self._c_pkts_recv.add()
-        self._c_bytes_recv.add(pkt.wire_bytes)
+        self.pkts_received += 1
+        self.bytes_received += pkt.wire_bytes
         obs = self.fabric.obs
         if obs is not None:
             obs.on_rx(pkt)
@@ -304,14 +300,12 @@ class Fabric:
         env: Environment,
         num_hosts: int,
         machine: MachineModel,
-        stats_prefix: str = "fabric",
     ):
         if num_hosts < 1:
             raise SimulationError("fabric needs at least one host")
         self.env = env
         self.num_hosts = num_hosts
         self.machine = machine
-        self.stats = StatRegistry(stats_prefix)
         # The optional instruments, each ``None`` until its context's
         # ``install()`` assigns it; components read them as plain
         # attributes.  Pure observation except ``faults``: a run with any
@@ -327,10 +321,7 @@ class Fabric:
         self.profiler = None
         #: :class:`repro.obs.commstats.CommStatsContext` (traffic matrices)
         self.commstats = None
-        self._nics = [
-            Nic(env, self, h, machine.nic, StatRegistry(f"{stats_prefix}.nic{h}"))
-            for h in range(num_hosts)
-        ]
+        self._nics = [Nic(env, self, h, machine.nic) for h in range(num_hosts)]
 
     def nic(self, host: int) -> Nic:
         if not 0 <= host < self.num_hosts:
@@ -339,4 +330,4 @@ class Fabric:
 
     def total(self, counter: str) -> int:
         """Sum a per-NIC counter across all hosts."""
-        return sum(n.stats.counter_value(counter) for n in self._nics)
+        return sum(getattr(n, counter) for n in self._nics)

@@ -1,12 +1,12 @@
 """Communication-pattern observatory (``repro.obs.commstats``).
 
-Answers the question the tracer and profiler don't: *who sent how much
-to whom, when, and how unevenly*.  A :class:`CommStatsContext` is
-discovered via the fabric exactly like faults/sanitize/obs/profile —
-off by default, and attaching one never perturbs the run (RunMetrics
-stay bit-identical): the hooks never advance simulated time, never
-touch a :class:`~repro.sim.monitor.StatRegistry`, and never change any
-iteration order.
+Answers the question the lifecycle trace and the profiler don't: *who
+sent how much to whom, when, and how unevenly*.  A
+:class:`CommStatsContext` is discovered via the fabric exactly like
+faults/sanitize/obs/profile — off by default, and attaching one never
+perturbs the run (RunMetrics stay bit-identical): the hooks never
+advance simulated time, never touch a component's counts, and never
+change any iteration order.
 
 Two levels of accounting are collected:
 
@@ -33,9 +33,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import tempfile
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from repro.obs.atomic import atomic_write_text
 
 __all__ = [
     "COMM_DOC_KIND",
@@ -130,7 +130,7 @@ class CommStatsContext:
 
     # ------------------------------------------------------------------
     # Hot-path hooks — plain dict/list cells only; no simulated time,
-    # no StatRegistry traffic, no ordering influence.
+    # no component counts touched, no ordering influence.
     # ------------------------------------------------------------------
     def on_inject(self, pkt) -> None:
         """Called by :meth:`Nic._inject` after the NIC counters tick."""
@@ -430,27 +430,9 @@ def comm_doc_to_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _atomic_text(path: str, text: str) -> str:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
 def save_comm_doc(path: str, doc: dict) -> str:
     """Write the comm-doc atomically (temp file + ``os.replace``)."""
-    return _atomic_text(path, comm_doc_to_json(doc))
+    return atomic_write_text(path, comm_doc_to_json(doc))
 
 
 def comm_doc_to_csv(doc: dict) -> str:

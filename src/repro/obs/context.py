@@ -3,7 +3,7 @@
 One :class:`ObsContext` rides on the :class:`~repro.netapi.nic.Fabric`
 (``fabric.obs``), read by protocol components exactly like the fault
 injector and the sanitizers — ``nic.fabric.obs`` at construction,
-every hook a no-op when it is ``None``.  It collects three
+every hook a no-op when it is ``None``.  It collects four
 kinds of data, all pure observation:
 
 * **Stage events** — every payload handed to a comm-layer ``send`` gets
@@ -21,16 +21,23 @@ kinds of data, all pure observation:
 * **Stall records** — closed intervals a host demonstrably spent
   blocked on a protocol resource (packet-pool recycling, PSCW epoch
   synchronization), reported by the code that did the waiting.
+* **Activity spans** — closed intervals of engine work per host and
+  round (compute, allreduce), reported by the engine (:meth:`span`).
+
+Fault and sanitizer *instants* are not collected at all: the injector's
+replayable trace, the plan's windows and the sanitizer's violation list
+are read off the fabric when the timeline is exported.
 
 Determinism contract (the same guarantee the sanitizers give): hooks
-never advance simulated time, never touch component ``StatRegistry``
-counters, and never change iteration order — a run with obs installed
-produces bit-identical :class:`~repro.engine.metrics.RunMetrics`.
+never advance simulated time, never touch a component's counts, and
+never change iteration order — a run with obs installed produces
+bit-identical :class:`~repro.engine.metrics.RunMetrics`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isinf
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -115,6 +122,8 @@ class ObsContext:
         self.fabric = None
         self.events: List[MsgEvent] = []
         self.stalls: List[Stall] = []
+        #: ``[host, category, name, start, end, args]`` rows.
+        self.spans: List[list] = []
         #: (probe name, host) -> TimeSeries of sampled values.
         self.samples: Dict[Tuple[str, int], TimeSeries] = {}
         #: Registration-ordered probe list (sampling order is the
@@ -193,6 +202,43 @@ class ObsContext:
         """Record a closed blocked interval (only if it has width)."""
         if end > start:
             self.stalls.append(Stall(host, kind, start, end))
+
+    def span(self, host: int, category: str, name: str,
+             start: float, end: float, **args) -> None:
+        """Record a closed interval of activity on ``host``."""
+        self.spans.append([host, category, name, start, end, args])
+
+    def instants(self) -> List[list]:
+        """``[host, category, name, t, args]`` markers, read from the
+        logs their owners keep: the fault plan's windows (both edges),
+        the injector's trace and the sanitizer's violations."""
+        rows: List[list] = []
+        fabric = self.fabric
+        if fabric is None:
+            return rows
+        if fabric.faults is not None:
+            for spec in fabric.faults.plan.specs:
+                if spec.kind not in ("degrade", "nic_stall", "straggler"):
+                    continue
+                host = spec.host if spec.host is not None else -1
+                args = {"factor": spec.factor}
+                rows.append(
+                    [host, "fault", f"{spec.kind} begin", spec.start, args])
+                if not isinf(spec.end):
+                    rows.append(
+                        [host, "fault", f"{spec.kind} end", spec.end, args])
+            for ev in fabric.faults.trace:
+                rows.append([
+                    ev.src, "fault", f"{ev.kind} {ev.ptype}->{ev.dst}",
+                    ev.time, {"size": ev.size, "delay": ev.delay},
+                ])
+        if fabric.sanitizer is not None:
+            for v in fabric.sanitizer.violations:
+                rows.append([
+                    max(v.host, 0), "sanitizer", f"san:{v.rule}", v.time,
+                    dict(v.details),
+                ])
+        return rows
 
     # ------------------------------------------------------------------
     # NIC accounting hooks (called from repro.netapi.nic)
@@ -291,4 +337,6 @@ class ObsContext:
             "stalls": [
                 [s.host, s.kind, s.start, s.end] for s in self.stalls
             ],
+            "spans": list(self.spans),
+            "instants": self.instants(),
         }

@@ -8,24 +8,23 @@ Three output formats, all deterministic byte-for-byte for a given run:
 * **Chrome trace** (:func:`to_chrome_trace`) — per-stage ``"X"`` spans
   on one process row per host, with ``ph:"s"/"f"`` *flow events*
   stitching each message's sender-side and receiver-side spans into a
-  single arrow in Perfetto / ``chrome://tracing``.
+  single arrow in Perfetto / ``chrome://tracing``; the engine's round
+  spans on each host's ``main`` row and fault / sanitizer instants on a
+  row per category.  The program's only Chrome-trace writer.
 * **Prometheus text format** (:func:`to_prometheus`) — aggregate
   counters/gauges for scraping or diffing in CI.
 
-All writes go through :func:`repro.sim.trace.atomic_write_json` (or the
-equivalent temp-file + replace dance for text) so interrupted runs
-cannot leave truncated artifacts.
+All writes go through :func:`repro.obs.atomic.atomic_write_text` so
+interrupted runs cannot leave truncated artifacts.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from typing import Dict, List, Tuple
 
+from repro.obs.atomic import atomic_write_text
 from repro.obs.critical_path import build_timelines, stage_attribution
-from repro.sim.trace import atomic_write_json
 
 __all__ = [
     "save_timeline",
@@ -38,7 +37,7 @@ __all__ = [
 
 
 def save_timeline(path: str, timeline: dict) -> str:
-    return atomic_write_json(path, timeline)
+    return atomic_write_text(path, json.dumps(timeline))
 
 
 def load_timeline(path: str) -> dict:
@@ -107,7 +106,23 @@ def to_chrome_trace(timeline: dict) -> dict:
             "ts": start * 1e6, "dur": (end - start) * 1e6,
             "args": {},
         })
-    # Stable, sorted metadata rows (same convention as Tracer).
+    # Engine activity (compute / allreduce per round) on the main row.
+    for host, category, name, start, end, args in timeline.get("spans", ()):
+        events.append({
+            "ph": "X", "pid": host, "tid": "main",
+            "cat": category, "name": name,
+            "ts": start * 1e6, "dur": (end - start) * 1e6,
+            "args": args,
+        })
+    # Fault and sanitizer markers: one thread row per category.
+    for host, category, name, t, args in timeline.get("instants", ()):
+        events.append({
+            "ph": "i", "pid": host, "tid": category,
+            "cat": category, "name": name,
+            "ts": t * 1e6, "s": "p",
+            "args": args,
+        })
+    # Stable metadata rows in sorted (pid, name) order.
     hosts = sorted({e["pid"] for e in events})
     for h in hosts:
         events.append({
@@ -122,7 +137,7 @@ def to_chrome_trace(timeline: dict) -> dict:
 
 
 def save_chrome_trace(path: str, timeline: dict) -> str:
-    return atomic_write_json(path, to_chrome_trace(timeline))
+    return atomic_write_text(path, json.dumps(to_chrome_trace(timeline)))
 
 
 # ----------------------------------------------------------------------
@@ -264,18 +279,4 @@ def save_prometheus(path: str, timeline: dict,
                     counters: Dict[str, int] = None,
                     comm: dict = None) -> str:
     """Atomic text write of the Prometheus dump."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(to_prometheus(timeline, counters, comm))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    return atomic_write_text(path, to_prometheus(timeline, counters, comm))

@@ -23,14 +23,13 @@ calls through :meth:`~RegionProfiler.timed`.  The contract mirrors
 ``repro.obs``:
 
 * **Off by default** — no context installed means nothing is wrapped.
-* **Bit-identical when on** — cells never advance simulated time, touch
-  a :class:`~repro.sim.monitor.StatRegistry`, or change iteration
-  order; ``RunMetrics`` with the profiler enabled equals the plain run
-  (tier-1 asserted).
+* **Bit-identical when on** — cells never advance simulated time,
+  touch a component's counts, or change iteration order; ``RunMetrics``
+  with the profiler enabled equals the plain run (tier-1 asserted).
 * **Cheap when on** — per-packet sites read the clock on every
   :data:`LEAF_SAMPLE_STRIDE`-th call only, and per-packet *work counts*
   are never incremented on the hot path at all: components that already
-  maintain deterministic tallies (NIC stats, pool stats, matching-queue
+  maintain deterministic tallies (NIC and pool counts, matching-queue
   probe counts) register a :meth:`ProfileContext.add_source` callback
   instead, read at snapshot time and settled into the registry when the
   engine's run returns.  ``benchmarks/perf`` reports the residual as
@@ -45,10 +44,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import time
 from typing import Dict, List, Optional
+
+from repro.obs.atomic import atomic_write_text
 
 __all__ = [
     "wall_now",
@@ -244,8 +243,8 @@ class RegionProfiler:
 class CounterRegistry:
     """Deterministic host-side work counters.
 
-    Unlike :class:`~repro.sim.monitor.StatRegistry` (per-component,
-    folded into ``RunMetrics``), this is a single flat cross-layer
+    Unlike the components' own ``int`` counts (per-host, folded into
+    ``RunMetrics.layer_counters``), this is a single flat cross-layer
     registry whose values depend only on the simulated schedule — never
     on wall-clock — so two runs of the same scenario agree exactly.
     :meth:`fingerprint` condenses the whole registry into a short hash:
@@ -316,7 +315,7 @@ class ProfileContext:
     * **Deferred** — per-packet/per-op paths never touch the registry;
       the owning component registers an :meth:`add_source` callback
       that reports its running totals from state it maintains anyway
-      (NIC/pool ``StatRegistry`` counters, matching-queue probe
+      (NIC/pool ``int`` counts, matching-queue probe
       tallies).  :meth:`flush` folds every live source in; all snapshot
       paths (:meth:`report_dict`, :meth:`counters_dict`,
       :meth:`fingerprint`, :meth:`format_counters`) flush first, and
@@ -445,22 +444,17 @@ class ProfileContext:
         return "\n".join(lines)
 
     def save_json(self, path: str, meta: Optional[dict] = None) -> None:
-        _atomic_write_text(
+        atomic_write_text(
             path, json.dumps(self.report_dict(meta), indent=2) + "\n"
         )
 
     def save_collapsed(self, path: str) -> None:
-        _atomic_write_text(path, self.to_collapsed())
+        atomic_write_text(path, self.to_collapsed())
 
 
 def _fabric_counts(fabric):
-    """Deferred source over the fabric's per-NIC stat registries.
-
-    ``pkts_sent`` counts successful injections (the dispatcher's old
-    per-packet increments counted exactly the same events), so the
-    registry values are bit-identical to what hot-path counting would
-    produce — without any hot-path cost.
-    """
+    """Deferred source over the NICs' always-on counts
+    (``pkts_sent`` counts successful injections)."""
     return (
         ("netapi.pkts_injected", fabric.total("pkts_sent")),
         ("netapi.bytes_injected", fabric.total("bytes_sent")),
@@ -468,16 +462,3 @@ def _fabric_counts(fabric):
         ("netapi.bytes_delivered", fabric.total("bytes_received")),
         ("netapi.tx_full", fabric.total("tx_queue_full")),
     )
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

@@ -87,6 +87,27 @@ def validate_timeline(doc) -> List[str]:
             errs.append(f"stall {k}: non-numeric interval")
         elif end <= start:
             errs.append(f"stall {k}: empty or negative interval")
+    # Optional sections: rows of [host, category, name, <times>, args].
+    for section, times in (("spans", 2), ("instants", 1)):
+        for k, row in enumerate(doc.get(section, []) or []):
+            what = f"{section[:-1]} {k}"
+            if not (isinstance(row, list) and len(row) == 4 + times):
+                errs.append(f"{what}: not a {4 + times}-column row")
+                continue
+            host, category, name = row[:3]
+            if not isinstance(host, int):
+                errs.append(f"{what}: host is not an int")
+            if not (isinstance(category, str) and category
+                    and isinstance(name, str) and name):
+                errs.append(f"{what}: category and name must be "
+                            "non-empty strings")
+            stamps = row[3:-1]
+            if not all(isinstance(t, (int, float)) for t in stamps):
+                errs.append(f"{what}: non-numeric time")
+            elif stamps[-1] < stamps[0]:
+                errs.append(f"{what}: ends before it starts")
+            if not isinstance(row[-1], dict):
+                errs.append(f"{what}: args is not an object")
     return errs
 
 

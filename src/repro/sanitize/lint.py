@@ -35,8 +35,9 @@ flagged line (multiple rules comma-separated; ``# lint-ok: all``
 suppresses everything on the line).  Suppressions are counted in the
 JSON report so CI can watch for creep.
 
-The lint is intentionally self-contained (stdlib ``ast`` only) because
-the container image pins its dependency set.
+The analysis is intentionally self-contained (stdlib ``ast`` only)
+because the container image pins its dependency set; the one import
+from the package is the shared atomic file writer for ``--json``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+from repro.obs.atomic import atomic_write_text
 
 __all__ = [
     "Finding",
@@ -530,9 +533,7 @@ def format_findings(result: LintResult) -> str:
 
 
 def save_report(result: LintResult, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(report_dict(result), fh, indent=2)
-    return path
+    return atomic_write_text(path, json.dumps(report_dict(result), indent=2))
 
 
 def _unused_tuple_guard() -> Tuple[int, int]:  # pragma: no cover

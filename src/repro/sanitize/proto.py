@@ -66,6 +66,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.obs.atomic import atomic_write_text
 from repro.sanitize.lint import _iter_python_files, repo_package_root
 
 __all__ = [
@@ -1430,10 +1431,8 @@ def save_baseline(findings: Sequence[ProtoFinding], path,
         "tool": "repro-analyze",
         "accepted": [entries[k] for k in sorted(entries)],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return str(path)
+    return atomic_write_text(
+        path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def diff_baseline(

@@ -23,6 +23,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Mapping, Sequence
 
+from repro.obs.atomic import atomic_write_text
+
 __all__ = ["make_report", "to_sarif", "save_json", "save_sarif"]
 
 SARIF_VERSION = "2.1.0"
@@ -101,10 +103,8 @@ def to_sarif(report: Mapping) -> Dict:
 
 
 def save_json(report: Mapping, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return atomic_write_text(
+        path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def save_sarif(report: Mapping, path: str) -> str:

@@ -13,8 +13,9 @@ Two modes:
   :class:`SanitizerError` at the exact detection point (best stack
   trace, best for tests and debugging);
 * ``"warn"`` — violations accumulate on the context's report; the run
-  continues, the harness surfaces them in ``RunMetrics`` and the Chrome
-  tracer, and the CLI exits with the distinct code
+  continues, the harness surfaces them in ``RunMetrics`` (and an
+  attached ``ObsContext`` exports them as ``sanitizer`` instants), and
+  the CLI exits with the distinct code
   :data:`SANITIZER_EXIT_CODE`.
 
 Enablement is explicit (``EngineConfig.sanitize``, ``repro run
@@ -141,14 +142,12 @@ class SanitizerContext:
         self,
         mode: str = "raise",
         env=None,
-        tracer=None,
         config: Optional[SanitizerConfig] = None,
     ):
         if mode not in _MODES:
             raise ValueError(f"unknown sanitize mode {mode!r}")
         self.mode = mode
         self.env = env
-        self.tracer = tracer
         self.config = config or SanitizerConfig()
         self.violations: List[Violation] = []
 
@@ -161,11 +160,6 @@ class SanitizerContext:
         """Record one violation; raise it immediately in ``raise`` mode."""
         v = Violation(rule, host, self.now, message, details)
         self.violations.append(v)
-        if self.tracer is not None:
-            self.tracer.instant(
-                max(host, 0), f"san:{rule}", v.time,
-                category="sanitizer", **details,
-            )
         if self.mode == "raise":
             raise SanitizerError(v)
         return v

@@ -26,7 +26,7 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import Lock, Resource
-from repro.sim.monitor import Counter, PeakTracker, TimeSeries, StatRegistry
+from repro.sim.monitor import PeakTracker, TimeSeries
 from repro.sim.rng import RngFactory
 
 __all__ = [
@@ -40,9 +40,7 @@ __all__ = [
     "Timeout",
     "Lock",
     "Resource",
-    "Counter",
     "PeakTracker",
     "TimeSeries",
-    "StatRegistry",
     "RngFactory",
 ]

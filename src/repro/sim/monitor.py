@@ -1,21 +1,21 @@
-"""Measurement utilities: counters, peak trackers, and time series.
+"""Measurement utilities: peak trackers, time series, geometric mean.
 
 The paper's evaluation reports execution times (Figs 3, 4, 6; Tables II,
 IV), communication-buffer memory footprints (Fig 5), and latency/rate
-microbenchmarks (Fig 1).  The classes here are the instrumentation the
-simulated runtimes write into; the benchmark harness reads them back out.
+microbenchmarks (Fig 1).  :class:`PeakTracker` is the Fig. 5 footprint
+the comm layers write into; :class:`TimeSeries` holds the observability
+sampler's probe readings.  Plain event counts are not kept here: each
+component counts in ``int`` attributes of its own, read at export.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 __all__ = [
-    "Counter",
     "PeakTracker",
     "TimeSeries",
-    "StatRegistry",
     "geometric_mean",
 ]
 
@@ -28,28 +28,6 @@ def geometric_mean(values) -> float:
     if any(v <= 0 for v in vals):
         raise ValueError("geometric_mean requires positive values")
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
-class Counter:
-    """A monotonically adjustable named count (messages, bytes, retries)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __int__(self) -> int:
-        return int(self.value)
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, {self.value})"
 
 
 class PeakTracker:
@@ -83,11 +61,6 @@ class PeakTracker:
             raise ValueError(
                 f"PeakTracker {self.name!r} went negative ({self.current})"
             )
-
-    def reset(self) -> None:
-        self.current = 0
-        self.peak = 0
-        self.total_added = 0
 
     def __repr__(self) -> str:
         return f"PeakTracker({self.name!r}, cur={self.current}, peak={self.peak})"
@@ -126,74 +99,3 @@ class TimeSeries:
 
     def items(self) -> List[Tuple[float, float]]:
         return list(zip(self.times, self.values))
-
-
-class StatRegistry:
-    """A namespaced bag of monitors owned by one simulated component.
-
-    Components create their instruments lazily by name, so tests can assert
-    on exactly the stats a code path touched::
-
-        stats = StatRegistry("host0.lci")
-        stats.counter("egr_sends").add()
-        stats.peak("pool_bytes").add(8192)
-    """
-
-    def __init__(self, prefix: str = ""):
-        self.prefix = prefix
-        self._counters: Dict[str, Counter] = {}
-        self._peaks: Dict[str, PeakTracker] = {}
-        self._series: Dict[str, TimeSeries] = {}
-
-    def _qual(self, name: str) -> str:
-        return f"{self.prefix}.{name}" if self.prefix else name
-
-    def counter(self, name: str) -> Counter:
-        c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = Counter(self._qual(name))
-        return c
-
-    def peak(self, name: str) -> PeakTracker:
-        p = self._peaks.get(name)
-        if p is None:
-            p = self._peaks[name] = PeakTracker(self._qual(name))
-        return p
-
-    def series(self, name: str) -> TimeSeries:
-        s = self._series.get(name)
-        if s is None:
-            s = self._series[name] = TimeSeries(self._qual(name))
-        return s
-
-    def counter_value(self, name: str, default: int = 0) -> int:
-        c = self._counters.get(name)
-        return c.value if c is not None else default
-
-    def counter_values(self) -> Dict[str, int]:
-        """All counters as ``{unqualified name: value}``."""
-        return {name: c.value for name, c in self._counters.items()}
-
-    def peak_value(self, name: str, default: int = 0) -> int:
-        p = self._peaks.get(name)
-        return p.peak if p is not None else default
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flatten every instrument into a dict for reports."""
-        out: Dict[str, float] = {}
-        for name, c in self._counters.items():
-            out[self._qual(name)] = c.value
-        for name, p in self._peaks.items():
-            out[self._qual(name) + ".peak"] = p.peak
-            out[self._qual(name) + ".current"] = p.current
-        for name, s in self._series.items():
-            out[self._qual(name) + ".total"] = s.total
-            out[self._qual(name) + ".n"] = len(s)
-        return out
-
-    def reset(self) -> None:
-        for c in self._counters.values():
-            c.reset()
-        for p in self._peaks.values():
-            p.reset()
-        self._series.clear()

@@ -27,12 +27,14 @@ def test_run_command_with_trace(tmp_path, capsys):
     trace = str(tmp_path / "t.json")
     rc = main([
         "run", "--app", "bfs", "--graph", "rmat", "--scale", "8",
-        "--hosts", "4", "--layer", "lci", "--trace", trace,
+        "--hosts", "4", "--layer", "lci",
+        "--obs", str(tmp_path / "o.json"), "--obs-chrome", trace,
     ])
     assert rc == 0
     with open(trace) as f:
         data = json.load(f)
-    assert any(e["ph"] == "X" for e in data["traceEvents"])
+    assert any(e["ph"] == "X" and e["cat"] == "compute"
+               for e in data["traceEvents"])
 
 
 def test_run_mpi_layer_on_stampede1(capsys):

@@ -98,8 +98,8 @@ def test_probe_unbuffered_sends_one_message_per_blob():
 
     env.process(sender(env))
     env.run(max_events=1_000_000)
-    assert layers[0].stats.counter_value("mpi_isends") == 5
-    assert layers[0].stats.counter_value("aggregates_flushed") == 0
+    assert layers[0].mpi_isends == 5
+    assert layers[0].aggregates_flushed == 0
 
 
 def test_empty_blob_roundtrip():

@@ -196,7 +196,7 @@ def test_probe_layer_aggregates_small_blobs():
     env.run(max_events=2_000_000)
     # 20 blobs arrived but in fewer MPI messages than blobs.
     assert done == [20]
-    isends = layers[0].stats.counter_value("mpi_isends")
+    isends = layers[0].mpi_isends
     assert 0 < isends < 20
 
 

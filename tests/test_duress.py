@@ -72,9 +72,9 @@ def test_lci_surfaces_retries_nonfatally():
     eng = BspEngine(g, app, cfg)
     eng.run()
     pressure = sum(
-        l.stats.counter_value("send_retries")
-        + l.rt.stats.counter_value("server_pool_stalls")
-        + l.rt.pool.stats.counter_value("alloc_failures")
+        l.send_retries
+        + l.rt.server_pool_stalls
+        + l.rt.pool.alloc_failures
         for l in eng.layers
     )
     assert pressure > 0, "expected visible back pressure under duress"
@@ -122,10 +122,8 @@ def test_lci_bfs_identical_answer_under_drops():
     assert np.array_equal(eng.assemble_global(), want)
     assert m.fault_counts["drops"] > 0
     assert m.layer_counters["retransmissions"] > 0
-    # ... and in the runtime's own StatRegistry.
-    retrans = sum(
-        l.rt.stats.counter_value("retransmissions") for l in eng.layers
-    )
+    # ... and on the recovery protocol's own counts.
+    retrans = sum(l.rt.reliability.retransmissions for l in eng.layers)
     assert retrans == m.layer_counters["retransmissions"]
 
 

@@ -15,8 +15,10 @@ from repro.faults import (
 )
 from repro.graph.generators import rmat
 from repro.mpi.exceptions import MPIProtocolError
+from repro.netapi.nic import Fabric
+from repro.obs import ObsContext, to_chrome_trace
 from repro.sim.engine import Environment
-from repro.sim.trace import Tracer
+from repro.sim.machine import stampede2
 
 US = 1e-6
 
@@ -113,12 +115,13 @@ def test_identical_seeds_identical_draw_streams():
 
 def test_injector_traces_instants_with_fault_category():
     env = Environment()
-    tracer = Tracer(env)
+    fabric = Fabric(env, 4, stampede2())
     plan = FaultPlan(specs=(
         FaultSpec("drop", rate=1.0),
         FaultSpec("straggler", host=2, factor=2.0, start=5.0, duration=1.0),
     ))
-    inj = FaultInjector(env, plan, tracer=tracer)
+    inj = FaultInjector(env, plan).install(fabric)
+    obs = ObsContext().install(env, fabric)
 
     class P:
         src, dst, size = 0, 1, 64
@@ -127,14 +130,19 @@ def test_injector_traces_instants_with_fault_category():
             name = "RTS"
 
     assert inj.transit_fate(P).dropped
-    instants = tracer.instants_for("fault")
-    # The window markers plus the drop.
-    names = [i["name"] for i in instants]
-    assert "straggler begin" in names and "straggler end" in names
-    assert any(n.startswith("drop") for n in names)
-    chrome = tracer.to_chrome_trace()["traceEvents"]
+    # Read at export from the plan's windows and the injector's trace:
+    # both window edges plus the drop.
+    instants = obs.as_timeline()["instants"]
+    assert instants == [
+        [2, "fault", "straggler begin", 5.0, {"factor": 2.0}],
+        [2, "fault", "straggler end", 6.0, {"factor": 2.0}],
+        [0, "fault", "drop RTS->1", 0.0, {"size": 64, "delay": 0.0}],
+    ]
+    chrome = to_chrome_trace(obs.as_timeline())["traceEvents"]
     fault_events = [e for e in chrome if e["ph"] == "i" and e["cat"] == "fault"]
-    assert len(fault_events) == len(instants)
+    assert [(e["pid"], e["tid"], e["name"]) for e in fault_events] == [
+        (host, "fault", name) for host, _cat, name, _t, _args in instants
+    ]
 
 
 # ----------------------------------------------------------------------

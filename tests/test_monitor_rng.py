@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.monitor import (
-    Counter,
-    PeakTracker,
-    StatRegistry,
-    TimeSeries,
-    geometric_mean,
-)
+from repro.sim.monitor import PeakTracker, TimeSeries, geometric_mean
 from repro.sim.rng import RngFactory
 
 
@@ -39,17 +33,8 @@ def test_property_geomean_bounded_by_extremes(values):
 
 
 # ---------------------------------------------------------------------------
-# Counter / PeakTracker / TimeSeries
+# PeakTracker / TimeSeries
 # ---------------------------------------------------------------------------
-def test_counter():
-    c = Counter("x")
-    c.add()
-    c.add(5)
-    assert int(c) == 6
-    c.reset()
-    assert c.value == 0
-
-
 def test_peak_tracker():
     p = PeakTracker("mem")
     p.add(100)
@@ -101,86 +86,6 @@ def test_timeseries():
 def test_timeseries_empty_mean_raises():
     with pytest.raises(ValueError):
         TimeSeries().mean
-
-
-# ---------------------------------------------------------------------------
-# StatRegistry
-# ---------------------------------------------------------------------------
-def test_registry_lazily_creates_and_reuses():
-    r = StatRegistry("host0")
-    c1 = r.counter("msgs")
-    c1.add(3)
-    assert r.counter("msgs") is c1
-    assert r.counter_value("msgs") == 3
-    assert r.counter_value("missing", default=-1) == -1
-
-
-def test_registry_snapshot():
-    r = StatRegistry("h")
-    r.counter("a").add(2)
-    r.peak("m").add(10)
-    r.series("s").record(0, 1.5)
-    snap = r.snapshot()
-    assert snap["h.a"] == 2
-    assert snap["h.m.peak"] == 10
-    assert snap["h.s.total"] == 1.5
-
-
-def test_registry_reset():
-    r = StatRegistry()
-    r.counter("a").add(2)
-    r.peak("m").add(10)
-    r.reset()
-    assert r.counter_value("a") == 0
-    assert r.peak_value("m") == 0
-
-
-def test_registry_reset_drops_series_but_keeps_counter_objects():
-    """reset() semantics the obs sampler relies on: counters and peak
-    trackers are reset *in place* (holders keep valid references), while
-    TimeSeries objects are dropped entirely — a later series() call
-    returns a fresh, empty object."""
-    r = StatRegistry("h")
-    c = r.counter("msgs")
-    p = r.peak("mem")
-    s = r.series("depth")
-    c.add(7)
-    p.add(100)
-    p.sub(40)
-    s.record(0.0, 3.0)
-    r.reset()
-    # Same objects, zeroed.
-    assert r.counter("msgs") is c and c.value == 0
-    assert r.peak("mem") is p and p.peak == 0 and p.current == 0
-    # Series object was dropped, not emptied.
-    s2 = r.series("depth")
-    assert s2 is not s
-    assert len(s2) == 0
-    # The stale reference still holds the pre-reset samples (detached).
-    assert s.items() == [(0.0, 3.0)]
-
-
-def test_registry_snapshot_series_keys_and_reset_interaction():
-    r = StatRegistry("x")
-    r.series("q").record(0.0, 2.0)
-    r.series("q").record(1.0, 4.0)
-    snap = r.snapshot()
-    assert snap["x.q.total"] == 6.0
-    assert snap["x.q.n"] == 2
-    r.reset()
-    snap2 = r.snapshot()
-    # Dropped series vanish from the snapshot; they do not linger as 0s.
-    assert "x.q.total" not in snap2
-    assert "x.q.n" not in snap2
-
-
-def test_registry_snapshot_peak_reports_both_peak_and_current():
-    r = StatRegistry()
-    r.peak("buf").add(64)
-    r.peak("buf").sub(16)
-    snap = r.snapshot()
-    assert snap["buf.peak"] == 64
-    assert snap["buf.current"] == 48
 
 
 def test_geometric_mean_error_messages():

@@ -74,8 +74,8 @@ def test_rendezvous_large_message():
     assert result["payload"] == "BIGDATA"
     assert result["count"] == big
     ep0 = world.endpoint(0)
-    assert ep0.stats.counter_value("rndv_sends") == 1
-    assert ep0.stats.counter_value("eager_sends") == 0
+    assert ep0.rndv_sends == 1
+    assert ep0.eager_sends == 0
 
 
 def test_message_ordering_same_source_tag():
@@ -241,7 +241,7 @@ def test_eager_credit_exhaustion_aborts_intelmpi():
     p = env.process(flooder(env))
     with pytest.raises(MPIResourceExhausted):
         env.run()
-    assert world.endpoint(0).stats.counter_value("eager_exhaustion_aborts") == 1
+    assert world.endpoint(0).eager_exhaustion_aborts == 1
 
 
 def test_eager_credit_exhaustion_stalls_openmpi():
@@ -266,7 +266,7 @@ def test_eager_credit_exhaustion_stalls_openmpi():
     env.run()
     # Sender stalled until the receiver drained: completion after the delay.
     assert done["sent_all_at"] > 1e-3
-    assert world.endpoint(0).stats.counter_value("eager_stalls") > 0
+    assert world.endpoint(0).eager_stalls > 0
 
 
 def test_thread_multiple_lock_contention_counted():

@@ -97,7 +97,7 @@ def test_tx_queue_depth_enforced(env):
     nic0 = fab.nic(0)
     ok = [nic0.try_inject(make_pkt(size=10_000_000)) for _ in range(6)]
     assert ok == [True] * 4 + [False] * 2
-    assert nic0.stats.counter_value("tx_queue_full") == 2
+    assert nic0.tx_queue_full == 2
     env.run()
     # Once drained, injection works again.
     assert nic0.try_inject(make_pkt(size=0))
@@ -157,7 +157,7 @@ def test_silent_departure_ties_break_like_a_calendar_entry(env):
     env.run()
     assert seen == [("scheduled before", True, 1, False),
                     ("scheduled after", True, 0, True)]
-    assert nic0.stats.counter_value("tx_queue_full") == 2
+    assert nic0.tx_queue_full == 2
 
 
 def test_wrong_source_rejected(env, fab):
@@ -289,3 +289,10 @@ def test_fabric_total_counters(env, fab):
 def test_misdelivered_packet_rejected(env, fab):
     with pytest.raises(SimulationError, match="delivered to host"):
         fab.nic(0).deliver(make_pkt(src=1, dst=1))
+
+
+def test_fabric_total_rejects_a_misspelt_counter(fab):
+    # It must not read as zero: a conservation check built on it would
+    # pass vacuously.
+    with pytest.raises(AttributeError, match="pkts_sen"):
+        fab.total("pkts_sen")

@@ -710,7 +710,7 @@ def test_cli_run_exits_3_on_warn_mode_violations(monkeypatch, capsys):
             return FakeMetrics()
 
     monkeypatch.setattr(cli, "build_engine",
-                        lambda sc, tracer=None, obs=None, commstats=None: FakeEngine())
+                        lambda sc, obs=None, commstats=None: FakeEngine())
     assert cli.main(["run", "--sanitize"]) == SANITIZER_EXIT_CODE
     assert "lci.packet_leak" in capsys.readouterr().err
 
@@ -725,6 +725,6 @@ def test_cli_run_exits_3_on_sanitizer_error(monkeypatch, capsys):
                 "mpi.rma_overlapping_put", 0, 0.0, "planted race"))
 
     monkeypatch.setattr(cli, "build_engine",
-                        lambda sc, tracer=None, obs=None, commstats=None: FakeEngine())
+                        lambda sc, obs=None, commstats=None: FakeEngine())
     assert cli.main(["run", "--sanitize", "raise"]) == SANITIZER_EXIT_CODE
     assert "planted race" in capsys.readouterr().err

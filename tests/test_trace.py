@@ -1,4 +1,5 @@
-"""Tests for the execution tracer and its engine integration."""
+"""Activity spans and instants: the engine's round spans, their Chrome
+export, and the one atomic file writer underneath."""
 
 import json
 import os
@@ -8,83 +9,48 @@ import pytest
 from repro.apps import Bfs
 from repro.engine import BspEngine, EngineConfig
 from repro.graph.generators import rmat
+from repro.netapi.nic import Fabric
+from repro.obs import (
+    ObsContext,
+    save_chrome_trace,
+    save_timeline,
+    to_chrome_trace,
+    validate_chrome_trace,
+    validate_timeline,
+)
+from repro.obs.atomic import atomic_write_text
+from repro.sanitize import SanitizerContext
 from repro.sim.engine import Environment
-from repro.sim.trace import Span, Tracer
-
-
-def test_span_duration():
-    s = Span(0, "main", "compute", "round 0", 1.0, 3.5)
-    assert s.duration == 2.5
-
-
-def test_begin_end_uses_env_clock():
-    env = Environment()
-    tr = Tracer(env)
-    log = []
-
-    def proc(env):
-        h = tr.begin(0, "work", "step", actor="t0", round=1)
-        yield env.timeout(2.0)
-        span = tr.end(h, items=5)
-        log.append(span)
-
-    env.process(proc(env))
-    env.run()
-    (span,) = log
-    assert span.start == 0.0 and span.end == 2.0
-    assert span.args == {"round": 1, "items": 5}
-    assert tr.spans == [span]
-
-
-def test_disabled_tracer_records_nothing():
-    env = Environment()
-    tr = Tracer(env, enabled=False)
-    assert tr.begin(0, "c", "n") is None
-    tr.record(0, "c", "n", 0, 1)
-    tr.instant(0, "n", 0)
-    assert len(tr) == 0
-
-
-def test_begin_without_env_raises():
-    tr = Tracer()
-    with pytest.raises(ValueError):
-        tr.begin(0, "c", "n")
-
-
-def test_filtering_and_totals():
-    tr = Tracer(enabled=True)
-    tr.record(0, "compute", "r0", 0.0, 1.0)
-    tr.record(0, "compute", "r1", 2.0, 2.5)
-    tr.record(1, "compute", "r0", 0.0, 4.0)
-    tr.record(0, "comm", "r0", 1.0, 2.0)
-    assert len(tr.spans_for(host=0)) == 3
-    assert len(tr.spans_for(category="compute")) == 3
-    assert len(tr.spans_for(host=0, category="compute")) == 2
-    assert tr.total_time(0, "compute") == pytest.approx(1.5)
+from repro.sim.machine import stampede2
 
 
 def test_chrome_trace_export(tmp_path):
-    tr = Tracer()
-    tr.record(0, "compute", "r0", 0.0, 1e-6, actor="main", edges=10)
-    tr.instant(1, "barrier", 2e-6, round=0)
-    path = tr.save(str(tmp_path / "trace.json"))
+    timeline = {
+        "spans": [[0, "compute", "r0", 0.0, 1e-6, {"edges": 10}]],
+        "instants": [[1, "events", "barrier", 2e-6, {"round": 0}]],
+    }
+    path = save_chrome_trace(str(tmp_path / "trace.json"), timeline)
     with open(path) as f:
         data = json.load(f)
+    assert validate_chrome_trace(data) == []
     events = data["traceEvents"]
     x = [e for e in events if e["ph"] == "X"]
     i = [e for e in events if e["ph"] == "i"]
     m = [e for e in events if e["ph"] == "M"]
     assert len(x) == 1 and x[0]["dur"] == pytest.approx(1.0)  # us
+    assert x[0]["tid"] == "main" and x[0]["args"] == {"edges": 10}
     assert len(i) == 1 and i[0]["name"] == "barrier"
+    # One thread row per instant category.
+    assert i[0]["tid"] == i[0]["cat"] == "events"
     assert {e["pid"] for e in m} == {0, 1}
 
 
 def test_metadata_rows_sorted_and_complete():
-    tr = Tracer()
-    tr.record(2, "compute", "r0", 0.0, 1e-6)
-    tr.record(0, "compute", "r0", 0.0, 1e-6)
-    tr.record(1, "compute", "r0", 0.0, 1e-6)
-    m = [e for e in tr.to_chrome_trace()["traceEvents"] if e["ph"] == "M"]
+    timeline = {"spans": [
+        [h, "compute", "r0", 0.0, 1e-6, {}] for h in (2, 0, 1)
+    ]}
+    m = [e for e in to_chrome_trace(timeline)["traceEvents"]
+         if e["ph"] == "M"]
     # process_name + process_sort_index per host, in ascending host order.
     hosts = [e["pid"] for e in m if e["name"] == "process_name"]
     assert hosts == [0, 1, 2]
@@ -93,42 +59,139 @@ def test_metadata_rows_sorted_and_complete():
 
 
 def test_save_is_atomic(tmp_path):
-    """save() replaces the destination in one step: a crashed or raced
+    """A save replaces the destination in one step: a crashed or raced
     writer can never leave a truncated JSON behind."""
-    tr = Tracer()
-    tr.record(0, "compute", "r0", 0.0, 1e-6)
     path = tmp_path / "trace.json"
     path.write_text("stale-but-parseable-must-survive-until-replace")
-    tr.save(str(path))
+    save_chrome_trace(
+        str(path), {"spans": [[0, "compute", "r0", 0.0, 1e-6, {}]]})
     with open(path) as f:
         json.load(f)  # fully written
     assert os.listdir(tmp_path) == ["trace.json"]  # no temp droppings
 
 
 def test_atomic_write_json_cleans_up_on_failure(tmp_path):
-    from repro.sim.trace import atomic_write_json
-
     path = tmp_path / "out.json"
     with pytest.raises(TypeError):
-        atomic_write_json(str(path), {"bad": object()})
+        save_timeline(str(path), {"bad": object()})
     assert os.listdir(tmp_path) == []
+    # A failure inside the write itself removes the temp file and
+    # leaves what was there.
+    path.write_text("old")
+    with pytest.raises(TypeError):
+        atomic_write_text(str(path), b"not text")
+    assert os.listdir(tmp_path) == ["out.json"]
+    assert path.read_text() == "old"
 
 
 def test_engine_emits_spans():
     g = rmat(7, edge_factor=8, seed=3)
-    tracer = Tracer()
-    cfg = EngineConfig(num_hosts=4, layer="lci", tracer=tracer)
+    obs = ObsContext()
+    cfg = EngineConfig(num_hosts=4, layer="lci", obs=obs)
     eng = BspEngine(g, Bfs(source=0), cfg)
     metrics = eng.run()
     # One compute span per host per round, plus allreduce spans.
-    comp = tracer.spans_for(category="compute")
+    comp = [s for s in obs.spans if s[1] == "compute"]
     assert len(comp) == 4 * metrics.rounds
-    assert tracer.spans_for(category="allreduce")
-    # Tracer totals agree with the metrics' compute accounting.
+    assert sorted(s[2] for s in comp if s[0] == 0) == sorted(
+        f"round {r}" for r in range(metrics.rounds))
+    assert len([s for s in obs.spans if s[1] == "allreduce"]) == len(comp)
+    # Span totals agree with the metrics' compute accounting.
     for h in range(4):
-        assert tracer.total_time(h, "compute") == pytest.approx(
-            sum(eng._compute_rounds[h]), rel=1e-9
-        )
-    # The trace exports cleanly.
-    payload = tracer.to_chrome_trace()
-    assert any(e["ph"] == "X" for e in payload["traceEvents"])
+        total = sum(end - start for host, _c, _n, start, end, _a in comp
+                    if host == h)
+        assert total == pytest.approx(sum(eng._compute_rounds[h]), rel=1e-9)
+    # The timeline carries them and exports cleanly.
+    timeline = obs.as_timeline()
+    assert timeline["spans"] == obs.spans and timeline["instants"] == []
+    assert validate_timeline(timeline) == []
+    chrome = to_chrome_trace(timeline)
+    assert validate_chrome_trace(chrome) == []
+    assert len([e for e in chrome["traceEvents"]
+                if e["ph"] == "X" and e["cat"] == "compute"]) == len(comp)
+
+
+def test_sanitizer_violations_export_as_instants():
+    env = Environment()
+    fabric = Fabric(env, 2, stampede2())
+    fabric.sanitizer = san = SanitizerContext("warn", env=env)
+    obs = ObsContext().install(env, fabric)
+    san.violation("lci.packet_leak", 1, "two budgets never came home", held=2)
+    san.violation("mpi.finalize", -1, "not host-bound")
+    # Read at export from the sanitizer's own list; -1 lands on host 0.
+    assert obs.as_timeline()["instants"] == [
+        [1, "sanitizer", "san:lci.packet_leak", 0.0, {"held": 2}],
+        [0, "sanitizer", "san:mpi.finalize", 0.0, {}],
+    ]
+
+
+@pytest.mark.parametrize("section, row, problem", [
+    ("spans", [0, "compute", "r0", 0.0, {}], "not a 6-column row"),
+    ("spans", [0, "compute", "r0", 2.0, 1.0, {}], "ends before it starts"),
+    ("spans", ["0", "compute", "r0", 0.0, 1.0, {}], "host is not an int"),
+    ("spans", [0, "compute", "r0", 0.0, "1", {}], "non-numeric time"),
+    ("instants", [0, "fault", "drop", 0.0], "not a 5-column row"),
+    ("instants", [0, "", "drop", 0.0, {}], "non-empty strings"),
+    ("instants", [0, "fault", "drop", None, {}], "non-numeric time"),
+    ("instants", [0, "fault", "drop", 0.0, []], "args is not an object"),
+])
+def test_validate_timeline_rejects_malformed_span_and_instant_rows(
+        section, row, problem):
+    doc = ObsContext().as_timeline()
+    assert validate_timeline(doc) == []
+    doc[section] = [row]
+    (err,) = validate_timeline(doc)
+    assert err.startswith(f"{section[:-1]} 0: ") and problem in err
+
+
+# ----------------------------------------------------------------------
+# Committed documents go through the same writer
+# ----------------------------------------------------------------------
+def _failing_serializer(*_args, **_kwargs):
+    raise RuntimeError("serializer failed")
+
+
+def _write_bench(path, monkeypatch):
+    import argparse
+
+    import repro.bench.serve_bench as serve_bench
+    from repro.cli import _write_and_check_bench
+
+    monkeypatch.setattr(serve_bench, "bench_doc_to_json", _failing_serializer)
+    _write_and_check_bench(
+        {"scenarios": []}, argparse.Namespace(out=path, check=None),
+        "bench-core")
+
+
+def _write_comm_baseline(path, monkeypatch):
+    import repro.bench.core_bench as core_bench
+    import repro.obs.commstats as commstats
+    from repro.bench.scenarios import Scenario
+    from repro.cli import main
+
+    monkeypatch.setattr(core_bench, "CANONICAL_SCENARIOS", (
+        Scenario(app="bfs", graph="rmat", scale=7, hosts=2, layer="lci"),))
+    monkeypatch.setattr(commstats, "baseline_to_json", _failing_serializer)
+    main(["commstats", "--write-baseline", path])
+
+
+def _write_proto_baseline(path, monkeypatch):
+    from repro.sanitize import proto
+
+    unserializable = object()  # json.dumps raises TypeError on it
+    proto.save_baseline(
+        [proto.ProtoFinding("P201", "comm/x.py", 1, 0, unserializable, "f")],
+        path)
+
+
+@pytest.mark.parametrize("write", [
+    _write_bench, _write_comm_baseline, _write_proto_baseline,
+], ids=["bench", "comm-baseline", "proto-baseline"])
+def test_failed_serializer_leaves_committed_document_intact(
+        tmp_path, monkeypatch, write):
+    path = tmp_path / "COMMITTED.json"
+    path.write_text("the committed bytes")
+    with pytest.raises((RuntimeError, TypeError)):
+        write(str(path), monkeypatch)
+    assert os.listdir(tmp_path) == ["COMMITTED.json"]
+    assert path.read_text() == "the committed bytes"
