@@ -8,10 +8,14 @@ counts, the full work-counter dictionary, its fingerprint, and the
 communication-observatory totals (wire/blob volume + comm fingerprint,
 from an extra run that also pins the observatory's bit-identity
 contract).  Pure functions of the scenario, so CI regenerates them and
-fails on drift (exactly the ``BENCH_serve.json`` contract; written and
-checked by the same :func:`repro.bench.serve_bench.bench_doc_to_json` /
-:func:`~repro.bench.serve_bench.check_against_file`).  Any perf
-refactor that changes these changed *behaviour*, not just speed.
+fails on drift (exactly the ``BENCH_serve.json`` contract; encoded by
+:func:`repro.obs.atomic.canonical_json`, compared by
+:func:`repro.bench.serve_bench.compare_bench_docs`).  Any perf refactor
+that changes these changed *behaviour*, not just speed.
+
+The ``sim.comm`` blocks are the traffic gate: a change that moves one
+byte or one packet between any two hosts, on any layer, changes a
+``sim.comm`` fingerprint and fails ``repro bench-core --check``.
 
 Host time is not this module's business: ``benchmarks/perf`` measures
 it (and the profiler's own overhead, ``obs.trace_overhead_frac``).

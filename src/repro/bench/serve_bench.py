@@ -22,7 +22,6 @@ from repro.bench.scenarios import Scenario, run_scenario
 __all__ = [
     "BENCH_FORMAT",
     "serve_benchmark",
-    "bench_doc_to_json",
     "compare_bench_docs",
 ]
 
@@ -92,11 +91,6 @@ def serve_benchmark(
         "serve": serve_doc,
         "fig3": fig3_rows,
     }
-
-
-def bench_doc_to_json(doc: dict) -> str:
-    """Canonical byte-stable serialization (committed file contents)."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def compare_bench_docs(fresh: dict, committed: dict,

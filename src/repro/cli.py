@@ -25,16 +25,20 @@
     python -m repro bench-core [--out BENCH_core.json] \\
         [--check BENCH_core.json]
     python -m repro run ... --comm comm.json
-    python -m repro explain obs.json --comm
-    python -m repro commstats --app bfs --scale 10 --hosts 8 --layer lci
-    python -m repro commstats --canonical [--check-baseline \\
-        [COMM_BASELINE.json]] [--write-baseline [COMM_BASELINE.json]]
+    python -m repro commstats --app bfs --scale 10 --hosts 8 --layer lci \\
+        [--json c.json] [--csv c.csv] [--heatmap h.txt] [--prom c.prom]
 
 Each subcommand prints the same tables the benchmark harness produces.
+``bench-core --check BENCH_core.json`` is the traffic gate: its
+``sim.comm`` blocks pin every canonical scenario's comm fingerprint.
+The scenario flags (``--graph`` ... ``--seed``, ``--app``, ``--mpi`` /
+``--pagerank-rounds``) are declared once and shared by the verbs that
+take them; counts are range-checked at parse time.
 
 Exit codes: 0 success; 1 generic failure / lint findings; 2 usage
-errors; 3 (:data:`repro.sanitize.SANITIZER_EXIT_CODE`) when a run
-finished but warn-mode protocol sanitizers recorded violations.
+errors (bad flags, unknown fault plans, unreadable tapes); 3
+(:data:`repro.sanitize.SANITIZER_EXIT_CODE`) when a run finished but
+warn-mode protocol sanitizers recorded violations.
 """
 
 from __future__ import annotations
@@ -56,6 +60,70 @@ from repro.sanitize.runtime import (
 __all__ = ["main", "build_parser"]
 
 
+APPS = ["bfs", "cc", "sssp", "pagerank", "kcore"]
+GRAPHS = ["rmat", "kron", "webcrawl"]
+SYSTEMS = ["abelian", "gemini"]
+
+
+def _at_least(low, kind=int):
+    """An argparse ``type``: a ``kind`` value no smaller than ``low``, so
+    a bad count ends in one ``error:`` line and exit 2."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+    return parse
+
+
+COUNT = _at_least(1)
+SCALE = _at_least(0)
+
+
+# The scenario flags, declared once.  Each verb gets fresh parent parsers:
+# argparse hands a parent's action objects to every child, so one verb's
+# ``set_defaults(scale=...)`` would otherwise move every other verb's.
+def _cluster_flags() -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--graph", default="rmat", choices=GRAPHS)
+    flags.add_argument("--scale", type=SCALE)
+    flags.add_argument("--hosts", type=COUNT)
+    flags.add_argument("--layer", default="lci", choices=list(LAYER_NAMES))
+    flags.add_argument("--system", default="abelian", choices=SYSTEMS)
+    flags.add_argument("--machine", default="stampede2",
+                       choices=["stampede2", "stampede1"])
+    flags.add_argument("--seed", type=int, default=1)
+    return flags
+
+
+def _app_flag() -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--app", default="bfs", choices=APPS)
+    return flags
+
+
+def _mpi_flags() -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--mpi", default="intelmpi", dest="mpi_impl",
+                       choices=["intelmpi", "mvapich2", "openmpi"])
+    flags.add_argument("--pagerank-rounds", type=COUNT, default=20)
+    return flags
+
+
+def _bench_flags() -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--out", metavar="PATH",
+                       help="write the benchmark document here")
+    flags.add_argument("--check", metavar="PATH",
+                       help="compare against a committed document; exit 1 "
+                            "on drift (read before the benchmark runs)")
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -63,22 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one scenario")
-    run.add_argument("--app", default="bfs",
-                     choices=["bfs", "cc", "sssp", "pagerank", "kcore"])
-    run.add_argument("--graph", default="rmat",
-                     choices=["rmat", "kron", "webcrawl"])
-    run.add_argument("--scale", type=int, default=12)
-    run.add_argument("--hosts", type=int, default=16)
-    run.add_argument("--layer", default="lci", choices=list(LAYER_NAMES))
-    run.add_argument("--system", default="abelian",
-                     choices=["abelian", "gemini"])
-    run.add_argument("--machine", default="stampede2",
-                     choices=["stampede2", "stampede1"])
-    run.add_argument("--mpi", default="intelmpi", dest="mpi_impl",
-                     choices=["intelmpi", "mvapich2", "openmpi"])
-    run.add_argument("--pagerank-rounds", type=int, default=20)
-    run.add_argument("--seed", type=int, default=1)
+    run = sub.add_parser(
+        "run", help="run one scenario",
+        parents=[_cluster_flags(), _app_flag(), _mpi_flags()],
+    )
+    run.set_defaults(scale=12, hosts=16)
     run.add_argument("--sanitize", nargs="?", const="warn",
                      choices=["warn", "raise"], default=None,
                      help="arm the protocol sanitizers (default mode: "
@@ -104,26 +161,16 @@ def build_parser() -> argparse.ArgumentParser:
                           "merged into the Prometheus output")
 
     chaos = sub.add_parser(
-        "chaos", help="run one scenario under a named fault plan"
+        "chaos", help="run one scenario under a named fault plan",
+        parents=[_cluster_flags(), _app_flag()],
     )
+    chaos.set_defaults(scale=10, hosts=4)
     chaos.add_argument("--plan", default="flaky-link",
                        help="fault plan name (see --list-plans)")
     chaos.add_argument("--fault-seed", type=int, default=None,
                        help="seed of the fault draw streams")
     chaos.add_argument("--list-plans", action="store_true",
                        help="list the named fault plans and exit")
-    chaos.add_argument("--app", default="bfs",
-                       choices=["bfs", "cc", "sssp", "pagerank", "kcore"])
-    chaos.add_argument("--graph", default="rmat",
-                       choices=["rmat", "kron", "webcrawl"])
-    chaos.add_argument("--scale", type=int, default=10)
-    chaos.add_argument("--hosts", type=int, default=4)
-    chaos.add_argument("--layer", default="lci", choices=list(LAYER_NAMES))
-    chaos.add_argument("--system", default="abelian",
-                       choices=["abelian", "gemini"])
-    chaos.add_argument("--machine", default="stampede2",
-                       choices=["stampede2", "stampede1"])
-    chaos.add_argument("--seed", type=int, default=1)
     chaos.add_argument("--sanitize", nargs="?", const="warn",
                        choices=["warn", "raise"], default=None,
                        help="arm the protocol sanitizers for both the "
@@ -150,21 +197,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="how many slowest messages to break down")
     explain.add_argument("--per-round", action="store_true",
                          help="include the per-round dominant-stage table")
-    explain.add_argument("--comm", action="store_true",
-                         help="append the communication-pattern report "
-                              "(blob matrices reconstructed from the "
-                              "timeline's api events)")
 
-    sweep = sub.add_parser("sweep", help="host-count sweep across layers")
-    sweep.add_argument("--app", default="pagerank",
-                       choices=["bfs", "cc", "sssp", "pagerank", "kcore"])
-    sweep.add_argument("--graph", default="kron",
-                       choices=["rmat", "kron", "webcrawl"])
-    sweep.add_argument("--scale", type=int, default=12)
-    sweep.add_argument("--hosts", type=int, nargs="+", default=[4, 16, 64])
-    sweep.add_argument("--system", default="abelian",
-                       choices=["abelian", "gemini"])
-    sweep.add_argument("--pagerank-rounds", type=int, default=10)
+    sweep = sub.add_parser("sweep", help="host-count sweep across layers",
+                           parents=[_app_flag()])
+    sweep.set_defaults(app="pagerank")
+    sweep.add_argument("--graph", default="kron", choices=GRAPHS)
+    sweep.add_argument("--scale", type=SCALE, default=12)
+    sweep.add_argument("--hosts", type=COUNT, nargs="+", default=[4, 16, 64])
+    sweep.add_argument("--system", default="abelian", choices=SYSTEMS)
+    sweep.add_argument("--pagerank-rounds", type=COUNT, default=10)
 
     micro = sub.add_parser("micro", help="Fig. 1 microbenchmarks")
     micro.add_argument("--sizes", type=int, nargs="+",
@@ -173,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=[1, 4, 16, 64])
 
     inputs = sub.add_parser("inputs", help="Table I input properties")
-    inputs.add_argument("--scale", type=int, default=14)
+    inputs.add_argument("--scale", type=SCALE, default=14)
 
     sub.add_parser("calibrate", help="model-calibration report")
 
@@ -181,27 +222,19 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="long-lived query service: serve a traffic tape against a "
              "resident graph",
+        parents=[_cluster_flags()],
     )
-    serve.add_argument("--graph", default="rmat",
-                       choices=["rmat", "kron", "webcrawl"])
-    serve.add_argument("--scale", type=int, default=10)
-    serve.add_argument("--hosts", type=int, default=4)
-    serve.add_argument("--layer", default="lci", choices=list(LAYER_NAMES))
-    serve.add_argument("--system", default="abelian",
-                       choices=["abelian", "gemini"])
-    serve.add_argument("--machine", default="stampede2",
-                       choices=["stampede2", "stampede1"])
-    serve.add_argument("--seed", type=int, default=1)
-    serve.add_argument("--max-batch", type=int, default=8,
+    serve.set_defaults(scale=10, hosts=4)
+    serve.add_argument("--max-batch", type=COUNT, default=8,
                        help="max queries fused into one batched execution")
-    serve.add_argument("--ppr-rounds", type=int, default=10)
+    serve.add_argument("--ppr-rounds", type=COUNT, default=10)
     serve.add_argument("--tape", metavar="PATH",
                        help="replay a saved tape JSON instead of "
                             "generating one")
-    serve.add_argument("--tape-queries", type=int, default=48,
+    serve.add_argument("--tape-queries", type=COUNT, default=48,
                        help="generated tape length")
     serve.add_argument("--tape-seed", type=int, default=7)
-    serve.add_argument("--tape-gap", type=float, default=2e-4,
+    serve.add_argument("--tape-gap", type=_at_least(0, float), default=2e-4,
                        help="mean inter-arrival gap in simulated seconds")
     serve.add_argument("--save-tape", metavar="PATH",
                        help="write the (generated or replayed) tape JSON")
@@ -226,37 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
                             "include the comm summary in batch logs "
                             "and the report")
 
-    bench_serve = sub.add_parser(
-        "bench-serve",
+    sub.add_parser(
+        "bench-serve", parents=[_bench_flags()],
         help="deterministic serve benchmark (BENCH_serve.json)",
     )
-    bench_serve.add_argument("--out", metavar="PATH",
-                             help="write the benchmark document here")
-    bench_serve.add_argument("--check", metavar="PATH",
-                             help="compare against a committed document; "
-                                  "exit 1 on drift")
 
     profile = sub.add_parser(
         "profile",
         help="run one scenario under the host-side region profiler "
              "and work-counter registry",
+        parents=[_cluster_flags(), _app_flag(), _mpi_flags()],
     )
-    profile.add_argument("--app", default="bfs",
-                         choices=["bfs", "cc", "sssp", "pagerank", "kcore"])
-    profile.add_argument("--graph", default="rmat",
-                         choices=["rmat", "kron", "webcrawl"])
-    profile.add_argument("--scale", type=int, default=10)
-    profile.add_argument("--hosts", type=int, default=8)
-    profile.add_argument("--layer", default="lci",
-                         choices=list(LAYER_NAMES))
-    profile.add_argument("--system", default="abelian",
-                         choices=["abelian", "gemini"])
-    profile.add_argument("--machine", default="stampede2",
-                         choices=["stampede2", "stampede1"])
-    profile.add_argument("--mpi", default="intelmpi", dest="mpi_impl",
-                         choices=["intelmpi", "mvapich2", "openmpi"])
-    profile.add_argument("--pagerank-rounds", type=int, default=20)
-    profile.add_argument("--seed", type=int, default=1)
+    profile.set_defaults(scale=10, hosts=8)
     profile.add_argument("--top", type=int, default=15,
                          help="rows in the self-time table")
     profile.add_argument("--json", metavar="PATH", dest="json_path",
@@ -271,64 +285,28 @@ def build_parser() -> argparse.ArgumentParser:
         "commstats",
         help="communication-pattern observatory: traffic matrices, "
              "skew analytics, and comm fingerprints",
+        parents=[_cluster_flags(), _app_flag(), _mpi_flags()],
     )
-    commstats.add_argument("--app", default="bfs",
-                           choices=["bfs", "cc", "sssp", "pagerank",
-                                    "kcore"])
-    commstats.add_argument("--graph", default="rmat",
-                           choices=["rmat", "kron", "webcrawl"])
-    commstats.add_argument("--scale", type=int, default=10)
-    commstats.add_argument("--hosts", type=int, default=8)
-    commstats.add_argument("--layer", default="lci",
-                           choices=list(LAYER_NAMES))
-    commstats.add_argument("--system", default="abelian",
-                           choices=["abelian", "gemini"])
-    commstats.add_argument("--machine", default="stampede2",
-                           choices=["stampede2", "stampede1"])
-    commstats.add_argument("--mpi", default="intelmpi", dest="mpi_impl",
-                           choices=["intelmpi", "mvapich2", "openmpi"])
-    commstats.add_argument("--pagerank-rounds", type=int, default=20)
-    commstats.add_argument("--seed", type=int, default=1)
+    commstats.set_defaults(scale=10, hosts=8)
     commstats.add_argument("--fault-plan", default=None,
                            help="run under a named fault plan (the "
                                 "dropped matrix attributes lost bytes)")
-    commstats.add_argument("--canonical", action="store_true",
-                           help="run every canonical bench-core "
-                                "scenario instead of one ad-hoc run")
     commstats.add_argument("--json", metavar="PATH", dest="json_path",
-                           help="write the comm-doc JSON (with "
-                                "--canonical: a label->doc mapping)")
+                           help="write the comm-doc JSON")
     commstats.add_argument("--csv", metavar="PATH", dest="csv_path",
-                           help="write the flat CSV matrix dump "
-                                "(single-scenario mode only)")
+                           help="write the flat CSV matrix dump")
     commstats.add_argument("--heatmap", metavar="PATH",
                            dest="heatmap_path",
-                           help="write the ASCII heatmap(s) to PATH")
+                           help="write the ASCII heatmap to PATH")
     commstats.add_argument("--prom", metavar="PATH", dest="prom_path",
                            help="write the repro_comm_* Prometheus "
-                                "families (single-scenario mode only)")
-    commstats.add_argument("--write-baseline", nargs="?",
-                           const="COMM_BASELINE.json", default=None,
-                           metavar="PATH", dest="write_baseline",
-                           help="write per-scenario comm fingerprints "
-                                "for the canonical scenarios (implies "
-                                "--canonical)")
-    commstats.add_argument("--check-baseline", nargs="?",
-                           const="COMM_BASELINE.json", default=None,
-                           metavar="PATH", dest="check_baseline",
-                           help="exit 1 if any canonical scenario's "
-                                "comm volume drifted from the baseline "
-                                "file (implies --canonical)")
+                                "families")
 
     bench_core = sub.add_parser(
-        "bench-core",
-        help="deterministic simulator-core benchmark (BENCH_core.json)",
+        "bench-core", parents=[_bench_flags()],
+        help="deterministic simulator-core benchmark (BENCH_core.json); "
+             "its sim.comm blocks are the traffic gate",
     )
-    bench_core.add_argument("--out", metavar="PATH",
-                            help="write the benchmark document here")
-    bench_core.add_argument("--check", metavar="PATH",
-                            help="compare against a committed document; "
-                                 "exit 1 on drift")
     bench_core.add_argument("--repeats", type=int, default=2,
                             help="runs per scenario (every repeat must "
                                  "reproduce the counter fingerprint)")
@@ -376,24 +354,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: The :class:`Scenario` fields a verb's flags set.
+SCENARIO_FLAGS = ("app", "graph", "scale", "hosts", "layer", "system",
+                  "machine", "mpi_impl", "pagerank_rounds", "seed",
+                  "sanitize")
+
+
+def _scenario(args) -> Scenario:
+    """The scenario a verb's flags name; unset fields keep their
+    defaults."""
+    return Scenario(**{name: getattr(args, name) for name in SCENARIO_FLAGS
+                       if hasattr(args, name)})
+
+
 def _cmd_run(args) -> int:
     obs = None
-    obs_path = args.obs
-    if obs_path or args.obs_chrome or args.obs_prom:
+    obs_path = args.obs or "obs-timeline.json"
+    if args.obs or args.obs_chrome or args.obs_prom:
         from repro.obs import ObsContext
         obs = ObsContext()
-        if obs_path is None:
-            obs_path = "obs-timeline.json"
     commstats = None
     if args.comm_path:
         from repro.obs import CommStatsContext
         commstats = CommStatsContext()
-    sc = Scenario(
-        app=args.app, graph=args.graph, scale=args.scale, hosts=args.hosts,
-        layer=args.layer, system=args.system, machine=args.machine,
-        mpi_impl=args.mpi_impl, pagerank_rounds=args.pagerank_rounds,
-        seed=args.seed, sanitize=args.sanitize,
-    )
+    sc = _scenario(args)
     from repro.obs.profile import wall_now
 
     wall0 = wall_now()
@@ -483,10 +467,6 @@ def _cmd_explain(args) -> int:
                 print(f"invalid timeline: {err}", file=sys.stderr)
             return 1
     print(explain_report(timeline, top=args.top, per_round=args.per_round))
-    if args.comm:
-        from repro.obs import format_comm_report, timeline_comm_doc
-        print()
-        print(format_comm_report(timeline_comm_doc(timeline)))
     return 0
 
 
@@ -507,17 +487,11 @@ def _cmd_chaos(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     obs = None
-    obs_path = args.obs
-    if obs_path or args.obs_chrome:
+    obs_path = args.obs or "obs-timeline.json"
+    if args.obs or args.obs_chrome:
         from repro.obs import ObsContext
         obs = ObsContext()
-        if obs_path is None:
-            obs_path = "obs-timeline.json"
-    sc = Scenario(
-        app=args.app, graph=args.graph, scale=args.scale, hosts=args.hosts,
-        layer=args.layer, system=args.system, machine=args.machine,
-        seed=args.seed, sanitize=args.sanitize,
-    )
+    sc = _scenario(args)
     try:
         # --obs also arms the comm observatory so the report can
         # attribute byte deltas (retransmits, drops) to the fault plan.
@@ -616,9 +590,7 @@ def _cmd_calibrate(_args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import json
-
-    from repro.obs.atomic import atomic_write_text
+    from repro.obs.atomic import atomic_write_text, canonical_json
     from repro.serve import (
         ServeConfig,
         ServeEngine,
@@ -649,14 +621,12 @@ def _cmd_serve(args) -> int:
         )
         queries = generate_tape(spec)
 
-    obs_path = args.obs
+    obs_path = args.obs or "obs-serve.json"
     obs_config = None
     profile = None
-    if obs_path or args.obs_prom:
+    if args.obs or args.obs_prom:
         from repro.obs import ObsConfig
         obs_config = ObsConfig()
-        if obs_path is None:
-            obs_path = "obs-serve.json"
     if args.obs_prom:
         from repro.obs import ProfileContext
         profile = ProfileContext()
@@ -687,10 +657,7 @@ def _cmd_serve(args) -> int:
         # Deterministic by default: replaying the same tape must produce
         # a byte-identical report file.  Wall-clock throughput stays
         # available via ServeReport.as_dict(include_wall=True).
-        atomic_write_text(
-            args.report,
-            json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n",
-        )
+        atomic_write_text(args.report, canonical_json(report.as_dict()))
         print(f"report written to {args.report}")
     if obs_config is not None and engine.last_obs is not None:
         from repro.obs import save_timeline, to_prometheus
@@ -725,135 +692,71 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_commstats(args) -> int:
-    import json as _json
-
+    from repro.faults import get_plan
     from repro.obs.atomic import atomic_write_text
     from repro.obs.commstats import (
         CommStatsContext,
-        baseline_entry,
-        baseline_to_json,
-        check_comm_baseline,
         comm_doc_to_csv,
-        comm_doc_to_json,
         comm_prometheus_lines,
         format_comm_report,
-        make_baseline,
         render_heatmap,
+        save_comm_doc,
     )
 
-    canonical = bool(
-        args.canonical or args.write_baseline or args.check_baseline
-    )
-    if canonical:
-        from repro.bench.core_bench import CANONICAL_SCENARIOS
-        if args.fault_plan:
-            print("error: --fault-plan is incompatible with the "
-                  "canonical baseline scenarios", file=sys.stderr)
-            return 2
-        scenarios = list(CANONICAL_SCENARIOS)
-    else:
-        scenarios = [Scenario(
-            app=args.app, graph=args.graph, scale=args.scale,
-            hosts=args.hosts, layer=args.layer, system=args.system,
-            machine=args.machine, mpi_impl=args.mpi_impl,
-            pagerank_rounds=args.pagerank_rounds, seed=args.seed,
-        )]
-
-    docs = {}
-    for sc in scenarios:
-        ctx = CommStatsContext()
-        build_engine(sc, fault_plan=args.fault_plan, commstats=ctx).run()
-        docs[sc.label()] = ctx.comm_doc(meta={"scenario": sc.label()})
-
-    if canonical:
-        for label in sorted(docs):
-            totals = docs[label]["totals"]
-            print(f"{label}: {totals['wire_msgs']} pkts / "
-                  f"{totals['wire_bytes']} wire bytes, "
-                  f"{totals['blob_msgs']} blobs / "
-                  f"{totals['blob_bytes']} payload bytes, "
-                  f"fingerprint {docs[label]['fingerprint']}")
-    else:
-        print(format_comm_report(next(iter(docs.values()))))
+    try:
+        plan = get_plan(args.fault_plan) if args.fault_plan else None
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    sc = _scenario(args)
+    ctx = CommStatsContext()
+    build_engine(sc, fault_plan=plan, commstats=ctx).run()
+    doc = ctx.comm_doc(meta={"scenario": sc.label()})
+    print(format_comm_report(doc))
 
     if args.json_path:
-        if canonical:
-            payload = _json.dumps(docs, sort_keys=True, indent=2) + "\n"
-        else:
-            payload = comm_doc_to_json(next(iter(docs.values())))
-        atomic_write_text(args.json_path, payload)
+        save_comm_doc(args.json_path, doc)
         print(f"comm-doc json written to {args.json_path}")
     if args.csv_path:
-        if canonical:
-            print("error: --csv needs single-scenario mode",
-                  file=sys.stderr)
-            return 2
-        atomic_write_text(
-            args.csv_path, comm_doc_to_csv(next(iter(docs.values()))))
+        atomic_write_text(args.csv_path, comm_doc_to_csv(doc))
         print(f"comm csv written to {args.csv_path}")
     if args.heatmap_path:
-        chunks = []
-        for label in sorted(docs):
-            chunks.append(f"== {label} ==")
-            chunks.append(render_heatmap(docs[label]))
-            chunks.append("")
-        atomic_write_text(args.heatmap_path, "\n".join(chunks))
+        atomic_write_text(args.heatmap_path,
+                          f"== {sc.label()} ==\n{render_heatmap(doc)}\n")
         print(f"heatmap written to {args.heatmap_path}")
     if args.prom_path:
-        if canonical:
-            print("error: --prom needs single-scenario mode",
-                  file=sys.stderr)
-            return 2
-        atomic_write_text(
-            args.prom_path,
-            "\n".join(comm_prometheus_lines(next(iter(docs.values()))))
-            + "\n",
-        )
+        atomic_write_text(args.prom_path,
+                          "\n".join(comm_prometheus_lines(doc)) + "\n")
         print(f"comm prometheus metrics written to {args.prom_path}")
-
-    entries = {label: baseline_entry(docs[label]) for label in docs}
-    if args.write_baseline:
-        atomic_write_text(
-            args.write_baseline, baseline_to_json(make_baseline(entries)))
-        print(f"comm baseline written to {args.write_baseline}")
-        return 0
-    if args.check_baseline:
-        try:
-            with open(args.check_baseline) as fh:
-                committed = _json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline "
-                  f"{args.check_baseline}: {exc}", file=sys.stderr)
-            return 2
-        problems = check_comm_baseline(entries, committed)
-        if problems:
-            for problem in problems:
-                print(f"comm drift: {problem}", file=sys.stderr)
-            print(f"{len(problems)} drift(s) vs {args.check_baseline}; "
-                  "communication volume changed — fix the regression or "
-                  "regenerate deliberately with `repro commstats "
-                  f"--canonical --write-baseline {args.check_baseline}`",
-                  file=sys.stderr)
-            return 1
-        print(f"comm fingerprints match {args.check_baseline}")
     return 0
 
 
-def _write_and_check_bench(doc: dict, args, verb: str) -> int:
-    """The shared tail of ``bench-serve`` / ``bench-core``: ``--out``
-    writes the canonical document, ``--check`` fails on any drift."""
-    from repro.bench.serve_bench import bench_doc_to_json, check_against_file
-    from repro.obs.atomic import atomic_write_text
+def _bench_verb(args, verb: str, run) -> int:
+    """The shared body of ``bench-serve`` / ``bench-core``: the
+    ``--check`` document is read first (an unreadable one fails before
+    the benchmark runs), ``run()`` builds the fresh document or returns
+    None on failure, ``--out`` writes it, ``--check`` fails on drift."""
+    import json
 
-    if args.out:
-        atomic_write_text(args.out, bench_doc_to_json(doc))
-        print(f"benchmark written to {args.out}")
+    from repro.bench.serve_bench import compare_bench_docs
+    from repro.obs.atomic import atomic_write_text, canonical_json
+
     if args.check:
-        diffs = check_against_file(doc, args.check)
-        if diffs is None:
+        try:
+            with open(args.check) as fh:
+                committed = json.load(fh)
+        except (OSError, ValueError):
             print(f"error: cannot read committed benchmark {args.check}",
                   file=sys.stderr)
             return 1
+    doc = run()
+    if doc is None:
+        return 1
+    if args.out:
+        atomic_write_text(args.out, canonical_json(doc))
+        print(f"benchmark written to {args.out}")
+    if args.check:
+        diffs = compare_bench_docs(doc, committed)
         if diffs:
             for d in diffs[:20]:
                 print(f"benchmark drift: {d}", file=sys.stderr)
@@ -868,25 +771,23 @@ def _write_and_check_bench(doc: dict, args, verb: str) -> int:
 def _cmd_bench_serve(args) -> int:
     from repro.bench.serve_bench import serve_benchmark
 
-    doc = serve_benchmark()
-    serve_doc = doc["serve"]
-    print(f"serve: {serve_doc['throughput']['queries_per_sec']} queries/s, "
-          f"p50 {serve_doc['latency']['p50_us']}us, "
-          f"p95 {serve_doc['latency']['p95_us']}us, "
-          f"p99 {serve_doc['latency']['p99_us']}us, "
-          f"{serve_doc['throughput']['messages_per_sec']} msgs/s")
-    return _write_and_check_bench(doc, args, "bench-serve")
+    def run():
+        doc = serve_benchmark()
+        serve_doc = doc["serve"]
+        print(f"serve: {serve_doc['throughput']['queries_per_sec']} "
+              f"queries/s, p50 {serve_doc['latency']['p50_us']}us, "
+              f"p95 {serve_doc['latency']['p95_us']}us, "
+              f"p99 {serve_doc['latency']['p99_us']}us, "
+              f"{serve_doc['throughput']['messages_per_sec']} msgs/s")
+        return doc
+
+    return _bench_verb(args, "bench-serve", run)
 
 
 def _cmd_profile(args) -> int:
     from repro.obs.profile import ProfileContext, wall_now
 
-    sc = Scenario(
-        app=args.app, graph=args.graph, scale=args.scale, hosts=args.hosts,
-        layer=args.layer, system=args.system, machine=args.machine,
-        mpi_impl=args.mpi_impl, pagerank_rounds=args.pagerank_rounds,
-        seed=args.seed,
-    )
+    sc = _scenario(args)
     ctx = ProfileContext()
     engine = build_engine(sc, profile=ctx)
     wall0 = wall_now()
@@ -912,18 +813,21 @@ def _cmd_profile(args) -> int:
 def _cmd_bench_core(args) -> int:
     from repro.bench.core_bench import core_benchmark
 
-    try:
-        doc = core_benchmark(repeats=args.repeats)
-    except AssertionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for row in doc["scenarios"]:
-        sim = row["sim"]
-        print(f"{row['label']}: {sim['events_fired']} events, "
-              f"fingerprint {sim['fingerprint']}, "
-              f"comm {sim['comm']['wire_bytes']} B "
-              f"[{sim['comm']['fingerprint']}]")
-    return _write_and_check_bench(doc, args, "bench-core")
+    def run():
+        try:
+            doc = core_benchmark(repeats=args.repeats)
+        except AssertionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return None
+        for row in doc["scenarios"]:
+            sim = row["sim"]
+            print(f"{row['label']}: {sim['events_fired']} events, "
+                  f"fingerprint {sim['fingerprint']}, "
+                  f"comm {sim['comm']['wire_bytes']} B "
+                  f"[{sim['comm']['fingerprint']}]")
+        return doc
+
+    return _bench_verb(args, "bench-core", run)
 
 
 def _cmd_lint(args) -> int:

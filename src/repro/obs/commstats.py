@@ -20,7 +20,12 @@ Two levels of accounting are collected:
   ``(src, dst) -> [blobs, bytes]`` matrix recorded at the comm-layer
   API boundary (:meth:`CommLayer.trace_send`), so blob counts/bytes
   telescope exactly to ``RunMetrics.blobs_sent`` and
-  ``RunMetrics.payload_bytes_sent``.
+  ``RunMetrics.payload_bytes_sent``.  Blob matrices are recorded here
+  and nowhere else.
+
+The traffic gate is ``repro bench-core``: each canonical scenario's
+``sim.comm`` block in ``BENCH_core.json`` carries its wire / blob
+totals and :func:`comm_fingerprint`.
 
 The hot path touches only plain dict/list cells — no per-packet object
 allocation, no formatting; everything presentation-shaped (the
@@ -35,12 +40,11 @@ import json
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.atomic import atomic_write_text
+from repro.obs.atomic import atomic_write_text, canonical_json
 
 __all__ = [
     "COMM_DOC_KIND",
     "COMM_DOC_VERSION",
-    "COMM_BASELINE_FORMAT",
     "EAGER_KINDS",
     "RENDEZVOUS_KINDS",
     "ACK_KINDS",
@@ -48,28 +52,25 @@ __all__ = [
     "analyze_comm",
     "gini",
     "comm_fingerprint",
-    "comm_doc_to_json",
     "save_comm_doc",
     "comm_doc_to_csv",
     "render_heatmap",
     "comm_prometheus_lines",
     "format_comm_report",
-    "timeline_comm_doc",
-    "baseline_entry",
-    "make_baseline",
-    "baseline_to_json",
-    "check_comm_baseline",
 ]
 
 COMM_DOC_KIND = "repro-comm-doc"
 COMM_DOC_VERSION = 1
-COMM_BASELINE_FORMAT = "repro-comm-baseline/v1"
 
 #: Wire-kind segmentation (Section III: eager copies vs the
 #: RTS->RTR->RDMA rendezvous path vs pure acknowledgements).
 EAGER_KINDS = ("EGR",)
 RENDEZVOUS_KINDS = ("RTS", "RTR", "RDMA")
 ACK_KINDS = ("ACK",)
+_SEGMENT = {kind: seg for seg, kinds in (("eager", EAGER_KINDS),
+                                          ("rendezvous", RENDEZVOUS_KINDS),
+                                          ("ack", ACK_KINDS))
+            for kind in kinds}
 
 _HEAT_CHARS = " .:-=+*#%@"
 _HEAT_MAX_CELLS = 40
@@ -183,18 +184,48 @@ class CommStatsContext:
     # Snapshot folding
     # ------------------------------------------------------------------
     def comm_doc(self, meta: Optional[dict] = None) -> dict:
-        """Fold the cells into the canonical comm-doc (plain dict)."""
+        """Fold the cells into the fingerprinted, analyzed comm-doc."""
         doc_meta = {"layer": self.layer, "hosts": self.num_hosts}
         if meta:
             doc_meta.update(meta)
-        return build_comm_doc(
-            wire=self._wire,
-            dropped=self._dropped,
-            hist=self._hist,
-            blobs=self._blob,
-            meta=doc_meta,
-            hotspots=self.hotspots,
-        )
+        hist = self._hist
+        doc = {
+            "kind": COMM_DOC_KIND,
+            "version": COMM_DOC_VERSION,
+            "meta": doc_meta,
+            "wire": _section(self._wire),
+            "dropped": _section(self._dropped),
+            "hist": {
+                kind: {str(b): hist[kind][b] for b in sorted(hist[kind])}
+                for kind in sorted(hist)
+            },
+            "blobs": _section(self._blob),
+        }
+        totals = {
+            "wire_msgs": 0, "wire_bytes": 0,
+            "dropped_msgs": 0, "dropped_bytes": 0,
+            "blob_msgs": 0, "blob_bytes": 0,
+            "eager_msgs": 0, "eager_bytes": 0,
+            "rendezvous_msgs": 0, "rendezvous_bytes": 0,
+            "ack_msgs": 0, "ack_bytes": 0,
+        }
+
+        def add(seg: str, block: dict) -> None:
+            totals[f"{seg}_msgs"] += block["msgs"]
+            totals[f"{seg}_bytes"] += block["bytes"]
+
+        for kind in sorted(doc["wire"]):
+            add("wire", doc["wire"][kind])
+            if kind in _SEGMENT:
+                add(_SEGMENT[kind], doc["wire"][kind])
+        for kind in sorted(doc["dropped"]):
+            add("dropped", doc["dropped"][kind])
+        for phase in sorted(doc["blobs"]):
+            add("blob", doc["blobs"][phase])
+        doc["totals"] = totals
+        doc["fingerprint"] = comm_fingerprint(doc)
+        doc["analysis"] = analyze_comm(doc, hotspots=self.hotspots)
+        return doc
 
 
 # ----------------------------------------------------------------------
@@ -215,62 +246,6 @@ def _matrix_block(cells: Dict[Tuple[int, int], List[int]]) -> dict:
 
 def _section(raw: Dict[str, Dict[Tuple[int, int], List[int]]]) -> dict:
     return {name: _matrix_block(raw[name]) for name in sorted(raw)}
-
-
-def build_comm_doc(
-    wire: Dict[str, Dict[Tuple[int, int], List[int]]],
-    dropped: Dict[str, Dict[Tuple[int, int], List[int]]],
-    hist: Dict[str, Dict[int, int]],
-    blobs: Dict[str, Dict[Tuple[int, int], List[int]]],
-    meta: dict,
-    hotspots: int = 8,
-) -> dict:
-    """Assemble + fingerprint + analyze a comm-doc from raw cells."""
-    doc = {
-        "kind": COMM_DOC_KIND,
-        "version": COMM_DOC_VERSION,
-        "meta": dict(meta),
-        "wire": _section(wire),
-        "dropped": _section(dropped),
-        "hist": {
-            kind: {str(b): hist[kind][b] for b in sorted(hist[kind])}
-            for kind in sorted(hist)
-        },
-        "blobs": _section(blobs),
-    }
-    totals = {
-        "wire_msgs": 0, "wire_bytes": 0,
-        "dropped_msgs": 0, "dropped_bytes": 0,
-        "blob_msgs": 0, "blob_bytes": 0,
-        "eager_msgs": 0, "eager_bytes": 0,
-        "rendezvous_msgs": 0, "rendezvous_bytes": 0,
-        "ack_msgs": 0, "ack_bytes": 0,
-    }
-    for kind in sorted(doc["wire"]):
-        block = doc["wire"][kind]
-        totals["wire_msgs"] += block["msgs"]
-        totals["wire_bytes"] += block["bytes"]
-        if kind in EAGER_KINDS:
-            seg = "eager"
-        elif kind in RENDEZVOUS_KINDS:
-            seg = "rendezvous"
-        elif kind in ACK_KINDS:
-            seg = "ack"
-        else:
-            seg = None
-        if seg is not None:
-            totals[f"{seg}_msgs"] += block["msgs"]
-            totals[f"{seg}_bytes"] += block["bytes"]
-    for kind in sorted(doc["dropped"]):
-        totals["dropped_msgs"] += doc["dropped"][kind]["msgs"]
-        totals["dropped_bytes"] += doc["dropped"][kind]["bytes"]
-    for phase in sorted(doc["blobs"]):
-        totals["blob_msgs"] += doc["blobs"][phase]["msgs"]
-        totals["blob_bytes"] += doc["blobs"][phase]["bytes"]
-    doc["totals"] = totals
-    doc["fingerprint"] = comm_fingerprint(doc)
-    doc["analysis"] = analyze_comm(doc, hotspots=hotspots)
-    return doc
 
 
 def comm_fingerprint(doc: dict) -> str:
@@ -328,8 +303,8 @@ def _aggregate_links(section: dict) -> Dict[str, List[int]]:
 def analyze_comm(doc: dict, hotspots: int = 8) -> dict:
     """Load-imbalance and skew analytics over a comm-doc.
 
-    Wire matrices drive the spatial metrics when present; a blob-only
-    doc (e.g. reconstructed from an obs timeline) falls back to the
+    Wire matrices drive the spatial metrics when present; a doc with
+    no wire traffic (a single-host or empty run) falls back to the
     blob matrices.  The per-round timeline always comes from blobs —
     the wire level has no round attribution.
     """
@@ -425,14 +400,9 @@ def analyze_comm(doc: dict, hotspots: int = 8) -> dict:
 # ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------
-def comm_doc_to_json(doc: dict) -> str:
-    """Canonical byte-stable JSON rendering (committed-file form)."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def save_comm_doc(path: str, doc: dict) -> str:
     """Write the comm-doc atomically (temp file + ``os.replace``)."""
-    return atomic_write_text(path, comm_doc_to_json(doc))
+    return atomic_write_text(path, canonical_json(doc))
 
 
 def comm_doc_to_csv(doc: dict) -> str:
@@ -451,18 +421,14 @@ def comm_doc_to_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_heatmap(doc: dict, source: str = "auto") -> str:
+def render_heatmap(doc: dict) -> str:
     """ASCII src×dst byte heatmap (log-shaded, terminal-sized).
 
-    ``source`` picks the section ("wire", "blobs", or "auto" = wire
-    when non-empty else blobs).  Hosts collapse into at most
-    40 buckets so a 128-host matrix still fits on a screen.
+    Shades the wire matrices, or the blob matrices when nothing crossed
+    the wire.  Hosts collapse into at most 40 buckets so a 128-host
+    matrix still fits on a screen.
     """
-    if source == "auto":
-        section = doc.get("wire") or doc.get("blobs") or {}
-    else:
-        section = doc.get(source) or {}
-    links = _aggregate_links(section)
+    links = _aggregate_links(doc.get("wire") or doc.get("blobs") or {})
     hosts = int(doc.get("meta", {}).get("hosts") or 0)
     if hosts <= 0:
         for link in sorted(links):
@@ -567,14 +533,13 @@ def _fmt_bytes(n: int) -> str:
     return f"{int(n)} B"
 
 
-def format_comm_report(doc: dict, heatmap: bool = True) -> str:
-    """Human-readable comm report (CLI ``repro commstats`` and
-    ``repro explain --comm``)."""
+def format_comm_report(doc: dict) -> str:
+    """Human-readable comm report (CLI ``repro commstats``)."""
     meta = doc.get("meta", {})
     totals = doc.get("totals", {})
     analysis = doc.get("analysis") or analyze_comm(doc)
     lines = []
-    label = meta.get("scenario") or meta.get("source") or ""
+    label = meta.get("scenario") or ""
     head = (f"communication patterns — layer {meta.get('layer')}, "
             f"{meta.get('hosts')} hosts")
     if label:
@@ -627,126 +592,6 @@ def format_comm_report(doc: dict, heatmap: bool = True) -> str:
             for b in sorted(buckets, key=int)
         ]
         lines.append(f"size hist [{kind}]: " + "  ".join(parts))
-    if heatmap:
-        lines.append(render_heatmap(doc))
+    lines.append(render_heatmap(doc))
     lines.append(f"fingerprint: {doc.get('fingerprint')}")
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Timeline reconstruction (repro explain --comm)
-# ----------------------------------------------------------------------
-def timeline_comm_doc(timeline: dict) -> dict:
-    """Rebuild a blob-level comm-doc from an obs timeline.
-
-    Every traced message starts with an ``api`` event whose args carry
-    ``{dst, bytes, round, pattern}``; the trace id carries
-    ``layer:src>dst:n``.  Probe-layer aggregate frames (args
-    ``kind="aggregate"``) are wire artifacts whose member blobs are
-    traced separately, so they are skipped to avoid double counting.
-    No wire matrices can be recovered (the timeline has per-message,
-    not per-packet, granularity), so analytics fall back to blob bytes.
-    """
-    from repro.obs.critical_path import build_timelines
-
-    blobs: Dict[str, Dict[Tuple[int, int], List[int]]] = {}
-    layers = []
-    hosts = 0
-    for tl in build_timelines(timeline):
-        args = tl.first_args
-        if args.get("kind") == "aggregate":
-            continue
-        if "bytes" not in args:
-            continue
-        try:
-            layer, rest = tl.trace.split(":", 1)
-            link, _seq = rest.rsplit(":", 1)
-            src_s, dst_s = link.split(">")
-            src, dst = int(src_s), int(dst_s)
-        except ValueError:
-            continue
-        if layer not in layers:
-            layers.append(layer)
-        hosts = max(hosts, src + 1, dst + 1)
-        if "round" in args and "pattern" in args:
-            phase = f"r{args['round']}:{args['pattern']}"
-        else:
-            phase = "-"
-        cells = blobs.setdefault(phase, {})
-        cell = cells.get((src, dst))
-        if cell is None:
-            cells[(src, dst)] = [1, int(args["bytes"])]
-        else:
-            cell[0] += 1
-            cell[1] += int(args["bytes"])
-    meta_hosts = (timeline.get("meta") or {}).get("hosts")
-    meta = {
-        "layer": ",".join(layers) if layers else None,
-        "hosts": int(meta_hosts) if meta_hosts else hosts,
-        "source": "timeline",
-    }
-    return build_comm_doc(wire={}, dropped={}, hist={}, blobs=blobs,
-                          meta=meta)
-
-
-# ----------------------------------------------------------------------
-# Baseline (COMM_BASELINE.json) — per-scenario comm fingerprints
-# ----------------------------------------------------------------------
-def baseline_entry(doc: dict) -> dict:
-    """The drift-gated summary of one scenario's comm-doc."""
-    totals = doc["totals"]
-    return {
-        "wire_msgs": totals["wire_msgs"],
-        "wire_bytes": totals["wire_bytes"],
-        "blob_msgs": totals["blob_msgs"],
-        "blob_bytes": totals["blob_bytes"],
-        "eager_bytes": totals["eager_bytes"],
-        "rendezvous_bytes": totals["rendezvous_bytes"],
-        "fingerprint": doc["fingerprint"],
-    }
-
-
-def make_baseline(entries: Dict[str, dict]) -> dict:
-    return {
-        "format": COMM_BASELINE_FORMAT,
-        "scenarios": {label: dict(entries[label])
-                      for label in sorted(entries)},
-    }
-
-
-def baseline_to_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def check_comm_baseline(fresh: Dict[str, dict], committed: dict
-                        ) -> List[str]:
-    """Compare freshly measured entries against the committed baseline.
-
-    Returns human-readable drift messages (empty = gate passes).  Any
-    mismatch means communication volume changed: either the change is a
-    bug, or the baseline must be regenerated *deliberately* with
-    ``repro commstats --canonical --write-baseline``.
-    """
-    problems: List[str] = []
-    if committed.get("format") != COMM_BASELINE_FORMAT:
-        problems.append(
-            f"baseline format {committed.get('format')!r} != "
-            f"{COMM_BASELINE_FORMAT!r}"
-        )
-        return problems
-    want = committed.get("scenarios", {})
-    for label in sorted(fresh):
-        if label not in want:
-            problems.append(f"{label}: missing from baseline")
-            continue
-        for field in sorted(fresh[label]):
-            got, exp = fresh[label][field], want[label].get(field)
-            if got != exp:
-                problems.append(
-                    f"{label}: {field} drifted — baseline {exp!r}, "
-                    f"measured {got!r}"
-                )
-    for label in sorted(want):
-        if label not in fresh:
-            problems.append(f"{label}: stale baseline entry (not measured)")
-    return problems

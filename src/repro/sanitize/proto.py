@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.obs.atomic import atomic_write_text
+from repro.obs.atomic import atomic_write_text, canonical_json
 from repro.sanitize.lint import _iter_python_files, repo_package_root
 
 __all__ = [
@@ -1431,8 +1431,7 @@ def save_baseline(findings: Sequence[ProtoFinding], path,
         "tool": "repro-analyze",
         "accepted": [entries[k] for k in sorted(entries)],
     }
-    return atomic_write_text(
-        path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return atomic_write_text(path, canonical_json(doc))
 
 
 def diff_baseline(

@@ -20,10 +20,9 @@ Stdlib only, same constraint as the analyzers themselves.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Mapping, Sequence
 
-from repro.obs.atomic import atomic_write_text
+from repro.obs.atomic import atomic_write_text, canonical_json
 
 __all__ = ["make_report", "to_sarif", "save_json", "save_sarif"]
 
@@ -103,8 +102,7 @@ def to_sarif(report: Mapping) -> Dict:
 
 
 def save_json(report: Mapping, path: str) -> str:
-    return atomic_write_text(
-        path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return atomic_write_text(path, canonical_json(report))
 
 
 def save_sarif(report: Mapping, path: str) -> str:

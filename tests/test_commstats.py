@@ -8,9 +8,9 @@ The load-bearing guarantees pinned here:
 * the traffic matrices *telescope*: wire totals equal the fabric's
   always-on ``pkts_sent``/``bytes_sent`` counters exactly, blob totals
   equal ``RunMetrics.blobs_sent``/``payload_bytes_sent`` exactly;
-* identical runs produce byte-identical comm-docs (the fingerprint the
-  CI baseline gate is built on), and an injected volume change trips
-  the gate;
+* identical runs produce byte-identical comm-docs (the fingerprint
+  ``BENCH_core.json``'s ``sim.comm`` blocks gate), and a volume change
+  moves the fingerprint;
 * every exporter's output is accepted by its validator, including on
   empty/degenerate runs.
 """
@@ -26,19 +26,16 @@ from repro.obs import (
     ObsContext,
     ProfileContext,
     analyze_comm,
-    check_comm_baseline,
     comm_doc_to_csv,
-    comm_doc_to_json,
     comm_fingerprint,
     comm_prometheus_lines,
     format_comm_report,
     render_heatmap,
-    timeline_comm_doc,
     to_prometheus,
     validate_comm_doc,
     validate_prometheus,
 )
-from repro.obs.commstats import baseline_entry, make_baseline
+from repro.obs.atomic import canonical_json
 
 LAYERS = ("lci", "mpi-probe", "mpi-rma")
 
@@ -152,12 +149,12 @@ def test_comm_doc_byte_identical_across_repeats():
     for _ in range(2):
         ctx = CommStatsContext()
         build_engine(sc, commstats=ctx).run()
-        docs.append(comm_doc_to_json(ctx.comm_doc()))
+        docs.append(canonical_json(ctx.comm_doc()))
     assert docs[0] == docs[1]
 
 
 def test_fingerprint_ignores_meta_but_not_traffic(observed_runs):
-    doc = json.loads(comm_doc_to_json(observed_runs["lci"][2].comm_doc()))
+    doc = json.loads(canonical_json(observed_runs["lci"][2].comm_doc()))
     fp = doc["fingerprint"]
     relabeled = dict(doc, meta=dict(doc["meta"], scenario="renamed"))
     assert comm_fingerprint(relabeled) == fp
@@ -169,7 +166,7 @@ def test_fingerprint_ignores_meta_but_not_traffic(observed_runs):
 
 
 # ----------------------------------------------------------------------
-# Validator + baseline gate
+# Validator
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("layer", LAYERS)
 def test_validator_accepts_produced_docs(observed_runs, layer):
@@ -177,7 +174,7 @@ def test_validator_accepts_produced_docs(observed_runs, layer):
 
 
 def test_validator_rejects_tampering(observed_runs):
-    doc = json.loads(comm_doc_to_json(observed_runs["lci"][2].comm_doc()))
+    doc = json.loads(canonical_json(observed_runs["lci"][2].comm_doc()))
 
     bad = json.loads(json.dumps(doc))
     bad["totals"]["wire_bytes"] += 1
@@ -196,26 +193,6 @@ def test_validator_rejects_tampering(observed_runs):
     bad["wire"][first]["bytes"] += 8
     bad["totals"]["wire_bytes"] += 8
     assert any("fingerprint" in e for e in validate_comm_doc(bad))
-
-
-def test_baseline_gate_passes_clean_and_trips_on_volume_change(
-    observed_runs,
-):
-    fresh = {"bfs8/" + layer: baseline_entry(observed_runs[layer][2]
-                                             .comm_doc())
-             for layer in LAYERS}
-    committed = json.loads(json.dumps(make_baseline(fresh)))
-    assert check_comm_baseline(fresh, committed) == []
-
-    drifted = json.loads(json.dumps(committed))
-    drifted["scenarios"]["bfs8/lci"]["wire_bytes"] += 100
-    drifted["scenarios"]["bfs8/lci"]["fingerprint"] = "0" * 16
-    problems = check_comm_baseline(fresh, drifted)
-    assert problems and any("bfs8/lci" in p for p in problems)
-
-    missing = json.loads(json.dumps(committed))
-    del missing["scenarios"]["bfs8/mpi-rma"]
-    assert check_comm_baseline(fresh, missing)
 
 
 # ----------------------------------------------------------------------
@@ -246,21 +223,6 @@ def test_comm_prometheus_merges_and_validates(observed_runs, tmp_path):
     assert validate_prometheus(text) == []
     assert "repro_comm_messages_total" in text
     assert "repro_comm_bytes_total" in text
-
-
-def test_timeline_comm_doc_matches_blob_matrix(observed_runs):
-    sc = bfs8("lci")
-    obs = ObsContext()
-    ctx = CommStatsContext()
-    build_engine(sc, obs=obs, commstats=ctx).run()
-    from_timeline = timeline_comm_doc(obs.as_timeline())
-    direct = ctx.comm_doc()
-    assert validate_comm_doc(from_timeline) == []
-    assert from_timeline["totals"]["blob_msgs"] == \
-        direct["totals"]["blob_msgs"]
-    assert from_timeline["totals"]["blob_bytes"] == \
-        direct["totals"]["blob_bytes"]
-    assert from_timeline["blobs"] == direct["blobs"]
 
 
 # ----------------------------------------------------------------------
@@ -379,11 +341,12 @@ def test_explain_report_has_latency_percentiles_and_comm_section():
 
     sc = bfs8("mpi-probe")
     obs = ObsContext()
-    build_engine(sc, obs=obs).run()
-    timeline = obs.as_timeline()
-    report = explain_report(timeline)
+    ctx = CommStatsContext()
+    build_engine(sc, obs=obs, commstats=ctx).run()
+    report = explain_report(obs.as_timeline())
     assert "message latency: p50=" in report
-    comm_report = format_comm_report(timeline_comm_doc(timeline))
+    # The same run's comm section comes from the observatory itself.
+    comm_report = format_comm_report(ctx.comm_doc())
     assert "communication patterns" in comm_report
 
 
@@ -402,27 +365,20 @@ def test_cli_run_comm_and_commstats(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert doc["fingerprint"] in out
 
-    # Baseline write/check runs the canonical scenarios; shrink the
-    # set to keep the test fast — the real set is exercised in CI.
-    import repro.bench.core_bench as core_bench
-
-    monkeypatch.setattr(
-        core_bench, "CANONICAL_SCENARIOS",
-        (Scenario(app="bfs", graph="rmat", scale=8, hosts=4,
-                  layer="lci"),),
-    )
-    rc = main(["commstats", "--write-baseline", "base.json"])
+    # The observatory verb writes the same document for the same run.
+    rc = main(["commstats", "--app", "bfs", "--graph", "rmat", "--scale",
+               "8", "--hosts", "4", "--layer", "lci", "--json", "c.json"])
     assert rc == 0
-    capsys.readouterr()
-    rc = main(["commstats", "--check-baseline", "base.json"])
-    assert rc == 0
-    assert "match" in capsys.readouterr().out
+    assert json.loads((tmp_path / "c.json").read_text())["fingerprint"] \
+        == doc["fingerprint"]
+    assert "comm-doc json written to c.json" in capsys.readouterr().out
 
-    # Drift must fail loudly.
-    base = json.loads((tmp_path / "base.json").read_text())
-    label = sorted(base["scenarios"])[0]
-    base["scenarios"][label]["wire_bytes"] += 1
-    (tmp_path / "base.json").write_text(json.dumps(base))
-    rc = main(["commstats", "--check-baseline", "base.json"])
-    assert rc == 1
-    assert "comm drift" in capsys.readouterr().err
+
+def test_cli_commstats_unknown_fault_plan_is_a_usage_error(capsys):
+    from repro.cli import main
+
+    assert main(["commstats", "--scale", "6", "--hosts", "2",
+                 "--fault-plan", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown fault plan 'bogus'")
+    assert "Traceback" not in err

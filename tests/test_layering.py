@@ -8,8 +8,9 @@ operations.  Importing the package loads neither scipy nor networkx.
 The kernel has one event queue with no geometry to set, and the
 libraries build plain records: no free-lists, no rebound hook slots.
 Components count in ``int`` attributes (no registry object, no
-``stats=`` / ``tracer=`` parameter), ``repro.sim`` writes no files, and
-one function in the package creates temp files.
+``stats=`` / ``tracer=`` parameter), ``repro.sim`` writes no files, one
+function in the package creates temp files and one encodes committed
+JSON, and the traffic gate lives in ``BENCH_core.json`` alone.
 """
 
 import ast
@@ -256,6 +257,44 @@ def test_sim_writes_no_files_and_one_function_makes_temp_files():
     ]
     assert len(mkstemp_sites) == 1, mkstemp_sites
     assert mkstemp_sites[0].startswith("obs/atomic.py:")
+
+
+def _canonical_dumps_calls(tree):
+    """Lines of every ``json.dumps(..., sort_keys=True, indent=2)``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "dumps"):
+            kw = {k.arg: getattr(k.value, "value", None)
+                  for k in node.keywords}
+            if kw.get("sort_keys") is True and kw.get("indent") == 2:
+                yield node.lineno
+
+
+def test_one_function_encodes_committed_json():
+    root = Path(repro.__file__).parent
+    sites = [
+        f"{path.relative_to(root).as_posix()}:{line}"
+        for path in sorted(root.rglob("*.py"))
+        for line in _canonical_dumps_calls(ast.parse(path.read_text()))
+    ]
+    assert len(sites) == 1, sites
+    assert sites[0].startswith("obs/atomic.py:")
+
+
+def test_no_second_traffic_baseline():
+    # bench-core's sim.comm blocks are the one comm gate; the retired
+    # per-scenario copy must not come back under any name.
+    name = "COMM_" + "BASELINE"
+    repo = Path(__file__).resolve().parents[1]
+    offenders = [
+        str(path.relative_to(repo))
+        for top in ("src", "tests", ".github")
+        for path in sorted((repo / top).rglob("*"))
+        if path.is_file() and path.suffix != ".pyc"
+        and name in path.read_text(errors="ignore")
+    ]
+    assert offenders == []
+    assert not (repo / (name + ".json")).exists()
 
 
 def test_build_engine_takes_the_scenario_and_keywords():

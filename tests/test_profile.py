@@ -15,7 +15,8 @@ The load-bearing guarantees pinned here:
   several engines adds their calls up;
 * exports (JSON profile document, collapsed stacks) pass their
   validators;
-* ``BENCH_core.json`` drift checking catches any change.
+* ``BENCH_core.json`` drift checking catches any change, and its
+  ``sim.comm`` blocks are the traffic gate.
 """
 
 import gc
@@ -26,7 +27,7 @@ import pytest
 
 from repro.bench.core_bench import core_benchmark
 from repro.bench.scenarios import Scenario, build_engine
-from repro.bench.serve_bench import bench_doc_to_json, check_against_file
+from repro.bench.serve_bench import check_against_file
 from repro.cli import main
 from repro.obs import (
     CounterRegistry,
@@ -35,6 +36,7 @@ from repro.obs import (
     validate_collapsed,
     validate_profile_doc,
 )
+from repro.obs.atomic import canonical_json
 from repro.obs.profile import LEAF_SAMPLE_STRIDE
 
 LAYERS = ("lci", "mpi-probe", "mpi-rma")
@@ -434,22 +436,56 @@ def test_core_benchmark_shape_and_check(tmp_path):
     assert row["sim"]["events_fired"] > 0
 
     path = tmp_path / "BENCH_core.json"
-    path.write_text(bench_doc_to_json(doc))
+    path.write_text(canonical_json(doc))
 
     # A regenerated document matches byte for byte...
     doc2 = core_benchmark(TINY, repeats=1)
     assert check_against_file(doc2, str(path)) == []
-    assert bench_doc_to_json(doc2) == path.read_text()
+    assert canonical_json(doc2) == path.read_text()
 
     # ...while any drift is loud.
-    doc3 = json.loads(bench_doc_to_json(doc))
+    doc3 = json.loads(canonical_json(doc))
     doc3["scenarios"][0]["sim"]["fingerprint"] = "0" * 16
     assert check_against_file(doc3, str(path))
+
+
+def test_comm_volume_change_trips_the_sim_comm_gate(tmp_path):
+    doc = core_benchmark(TINY, repeats=1)
+    path = tmp_path / "BENCH_core.json"
+    path.write_text(canonical_json(doc))
+    moved = json.loads(canonical_json(doc))
+    comm = moved["scenarios"][0]["sim"]["comm"]
+    comm["wire_bytes"] += 1
+    comm["fingerprint"] = "0" * 16
+    diffs = check_against_file(moved, str(path))
+    assert [d.split(":")[0] for d in diffs] == [
+        "scenarios[0].sim.comm.fingerprint",
+        "scenarios[0].sim.comm.wire_bytes",
+    ]
 
 
 def test_check_against_missing_file(tmp_path):
     doc = {"format": "repro-bench-core/v1", "scenarios": []}
     assert check_against_file(doc, str(tmp_path / "absent.json")) is None
+
+
+@pytest.mark.parametrize("verb, module, function", [
+    ("bench-core", "repro.bench.core_bench", "core_benchmark"),
+    ("bench-serve", "repro.bench.serve_bench", "serve_benchmark"),
+], ids=["bench-core", "bench-serve"])
+def test_bench_check_reads_the_committed_document_first(
+        tmp_path, capsys, monkeypatch, verb, module, function):
+    import importlib
+
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("benchmark ran before the --check file was read")
+
+    monkeypatch.setattr(importlib.import_module(module), function,
+                        must_not_run)
+    missing = str(tmp_path / "MISSING.json")
+    assert main([verb, "--check", missing]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read committed benchmark {missing}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +507,15 @@ def test_cli_profile(tmp_path, capsys):
         assert validate_profile_doc(json.load(fh)) == []
     with open(cpath) as fh:
         assert validate_collapsed(fh.read()) == []
+
+
+def test_explain_has_no_comm_flag(tmp_path, capsys):
+    # Blob matrices come from the comm observatory only: `repro run
+    # --obs --comm` or `repro commstats`.
+    with pytest.raises(SystemExit) as exc:
+        main(["explain", str(tmp_path / "obs.json"), "--comm"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --comm" in capsys.readouterr().err
 
 
 def test_cli_bench_core_roundtrip(tmp_path, capsys, monkeypatch):

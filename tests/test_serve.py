@@ -287,14 +287,12 @@ def test_cli_serve_smoke(tmp_path, capsys):
 
 
 def test_cli_bench_serve_check_detects_drift(tmp_path):
-    from repro.bench.serve_bench import (
-        bench_doc_to_json,
-        compare_bench_docs,
-    )
+    from repro.bench.serve_bench import compare_bench_docs
+    from repro.obs.atomic import canonical_json
 
     doc = {"format": "repro-bench-serve/v1",
            "serve": {"throughput": {"queries_per_sec": 10.0}}}
-    same = json.loads(bench_doc_to_json(doc))
+    same = json.loads(canonical_json(doc))
     assert compare_bench_docs(doc, same) == []
     drifted = {"format": "repro-bench-serve/v1",
                "serve": {"throughput": {"queries_per_sec": 11.0}}}

@@ -154,25 +154,12 @@ def _failing_serializer(*_args, **_kwargs):
 def _write_bench(path, monkeypatch):
     import argparse
 
-    import repro.bench.serve_bench as serve_bench
-    from repro.cli import _write_and_check_bench
+    import repro.obs.atomic as atomic
+    from repro.cli import _bench_verb
 
-    monkeypatch.setattr(serve_bench, "bench_doc_to_json", _failing_serializer)
-    _write_and_check_bench(
-        {"scenarios": []}, argparse.Namespace(out=path, check=None),
-        "bench-core")
-
-
-def _write_comm_baseline(path, monkeypatch):
-    import repro.bench.core_bench as core_bench
-    import repro.obs.commstats as commstats
-    from repro.bench.scenarios import Scenario
-    from repro.cli import main
-
-    monkeypatch.setattr(core_bench, "CANONICAL_SCENARIOS", (
-        Scenario(app="bfs", graph="rmat", scale=7, hosts=2, layer="lci"),))
-    monkeypatch.setattr(commstats, "baseline_to_json", _failing_serializer)
-    main(["commstats", "--write-baseline", path])
+    monkeypatch.setattr(atomic, "canonical_json", _failing_serializer)
+    _bench_verb(argparse.Namespace(out=path, check=None), "bench-core",
+                lambda: {"scenarios": []})
 
 
 def _write_proto_baseline(path, monkeypatch):
@@ -185,8 +172,8 @@ def _write_proto_baseline(path, monkeypatch):
 
 
 @pytest.mark.parametrize("write", [
-    _write_bench, _write_comm_baseline, _write_proto_baseline,
-], ids=["bench", "comm-baseline", "proto-baseline"])
+    _write_bench, _write_proto_baseline,
+], ids=["bench", "proto-baseline"])
 def test_failed_serializer_leaves_committed_document_intact(
         tmp_path, monkeypatch, write):
     path = tmp_path / "COMMITTED.json"
