@@ -15,8 +15,9 @@ import numpy as np
 from repro.engine.vertex_program import (
     ComputeResult,
     VertexProgram,
+    apply_min,
     min_relax,
-    sorted_unique,
+    scatter_min,
 )
 from repro.graph.csr import CsrGraph
 from repro.graph.partition.proxies import LocalGraph
@@ -98,13 +99,9 @@ class Bfs(VertexProgram):
         if len(dst) == 0:
             return ComputeResult(np.empty(0, dtype=np.int64), 0, 0)
         src = lg.edge_sources()[unreached]
-        cand = label[src] + 1
-        before = label[dst]
-        np.minimum.at(label, dst, cand)
-        changed = dst[label[dst] < before]
+        updated = scatter_min(label, dst, label[src] + 1)
         return ComputeResult(
-            sorted_unique(changed, lg.num_local), int(len(dst)),
-            int(np.count_nonzero(label >= INF)),
+            updated, int(len(dst)), int(np.count_nonzero(label >= INF)),
         )
 
     # -- sync hooks ------------------------------------------------------
@@ -112,19 +109,10 @@ class Bfs(VertexProgram):
         return state["label"][ids]
 
     def apply_reduce(self, state, ids, values):
-        label = state["label"]
-        before = label[ids]
-        np.minimum.at(label, ids, values)
-        return label[ids] < before
+        return apply_min(state["label"], ids, values)
 
-    def bcast_values(self, state, ids):
-        return state["label"][ids]
-
-    def apply_bcast(self, state, ids, values):
-        label = state["label"]
-        before = label[ids]
-        np.minimum.at(label, ids, values)
-        return label[ids] < before
+    bcast_values = reduce_values
+    apply_bcast = apply_reduce
 
     def next_active(self, lg: LocalGraph, state) -> np.ndarray:
         return state["label"] < state["last"]

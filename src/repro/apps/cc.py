@@ -14,7 +14,12 @@ from typing import Dict
 import numpy as np
 
 from repro.apps.bfs import INF
-from repro.engine.vertex_program import ComputeResult, VertexProgram, min_relax
+from repro.engine.vertex_program import (
+    ComputeResult,
+    VertexProgram,
+    apply_min,
+    min_relax,
+)
 from repro.graph.csr import CsrGraph
 from repro.graph.partition.proxies import LocalGraph
 
@@ -51,19 +56,10 @@ class ConnectedComponents(VertexProgram):
         return state["label"][ids]
 
     def apply_reduce(self, state, ids, values):
-        label = state["label"]
-        before = label[ids]
-        np.minimum.at(label, ids, values)
-        return label[ids] < before
+        return apply_min(state["label"], ids, values)
 
-    def bcast_values(self, state, ids):
-        return state["label"][ids]
-
-    def apply_bcast(self, state, ids, values):
-        label = state["label"]
-        before = label[ids]
-        np.minimum.at(label, ids, values)
-        return label[ids] < before
+    bcast_values = reduce_values
+    apply_bcast = apply_reduce
 
     def next_active(self, lg: LocalGraph, state) -> np.ndarray:
         return state["label"] < state["last"]

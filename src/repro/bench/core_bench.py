@@ -11,7 +11,9 @@ contract).  Pure functions of the scenario, so CI regenerates them and
 fails on drift (exactly the ``BENCH_serve.json`` contract; encoded by
 :func:`repro.obs.atomic.canonical_json`, compared by
 :func:`repro.bench.serve_bench.compare_bench_docs`).  Any perf refactor
-that changes these changed *behaviour*, not just speed.
+that changes these changed *behaviour*, not just speed — an app-kernel
+rewrite included, since the labels a relax kernel reports as lowered
+decide what the next blob carries.
 
 The ``sim.comm`` blocks are the traffic gate: a change that moves one
 byte or one packet between any two hosts, on any layer, changes a
@@ -37,10 +39,11 @@ __all__ = [
 
 BENCH_CORE_FORMAT = "repro-bench-core/v1"
 
-#: The canonical scenarios: every comm layer, both
-#: engines (Abelian cvc + Gemini edge-cut), traversal and fixed-round
-#: apps — small enough for a CI lane, hot enough to exercise the event
-#: loop, matching walks, pool, and serialization paths.
+#: The canonical scenarios: every comm layer (MPI-RMA below and above
+#: 16 hosts), both engines (Abelian cvc + Gemini edge-cut), traversal,
+#: label-propagation and fixed-round apps — small enough for a CI lane,
+#: hot enough to exercise the event loop, matching walks, pool, and
+#: serialization paths.
 CANONICAL_SCENARIOS: Tuple[Scenario, ...] = (
     Scenario(app="bfs", graph="rmat", scale=10, hosts=8, layer="lci"),
     Scenario(app="pagerank", graph="kron", scale=10, hosts=8,
@@ -53,6 +56,10 @@ CANONICAL_SCENARIOS: Tuple[Scenario, ...] = (
     # fast-path/slotted-record core (PR 9) — single-digit seconds
     # per engine run (graph generation is cached and untimed).
     Scenario(app="bfs", graph="rmat", scale=20, hosts=128, layer="lci"),
+    # MPI-RMA at 32 hosts: the paper's Fig. 3 RMA cells from 16 hosts up
+    # sit where no other scenario here reaches.  cc also pins the
+    # symmetrized input and the min-relax kernel on it.
+    Scenario(app="cc", graph="rmat", scale=12, hosts=32, layer="mpi-rma"),
 )
 
 

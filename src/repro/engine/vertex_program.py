@@ -29,8 +29,8 @@ from repro.graph.csr import CsrGraph
 from repro.graph.partition.proxies import LocalGraph
 
 __all__ = [
-    "ComputeResult", "VertexProgram", "min_relax", "min_relax_multi",
-    "sorted_unique", "at_columns",
+    "ComputeResult", "VertexProgram", "min_relax", "scatter_min",
+    "apply_min", "sorted_unique", "at_columns",
 ]
 
 
@@ -146,14 +146,52 @@ def sorted_unique(ids: np.ndarray, bound: int) -> np.ndarray:
 
 def at_columns(op: np.ufunc, target: np.ndarray, ids: np.ndarray,
                values: np.ndarray) -> None:
-    """``op.at(target, ids, values)`` for an ``(n, K)`` target, as one
-    1-D ``op.at`` per column (NumPy's fast ``ufunc.at`` is 1-D only).
+    """``op.at(target, ids, values)`` for a 1-D or an ``(n, K)`` target;
+    a 2-D target takes one 1-D ``op.at`` per column (NumPy's fast
+    ``ufunc.at`` is 1-D only).
 
     ``ids`` may repeat.  Each column combines its values in the element
     order the 2-D call uses, so float columns keep their bits.
     """
+    if target.ndim == 1:
+        op.at(target, ids, values)
+        return
     for col in range(target.shape[1]):
         op.at(target[:, col], ids, values[:, col])
+
+
+def _any_column(lowered: np.ndarray) -> np.ndarray:
+    return lowered if lowered.ndim == 1 else lowered.any(axis=1)
+
+
+def apply_min(label: np.ndarray, ids: np.ndarray,
+              values: np.ndarray) -> np.ndarray:
+    """The min programs' ``apply_reduce`` / ``apply_bcast``: scatter-min
+    ``values`` into rows ``ids`` of a 1-D or ``(n, K)`` label.
+
+    ``ids`` may repeat (``ufunc.at`` semantics).  Returns a mask aligned
+    with ``ids``: true where that row now holds a lower label, in any
+    column, than it did before the blob.
+    """
+    before = label[ids]
+    at_columns(np.minimum, label, ids, values)
+    return _any_column(label[ids] < before)
+
+
+def scatter_min(label: np.ndarray, dst: np.ndarray,
+                cand: np.ndarray) -> np.ndarray:
+    """Scatter-min ``cand`` into a 1-D or ``(n, K)`` label at ``dst``;
+    return the ascending int64 ids whose label fell, in any column.
+
+    Targets repeat (several sources reach one node), so the scatter keeps
+    ``ufunc.at`` semantics.  Only the scatter lowers a label, and only at
+    ``dst``, so the rows below a snapshot of the node array are exactly
+    the distinct lowered targets: one compare per node instead of a
+    gather, compare and dedup per edge.
+    """
+    before = label.copy()
+    at_columns(np.minimum, label, dst, cand)
+    return np.flatnonzero(_any_column(label < before))
 
 
 def min_relax(
@@ -162,17 +200,23 @@ def min_relax(
     active: np.ndarray,
     cand_fn,
 ) -> ComputeResult:
-    """Shared kernel for the label-minimizing programs (bfs/sssp/cc).
+    """Shared kernel for the label-minimizing programs (bfs/sssp/cc and
+    their multi-source batches).
 
     Relaxes every out-edge of every active local source: candidate values
-    from ``cand_fn(src_ids, edge_slice)`` are scatter-min'd into the
-    targets.  Vectorized: the per-edge selection uses ``np.repeat`` over
-    the CSR degree array — no Python loop over nodes or edges.
+    from ``cand_fn(src_ids, edge_sel)`` are scatter-min'd into the
+    targets (:func:`scatter_min`).  Vectorized: the per-edge selection
+    uses ``np.repeat`` over the CSR degree array — no Python loop over
+    nodes or edges.
 
-    Edge targets repeat within one phase (several active sources reach
-    the same node), so the scatter must be ``np.minimum.at``: a gather /
-    ``np.minimum`` / fancy-assign would keep only one candidate per
-    target.
+    ``label`` is 1-D, or ``(num_local, K)`` with one column per
+    concurrently running query; then ``active`` is the **merged
+    frontier**, the union of the per-column frontiers, ``cand_fn``
+    returns an ``(E, K)`` matrix, and an edge counts as K relaxations.
+    Each column converges to what a 1-D run of its own reaches: relaxing
+    an edge for a column whose source label is the INF sentinel proposes
+    ``INF + delta``, which never beats a real label, and min is
+    idempotent.
     """
     active_ids = np.where(active)[0]
     if len(active_ids) == 0:
@@ -185,54 +229,8 @@ def min_relax(
             np.empty(0, dtype=np.int64), 0, len(active_ids)
         )
     src = lg.edge_sources()[edge_sel]
-    cand = cand_fn(src, edge_sel)
-    before = label[dst]
-    np.minimum.at(label, dst, cand)
-    changed = dst[label[dst] < before]
+    updated = scatter_min(label, dst, cand_fn(src, edge_sel))
+    columns = 1 if label.ndim == 1 else label.shape[1]
     return ComputeResult(
-        sorted_unique(changed, lg.num_local), int(len(dst)),
-        int(len(active_ids)),
-    )
-
-
-def min_relax_multi(
-    lg: LocalGraph,
-    label: np.ndarray,
-    active: np.ndarray,
-    cand_fn,
-) -> ComputeResult:
-    """Multi-source variant of :func:`min_relax` over a label *matrix*.
-
-    ``label`` has shape ``(num_local, K)`` — one column per concurrently
-    running query — and ``active`` is the **merged frontier**: the union
-    of the per-column frontiers.  Every out-edge of every active source
-    is relaxed for all K columns at once (``cand_fn`` returns an
-    ``(E, K)`` candidate matrix), so a batch shares one edge traversal,
-    one round structure, and one set of sync messages.
-
-    Per-column results are exactly what K separate :func:`min_relax`
-    executions converge to: relaxing an edge for a column whose source
-    label is the INF sentinel proposes ``INF + delta``, which never
-    beats a real label, and min is idempotent — the fixed point of each
-    column is untouched by the other columns' frontiers.
-    """
-    active_ids = np.where(active)[0]
-    K = label.shape[1]
-    if len(active_ids) == 0:
-        return ComputeResult(np.empty(0, dtype=np.int64), 0, 0)
-    degs = np.diff(lg.indptr)
-    edge_sel = np.repeat(active, degs)
-    dst = lg.indices[edge_sel]
-    if len(dst) == 0:
-        return ComputeResult(
-            np.empty(0, dtype=np.int64), 0, len(active_ids)
-        )
-    src = lg.edge_sources()[edge_sel]
-    cand = cand_fn(src, edge_sel)
-    before = label[dst]
-    at_columns(np.minimum, label, dst, cand)
-    changed = dst[np.any(label[dst] < before, axis=1)]
-    return ComputeResult(
-        sorted_unique(changed, lg.num_local), int(len(dst)) * K,
-        int(len(active_ids)),
+        updated, int(len(dst)) * columns, int(len(active_ids))
     )

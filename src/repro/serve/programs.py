@@ -40,8 +40,9 @@ from repro.apps.sssp import Sssp
 from repro.engine.vertex_program import (
     ComputeResult,
     VertexProgram,
+    apply_min,
     at_columns,
-    min_relax_multi,
+    min_relax,
     sorted_unique,
 )
 from repro.graph.csr import CsrGraph
@@ -83,10 +84,7 @@ class _MultiSourceMin(VertexProgram):
         return state["label"][ids]
 
     def apply_reduce(self, state, ids, values):
-        label = state["label"]
-        before = label[ids]
-        at_columns(np.minimum, label, ids, values)
-        return np.any(label[ids] < before, axis=1)
+        return apply_min(state["label"], ids, values)
 
     bcast_values = reduce_values
     apply_bcast = apply_reduce
@@ -115,7 +113,7 @@ class MultiSourceBfs(_MultiSourceMin):
         def cand_fn(src_ids, _edge_sel):
             return label[src_ids] + 1
 
-        return min_relax_multi(lg, label, active, cand_fn)
+        return min_relax(lg, label, active, cand_fn)
 
     def reference(self, graph: CsrGraph, **kwargs) -> np.ndarray:
         cols = [Bfs(source=s).reference(graph) for s in self.sources]
@@ -140,7 +138,7 @@ class MultiSourceSssp(_MultiSourceMin):
         def cand_fn(src_ids, edge_sel):
             return label[src_ids] + weights[edge_sel][:, None]
 
-        return min_relax_multi(lg, label, active, cand_fn)
+        return min_relax(lg, label, active, cand_fn)
 
     def reference(self, graph: CsrGraph, **kwargs) -> np.ndarray:
         cols = [Sssp(source=s).reference(graph) for s in self.sources]

@@ -271,7 +271,7 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if not self.is_alive:
             return
-        if self._gen is self.env._active_gen:
+        if self._gen.gi_running:
             raise SimulationError("a process cannot interrupt itself")
         self._detach()
         kick = Event(self.env)
@@ -310,7 +310,6 @@ class Process(Event):
     def _resume(self, trigger) -> None:
         env = self.env
         gen = self._gen
-        env._active_gen = gen
         self._target = None
         send = gen.send
         event = trigger
@@ -374,11 +373,9 @@ class Process(Event):
             self._fast_token = token
             heappush(env._queue, (when, seq, self, token))
             break
-        env._active_gen = None
 
     def _finish(self, ok: bool, value: Any) -> None:
         """The generator is done: fire the process event, cut the cycle."""
-        self.env._active_gen = None
         self._resume_cb = None
         if ok:
             Event.succeed(self, value)
@@ -458,7 +455,6 @@ class Environment:
         #: Sequence number of the entry being dispatched; ``inf`` while
         #: nothing is (see :attr:`fired_before`).
         self._firing = _INF
-        self._active_gen: Optional[Generator] = None
         #: The event queue.  Schedule sites ``heappush`` onto it directly
         #: and :meth:`run` holds an alias: never rebind it.
         self._queue: List[tuple] = []

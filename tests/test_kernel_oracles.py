@@ -1,4 +1,5 @@
-"""The bitmap / per-column relax kernels against their oracles.
+"""The relax kernel, the bitmap sieve and the per-column scatters against
+their oracles.
 
 ``tests/oracles.py`` keeps the ``np.unique`` + 2-D ``ufunc.at``
 formulations.  Inputs here are duplicate-heavy on purpose: edge targets
@@ -8,15 +9,11 @@ repeat inside one compute phase, which is exactly where a gather /
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import Bfs, KCore
 from repro.apps.bfs import INF
-from repro.engine.vertex_program import (
-    at_columns,
-    min_relax,
-    min_relax_multi,
-    sorted_unique,
-)
+from repro.engine.vertex_program import at_columns, min_relax, sorted_unique
 from repro.graph.csr import CsrGraph
 from repro.graph.partition import make_partition
 from repro.serve.programs import MultiSourceBfs, MultiSourcePageRank
@@ -50,6 +47,13 @@ def assert_same_result(got, want):
     assert type(got.work_edges) is int and type(got.work_nodes) is int
 
 
+def weighted_cand(lg, label):
+    """SSSP's candidates for a 1-D or ``(n, K)`` label."""
+    if label.ndim == 1:
+        return lambda src, sel: label[src] + lg.edge_data[sel]
+    return lambda src, sel: label[src] + lg.edge_data[sel][:, None]
+
+
 def test_sorted_unique_is_np_unique():
     rng = np.random.default_rng(0)
     for size in (0, 1, 50, 5000):
@@ -68,12 +72,9 @@ def test_min_relax_equals_oracle(seed):
             start = rng.integers(0, 50, size=lg.num_local)
             start[rng.random(lg.num_local) < 0.3] = INF
             got_label, want_label = start.copy(), start.copy()
-
-            def cand(label):
-                return lambda src, sel: label[src] + lg.edge_data[sel]
-
-            got = min_relax(lg, got_label, active, cand(got_label))
-            want = oracles.min_relax(lg, want_label, active, cand(want_label))
+            got = min_relax(lg, got_label, active, weighted_cand(lg, got_label))
+            want = oracles.min_relax(
+                lg, want_label, active, weighted_cand(lg, want_label))
             assert_same_result(got, want)
             assert np.array_equal(got_label, want_label)
 
@@ -88,13 +89,9 @@ def test_min_relax_multi_equals_oracle(seed, columns):
             start = rng.integers(0, 50, size=(lg.num_local, columns))
             start[rng.random(start.shape) < 0.3] = INF
             got_label, want_label = start.copy(), start.copy()
-
-            def cand(label):
-                return lambda src, sel: (
-                    label[src] + lg.edge_data[sel][:, None])
-
-            got = min_relax_multi(lg, got_label, active, cand(got_label))
-            want = oracles.min_relax(lg, want_label, active, cand(want_label))
+            got = min_relax(lg, got_label, active, weighted_cand(lg, got_label))
+            want = oracles.min_relax(
+                lg, want_label, active, weighted_cand(lg, want_label))
             assert_same_result(got, want)
             assert np.array_equal(got_label, want_label)
 
@@ -113,6 +110,64 @@ def test_bfs_pull_equals_oracle(seed):
             want = oracles.bfs_pull(lg, want_label, INF)
             assert_same_result(got, want)
             assert np.array_equal(got_label, want_label)
+
+
+@st.composite
+def relax_cases(draw):
+    """A crowded multigraph cut into 1-4 hosts (local graphs without
+    edges included), plus the label shape, INF fraction and frontier
+    density one round sees on each of them."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    num_nodes = draw(st.integers(1, 80))
+    num_edges = draw(st.integers(0, 1200))
+    rng = np.random.default_rng(seed)
+    graph = CsrGraph.from_edges(
+        rng.integers(0, num_nodes, size=num_edges),
+        rng.integers(0, max(1, num_nodes // 3), size=num_edges),
+        num_nodes, edge_data=rng.integers(1, 9, size=num_edges),
+    )
+    part = make_partition(
+        graph, draw(st.integers(1, 4)),
+        draw(st.sampled_from(["cvc", "edge-cut"])),
+    )
+    return (part.locals, rng, draw(st.sampled_from([None, 1, 3, 8])),
+            draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
+
+
+def start_labels(rng, shape, inf_frac):
+    label = rng.integers(0, 50, size=shape)
+    label[rng.random(shape) < inf_frac] = INF
+    return label
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(relax_cases())
+def test_min_relax_property_equals_oracle(case):
+    locals_, rng, columns, inf_frac, density = case
+    for lg in locals_:
+        shape = lg.num_local if columns is None else (lg.num_local, columns)
+        start = start_labels(rng, shape, inf_frac)
+        active = rng.random(lg.num_local) < density
+        got_label, want_label = start.copy(), start.copy()
+        got = min_relax(lg, got_label, active, weighted_cand(lg, got_label))
+        want = oracles.min_relax(
+            lg, want_label, active, weighted_cand(lg, want_label))
+        assert_same_result(got, want)
+        assert got_label.dtype == want_label.dtype
+        assert got_label.tobytes() == want_label.tobytes()
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(relax_cases())
+def test_bfs_pull_property_equals_oracle(case):
+    locals_, rng, _columns, inf_frac, _density = case
+    for lg in locals_:
+        start = start_labels(rng, lg.num_local, inf_frac)
+        got_label, want_label = start.copy(), start.copy()
+        got = Bfs()._pull(lg, {"label": got_label})
+        want = oracles.bfs_pull(lg, want_label, INF)
+        assert_same_result(got, want)
+        assert got_label.tobytes() == want_label.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -220,6 +220,68 @@ def test_interrupt_dead_process_is_noop():
     p.interrupt()  # no error
 
 
+@pytest.mark.parametrize("nested", [False, True], ids=["body", "yield-from"])
+def test_process_cannot_interrupt_itself(nested):
+    env = Environment()
+    caught = []
+
+    def helper():
+        yield 1.0
+        me.interrupt("me")
+
+    def body():
+        yield 1.0
+        try:
+            if nested:
+                yield from helper()
+            else:
+                me.interrupt("me")
+        except SimulationError as exc:
+            caught.append(str(exc))
+        yield 1.0
+
+    me = env.process(body())
+    env.run()
+    assert caught == ["a process cannot interrupt itself"]
+    assert me.ok and env.now == (3.0 if nested else 2.0)
+
+
+def test_self_interrupt_left_uncaught_fails_the_process():
+    env = Environment()
+
+    def body():
+        yield 1.0
+        me.interrupt()
+
+    me = env.process(body())
+    with pytest.raises(SimulationError, match="cannot interrupt itself"):
+        env.run()
+    assert me.triggered and not me.ok
+
+
+@pytest.mark.parametrize("via", ["process", "call_later"])
+def test_interrupting_another_suspended_process(via):
+    env = Environment()
+    log = []
+
+    def sleeper():
+        try:
+            yield 10.0
+        except Interrupt as exc:
+            log.append((env.now, exc.cause))
+
+    victim = env.process(sleeper())
+    if via == "process":
+        def other():
+            yield 2.0
+            victim.interrupt(via)
+        env.process(other())
+    else:
+        env.call_later(2.0, lambda: victim.interrupt(via))
+    env.run()
+    assert log == [(2.0, via)]
+
+
 def test_any_of_fires_on_first():
     env = Environment()
     results = []
