@@ -1,8 +1,8 @@
 """The serve benchmark behind ``repro bench-serve`` and BENCH_serve.json.
 
 One deterministic heavy-traffic tape served on a small simulated
-cluster, plus a miniature Fig. 3-style layer sweep, folded into a
-single JSON document committed at the repo root (``BENCH_serve.json``).
+cluster, folded into a single JSON document committed at the repo root
+(``BENCH_serve.json``).
 Because the whole pipeline is simulated and seeded, the document is
 reproducible bit for bit: CI regenerates it and fails on drift, which
 turns service throughput/latency regressions into diffable facts.
@@ -15,9 +15,7 @@ Fields the acceptance gate reads: ``serve.throughput.queries_per_sec``,
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Tuple
-
-from repro.bench.scenarios import Scenario, run_scenario
+from typing import List, Optional
 
 __all__ = [
     "BENCH_FORMAT",
@@ -35,16 +33,6 @@ DEFAULT_HOSTS = 4
 #: Heavy traffic: mean inter-arrival well under one batch execution.
 DEFAULT_MEAN_GAP = 1e-05
 
-#: The miniature Fig. 3 sweep bundled into the document (app, layer).
-FIG3_CELLS: Tuple[Tuple[str, str], ...] = (
-    ("bfs", "lci"),
-    ("bfs", "mpi-probe"),
-    ("bfs", "mpi-rma"),
-    ("pagerank", "lci"),
-    ("pagerank", "mpi-probe"),
-    ("pagerank", "mpi-rma"),
-)
-
 
 def serve_benchmark(
     scale: int = DEFAULT_SCALE,
@@ -52,7 +40,6 @@ def serve_benchmark(
     layer: str = "lci",
     num_queries: int = DEFAULT_TAPE_QUERIES,
     tape_seed: int = 7,
-    fig3_scale: int = 10,
 ) -> dict:
     """Build the full benchmark document (deterministic)."""
     from repro.serve import ServeConfig, ServeEngine, TapeSpec
@@ -68,28 +55,10 @@ def serve_benchmark(
     serve_doc = {
         k: v for k, v in report.as_dict().items() if k != "results"
     }
-
-    fig3_rows: List[dict] = []
-    for app, fig3_layer in FIG3_CELLS:
-        m = run_scenario(Scenario(
-            app=app, graph="rmat", scale=fig3_scale, hosts=hosts,
-            layer=fig3_layer, pagerank_rounds=6,
-        ))
-        fig3_rows.append({
-            "app": app,
-            "layer": fig3_layer,
-            "hosts": hosts,
-            "time_s": round(m.total_seconds, 9),
-            "comm_s": round(m.comm_seconds, 9),
-            "rounds": m.rounds,
-            "messages": m.blobs_sent,
-        })
-
     return {
         "format": BENCH_FORMAT,
         "tape": spec.as_dict(),
         "serve": serve_doc,
-        "fig3": fig3_rows,
     }
 
 

@@ -126,8 +126,6 @@ class PacketPool:
             if local > 0:
                 self._local[thread] = local - 1
                 self.alloc_local_hits += 1
-                if self.sanitizer is not None:
-                    self.sanitizer.on_alloc()
                 yield self._atomic_local
                 return True
         yield lead + (self._atomic,) if lead else self._atomic
@@ -135,8 +133,6 @@ class PacketPool:
         if self._free > floor:
             self._free -= 1
             self.alloc_global_hits += 1
-            if self.sanitizer is not None:
-                self.sanitizer.on_alloc()
             return True
         # Steal path: the shared pool is at its floor but other threads'
         # private caches may hold free packets; raid the fullest cache
@@ -151,8 +147,6 @@ class PacketPool:
             if victim is not None:
                 self._local[victim] -= 1
                 self.alloc_steals += 1
-                if self.sanitizer is not None:
-                    self.sanitizer.on_alloc()
                 yield self._atomic
                 return True
         self.alloc_failures += 1

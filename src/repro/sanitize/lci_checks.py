@@ -4,8 +4,8 @@ The LCI paper family (and its successor, arXiv 2505.01864) identifies
 packet/completion lifecycle bugs as the dominant failure mode of
 lightweight runtimes: a budget freed twice silently inflates the pool, a
 budget never freed shrinks it until senders livelock, and a recycled
-packet touched after its free is a stale read.  The checker here shadows
-the pool's budget accounting and the per-packet recycle state:
+packet touched after its free is a stale read.  The checker here reads
+the pool's budget accounting and shadows the per-packet recycle state:
 
 * ``lci.pool_double_free``     — a free that would push the pool's free
   count past its fixed capacity (some budget was returned twice);
@@ -46,16 +46,10 @@ class LciSanitizer:
     def __init__(self, ctx: SanitizerContext, host: int):
         self.ctx = ctx
         self.host = host
-        #: Budgets checked out and not yet returned (shadow counter;
-        #: cross-checked against the pool's own accounting at shutdown).
-        self.outstanding = 0
 
     # ------------------------------------------------------------------
     # Pool budget lifecycle
     # ------------------------------------------------------------------
-    def on_alloc(self) -> None:
-        self.outstanding += 1
-
     def on_free(self, pool) -> None:
         """Called *before* the pool increments its free count."""
         if pool.free_packets >= pool.size:
@@ -67,8 +61,6 @@ class LciSanitizer:
                 free_packets=pool.free_packets,
                 pool_size=pool.size,
             )
-            return
-        self.outstanding = max(0, self.outstanding - 1)
 
     # ------------------------------------------------------------------
     # Per-packet recycle state

@@ -75,8 +75,8 @@ def test_bench_document_is_reproducible():
     from repro.bench.serve_bench import compare_bench_docs, serve_benchmark
     from repro.obs.atomic import canonical_json
 
-    doc1 = serve_benchmark(scale=8, num_queries=12, fig3_scale=8)
-    doc2 = serve_benchmark(scale=8, num_queries=12, fig3_scale=8)
+    doc1 = serve_benchmark(scale=8, num_queries=12)
+    doc2 = serve_benchmark(scale=8, num_queries=12)
     assert canonical_json(doc1) == canonical_json(doc2)
     assert compare_bench_docs(doc1, doc2) == []
     lat = doc1["serve"]["latency"]
