@@ -35,7 +35,7 @@ SCENARIOS = [
 
 
 def counters_by_layer(ctx):
-    """Group the flat counter registry by its dotted layer prefix."""
+    """Group the flat work counts by their dotted layer prefix."""
     groups = {}
     for name, value in ctx.counters_dict().items():
         prefix = name.split(".", 1)[0]

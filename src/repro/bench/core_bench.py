@@ -1,13 +1,16 @@
 """The simulator-core benchmark behind ``repro bench-core`` / BENCH_core.json.
 
-A curated set of canonical scenarios run under the host-side profiler
-(:mod:`repro.obs.profile`), folded into one JSON document committed at
-the repo root.  Each scenario contributes one **deterministic** ``sim``
-block: simulated seconds, rounds, message and update volumes, event
-counts, the full work-counter dictionary, its fingerprint, and the
-communication-observatory totals (wire/blob volume + comm fingerprint,
-from an extra run that also pins the observatory's bit-identity
-contract).  Pure functions of the scenario, so CI regenerates them and
+A curated set of canonical scenarios, each run twice and folded into one
+JSON document committed at the repo root.  Each scenario contributes one
+**deterministic** ``sim`` block: simulated seconds, rounds, message and
+update volumes, event counts, the full work-count dictionary and its
+fingerprint — read once, off the finished engine of a run under the
+host-side profiler (:mod:`repro.obs.profile`) — and the
+communication-observatory totals (wire/blob volume + comm fingerprint)
+from a second run.  That run is also the determinism check: its
+``RunMetrics`` and its work counts must equal the profiled run's, so
+neither instrument perturbs the run and the counts reproduce.  Pure
+functions of the scenario, so CI regenerates them and
 fails on drift (exactly the ``BENCH_serve.json`` contract; encoded by
 :func:`repro.obs.atomic.canonical_json`, compared by
 :func:`repro.bench.serve_bench.compare_bench_docs`).  Any perf refactor
@@ -29,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.bench.scenarios import Scenario, build_engine
 from repro.obs.commstats import CommStatsContext
-from repro.obs.profile import ProfileContext
+from repro.obs.profile import ProfileContext, counter_fingerprint
 
 __all__ = [
     "BENCH_CORE_FORMAT",
@@ -63,57 +66,45 @@ CANONICAL_SCENARIOS: Tuple[Scenario, ...] = (
 )
 
 
-def core_benchmark(
-    scenarios: Optional[Sequence[Scenario]] = None, repeats: int = 2
-) -> dict:
-    """Build the benchmark document.
-
-    Every repeat runs under a fresh :class:`ProfileContext`; the
-    deterministic block comes from the first run and the remaining
-    repeats must reproduce its counter fingerprint exactly (a failed
-    reproduction is a determinism bug, reported loudly).
-    """
+def core_benchmark(scenarios: Optional[Sequence[Scenario]] = None) -> dict:
+    """Build the benchmark document: per scenario one profiled run and
+    one commstats run, which must agree (a disagreement is a
+    determinism bug, reported loudly)."""
     if scenarios is None:
         scenarios = CANONICAL_SCENARIOS
     rows: List[dict] = []
     for sc in scenarios:
-        first_ctx = None
-        first_metrics = None
-        for _ in range(max(1, repeats)):
-            ctx = ProfileContext()
-            metrics = build_engine(sc, profile=ctx).run()
-            if first_ctx is None:
-                first_ctx, first_metrics = ctx, metrics
-            elif ctx.fingerprint() != first_ctx.fingerprint():
-                raise AssertionError(
-                    f"{sc.label()}: counter fingerprint not reproducible "
-                    f"({ctx.fingerprint()} != {first_ctx.fingerprint()})"
-                )
-        counters = first_ctx.counters_dict()
-        # One extra run under the comm observatory pins both the traffic
-        # fingerprint and the bit-identity contract — a commstats run
-        # must reproduce the plain run's RunMetrics exactly.
+        ctx = ProfileContext()
+        metrics = build_engine(sc, profile=ctx).run()
+        counters = ctx.counters_dict()
+        fingerprint = ctx.fingerprint()
         comm_ctx = CommStatsContext()
-        comm_metrics = build_engine(sc, commstats=comm_ctx).run()
-        if comm_metrics.row() != first_metrics.row():
+        comm_engine = build_engine(sc, commstats=comm_ctx)
+        if comm_engine.run().row() != metrics.row():
             raise AssertionError(
                 f"{sc.label()}: RunMetrics changed under commstats — "
                 "the observatory must be a pure observer"
+            )
+        replayed = counter_fingerprint(comm_engine.work_counts())
+        if replayed != fingerprint:
+            raise AssertionError(
+                f"{sc.label()}: work counts not reproducible "
+                f"({replayed} != {fingerprint})"
             )
         comm_doc = comm_ctx.comm_doc()
         comm_totals = comm_doc["totals"]
         rows.append({
             "label": sc.label(),
             "sim": {
-                "sim_seconds": round(first_metrics.total_seconds, 9),
-                "rounds": first_metrics.rounds,
-                "messages": first_metrics.blobs_sent,
-                "payload_bytes": first_metrics.payload_bytes_sent,
-                "updates": first_metrics.updates_shipped,
+                "sim_seconds": round(metrics.total_seconds, 9),
+                "rounds": metrics.rounds,
+                "messages": metrics.blobs_sent,
+                "payload_bytes": metrics.payload_bytes_sent,
+                "updates": metrics.updates_shipped,
                 "events_fired": counters.get("sim.events_fired", 0),
                 "events_scheduled": counters.get("sim.events_scheduled", 0),
                 "counters": counters,
-                "fingerprint": first_ctx.fingerprint(),
+                "fingerprint": fingerprint,
                 "comm": {
                     "wire_msgs": comm_totals["wire_msgs"],
                     "wire_bytes": comm_totals["wire_bytes"],

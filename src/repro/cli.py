@@ -208,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--pagerank-rounds", type=COUNT, default=10)
 
     micro = sub.add_parser("micro", help="Fig. 1 microbenchmarks")
-    micro.add_argument("--sizes", type=int, nargs="+",
+    micro.add_argument("--sizes", type=_at_least(0), nargs="+",
                        default=[8, 512, 4096, 65536])
-    micro.add_argument("--threads", type=int, nargs="+",
+    micro.add_argument("--threads", type=COUNT, nargs="+",
                        default=[1, 4, 16, 64])
 
     inputs = sub.add_parser("inputs", help="Table I input properties")
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile",
         help="run one scenario under the host-side region profiler "
-             "and work-counter registry",
+             "and print its work counts",
         parents=[_cluster_flags(), _app_flag(), _mpi_flags()],
     )
     profile.set_defaults(scale=10, hosts=8)
@@ -302,14 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write the repro_comm_* Prometheus "
                                 "families")
 
-    bench_core = sub.add_parser(
+    sub.add_parser(
         "bench-core", parents=[_bench_flags()],
         help="deterministic simulator-core benchmark (BENCH_core.json); "
              "its sim.comm blocks are the traffic gate",
     )
-    bench_core.add_argument("--repeats", type=int, default=2,
-                            help="runs per scenario (every repeat must "
-                                 "reproduce the counter fingerprint)")
 
     lint = sub.add_parser(
         "lint", help="static determinism lint over the simulation sources"
@@ -622,11 +619,8 @@ def _cmd_serve(args) -> int:
         queries = generate_tape(spec)
 
     obs_path = args.obs or "obs-serve.json"
-    obs_config = None
+    obs = bool(args.obs or args.obs_prom)
     profile = None
-    if args.obs or args.obs_prom:
-        from repro.obs import ObsConfig
-        obs_config = ObsConfig()
     if args.obs_prom:
         from repro.obs import ProfileContext
         profile = ProfileContext()
@@ -639,8 +633,8 @@ def _cmd_serve(args) -> int:
         fault_seed=args.fault_seed, sanitize=args.sanitize,
     )
     try:
-        engine = ServeEngine(config, obs_config=obs_config,
-                             profile=profile, commstats=args.comm)
+        engine = ServeEngine(config, obs=obs, profile=profile,
+                             commstats=args.comm)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -659,7 +653,7 @@ def _cmd_serve(args) -> int:
         # available via ServeReport.as_dict(include_wall=True).
         atomic_write_text(args.report, canonical_json(report.as_dict()))
         print(f"report written to {args.report}")
-    if obs_config is not None and engine.last_obs is not None:
+    if engine.last_obs is not None:
         from repro.obs import save_timeline, to_prometheus
 
         timeline = engine.last_obs.as_timeline(meta={
@@ -815,7 +809,7 @@ def _cmd_bench_core(args) -> int:
 
     def run():
         try:
-            doc = core_benchmark(repeats=args.repeats)
+            doc = core_benchmark()
         except AssertionError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return None

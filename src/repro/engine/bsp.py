@@ -38,6 +38,8 @@ from repro.engine.vertex_program import VertexProgram
 from repro.graph.csr import CsrGraph, resident
 from repro.graph.partition import make_partition
 from repro.graph.partition.proxies import Partition
+from repro.lci.queue_iface import LciQueue
+from repro.mpi.endpoint import MpiEndpoint
 from repro.netapi.nic import Fabric
 from repro.sanitize.runtime import SanitizerContext, resolve_mode
 from repro.sim.engine import Environment
@@ -107,10 +109,10 @@ class EngineConfig:
     #: bit-identical to one without.
     obs: Optional[object] = None
     #: Optional :class:`repro.obs.profile.ProfileContext` for host-side
-    #: wall-clock region profiling and deterministic work counters.
-    #: Installed before the layers are built (like obs) so endpoints,
-    #: queues, and pools self-discover it.  Same contract: a profiled
-    #: run is bit-identical to a plain one.
+    #: wall-clock region profiling; :meth:`BspEngine.run` adds the
+    #: engine's work counts into it.  Installed before the layers are
+    #: built (like obs) so endpoints and the LCI server self-discover
+    #: it.  Same contract: a profiled run is bit-identical to a plain one.
     profile: Optional[object] = None
     #: Optional :class:`repro.obs.commstats.CommStatsContext` for
     #: per-(src, dst, kind/phase) traffic matrices and size histograms.
@@ -189,23 +191,22 @@ class BspEngine:
             self.commstats.install(self.env, self.fabric,
                                    layer=config.layer)
         # Host-side profiling rides the fabric/environment the same way
-        # (and must precede the layers so endpoints and packet pools
-        # register their counter sources at construction).  The app's
-        # kernels, the blob packer and the gather/scatter steps are
-        # wrapped once here; all of them run synchronously inside the
-        # event loop, so their region paths are static.
+        # (and must precede the layers so endpoints and the LCI server
+        # wrap their hot calls at construction).  The app's kernels, the
+        # blob packer and the gather/scatter steps are wrapped once
+        # here; all of them run synchronously inside the event loop, so
+        # their region paths are static.
         self.profiler = prof = config.profile
         self._compute = app.compute
         self._pack = pack_updates
         self._apply_reduce = app.apply_reduce
         self._apply_bcast = app.apply_bcast
         # Blob totals the always-on per-host lists below do not carry,
-        # for the deferred counter source.
+        # for work_counts().
         self._blobs_packed = 0
         self._blobs_scattered = 0
         if prof is not None:
             prof.install(self.env, self.fabric)
-            prof.add_source(self._profile_counts)
             run = "sim.engine.run"
             gather = f"{run};engine.bsp.gather"
             scatter = f"{run};engine.bsp.scatter"
@@ -252,21 +253,48 @@ class BspEngine:
         # computed lazily on the first round and reused every round after.
         self._sync_cache = {}
 
-    def _profile_counts(self):
-        """Deferred profiler source: engine-level work totals.
+    def work_counts(self) -> Dict[str, int]:
+        """The run's work counts by name, read off the components.
 
-        Reported as running totals so repeated flushes are idempotent;
-        values are identical to what per-phase registry increments would
-        have produced, without the hot-path dict/format traffic.
+        A pure read of a finished engine — profiled or not, and one whose
+        run raised too.  The rule of ``RunMetrics.layer_counters``: a
+        name is present once its count is non-zero.
         """
-        lname = self.config.layer
-        return (
-            ("engine.host_rounds", sum(map(len, self._compute_rounds))),
-            (f"comm.{lname}.blobs", self._blobs_packed),
-            (f"comm.{lname}.bytes", sum(self._payload_bytes)),
-            ("engine.updates_shipped", sum(self._updates_shipped)),
-            ("engine.blobs_scattered", self._blobs_scattered),
-        )
+        env, fabric, lname = self.env, self.fabric, self.config.layer
+        libs = [obj for layer in self.layers for obj in layer._counted()]
+        rts = [lib for lib in libs if isinstance(lib, LciQueue)]
+        eps = [lib for lib in libs if isinstance(lib, MpiEndpoint)]
+        counts = {
+            "sim.events_scheduled": env.events_scheduled,
+            "sim.events_fired": env.events_fired,
+            # Every schedule pushes an entry, every fire pops one.
+            "sim.heap_ops": env.events_scheduled + env.events_fired,
+            # ``pkts_sent`` counts successful injections.
+            "netapi.pkts_injected": fabric.total("pkts_sent"),
+            "netapi.bytes_injected": fabric.total("bytes_sent"),
+            "netapi.pkts_delivered": fabric.total("pkts_received"),
+            "netapi.bytes_delivered": fabric.total("bytes_received"),
+            "netapi.tx_full": fabric.total("tx_queue_full"),
+            "lci.pool_acquires": sum(
+                rt.pool.alloc_local_hits + rt.pool.alloc_global_hits
+                + rt.pool.alloc_steals for rt in rts),
+            "lci.pool_alloc_failures": sum(
+                rt.pool.alloc_failures for rt in rts),
+            "lci.pool_frees": sum(
+                rt.pool.free_local + rt.pool.free_global
+                + rt.pool.free_nowaits for rt in rts),
+            "lci.server_pkts": sum(rt.server_pkts for rt in rts),
+            "mpi.match_probes": sum(
+                ep.posted.probes + ep.unexpected.probes for ep in eps),
+            "mpi.unexpected_enqueued": sum(
+                ep.unexpected.enqueued for ep in eps),
+            "engine.host_rounds": sum(map(len, self._compute_rounds)),
+            "engine.updates_shipped": sum(self._updates_shipped),
+            "engine.blobs_scattered": self._blobs_scattered,
+            f"comm.{lname}.blobs": self._blobs_packed,
+            f"comm.{lname}.bytes": sum(self._payload_bytes),
+        }
+        return {name: value for name, value in counts.items() if value}
 
     # ------------------------------------------------------------------
     @property
@@ -283,9 +311,7 @@ class BspEngine:
             self.env.run(max_events=self.config.max_events)
         finally:
             if self.profiler is not None:
-                # Keep the counter totals, drop the callbacks: a context
-                # that outlives this engine must not keep it alive.
-                self.profiler.settle()
+                self.profiler.add_counts(self.work_counts())
         for p in procs:
             if not p.triggered:
                 if self.injector is not None:

@@ -97,33 +97,12 @@ class LciQueue:
             self.obs.register_probe(
                 "lci.queue_depth", rank, self.queue.__len__
             )
-        # Host-side profiler: the server loop times its harvests through
-        # it; pool/server work counts are *deferred* — the pool's
-        # always-on counts are read at flush time instead of paying
-        # per-op registry increments (the alloc/free paths are the
-        # hottest host code in the LCI layer).
-        prof = nic.fabric.profiler
-        if prof is not None:
-            prof.add_source(self._profile_counts)
         # Hoisted per-op cost for the hot generators below.
         self._send_overhead = (
             self.nic.model.send_overhead + self.backend.send_extra
         )
         for name in self.COUNTERS:
             setattr(self, name, 0)
-
-    def _profile_counts(self):
-        """Deferred profiler source: pool traffic + server harvests."""
-        pool = self.pool
-        return (
-            ("lci.pool_acquires",
-             pool.alloc_local_hits + pool.alloc_global_hits
-             + pool.alloc_steals),
-            ("lci.pool_alloc_failures", pool.alloc_failures),
-            ("lci.pool_frees",
-             pool.free_local + pool.free_global + pool.free_nowaits),
-            ("lci.server_pkts", self.server_pkts),
-        )
 
     # ------------------------------------------------------------------
     # Algorithm 1: SEND-ENQ

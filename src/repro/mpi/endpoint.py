@@ -124,8 +124,8 @@ class MpiEndpoint:
             )
 
         # Host-side profiler: the two traversal walks are timed (they
-        # only run inside the event loop).  Probe/enqueue counts are
-        # deferred: the queues keep deterministic running totals anyway.
+        # only run inside the event loop).  Their probe / enqueue counts
+        # are the queues' own ints, read off the finished engine.
         prof = nic.fabric.profiler
         if prof is not None:
             self.posted.match_arrival = prof.timed(
@@ -136,7 +136,6 @@ class MpiEndpoint:
                 "sim.engine.run;mpi.matching.unexpected_walk",
                 self.unexpected.match_receive, sampled=True,
             )
-            prof.add_source(self._profile_counts)
 
         # Hoisted per-call costs (the progress engine and the
         # isend/irecv/iprobe entry points are the hottest MPI code).
@@ -150,14 +149,6 @@ class MpiEndpoint:
         self._tx_backoff = 4 * self.nic.model.injection_gap
         for name in self.COUNTERS:
             setattr(self, name, 0)
-
-    def _profile_counts(self):
-        """Deferred profiler source: matching-engine work totals."""
-        return (
-            ("mpi.match_probes",
-             self.posted.probes + self.unexpected.probes),
-            ("mpi.unexpected_enqueued", self.unexpected.enqueued),
-        )
 
     # ------------------------------------------------------------------
     # Cost & locking helpers

@@ -81,8 +81,8 @@ class PostedQueue:
         self._items: List[PostedReceive] = []
         self.max_length = 0
         #: Running total of elements inspected across all walks —
-        #: deterministic queue state (like ``max_length``), snapshotted
-        #: by the endpoint's deferred profiler source.
+        #: deterministic queue state (like ``max_length``), read by
+        #: ``BspEngine.work_counts()``.
         self.probes = 0
 
     def __len__(self) -> int:
@@ -127,7 +127,7 @@ class UnexpectedQueue:
         self._items: List[UnexpectedMessage] = []
         self.max_length = 0
         #: Lifetime enqueue count and walk-probe total — deterministic
-        #: queue state, snapshotted by the endpoint's profiler source.
+        #: queue state, read by ``BspEngine.work_counts()``.
         self.enqueued = 0
         self.probes = 0
         #: Optional ObsContext (+ ``host`` rank), assigned by the endpoint

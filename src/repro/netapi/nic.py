@@ -97,7 +97,7 @@ class Nic:
         #: whoever reads the slot count first settles the past ones.
         self._tx_departures: Deque[Tuple[float, int]] = deque()
         self._registered: Dict[int, RegisteredBuffer] = {}
-        # Counts, read at export (``Fabric.total``, the profiler source).
+        # Counts, read at export (``Fabric.total``).
         self.tx_queue_full = 0
         self.pkts_sent = 0
         self.bytes_sent = 0

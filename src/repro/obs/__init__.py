@@ -31,7 +31,6 @@ from repro.obs.context import (
     STAGES,
     TERMINAL_STAGES,
     MsgEvent,
-    ObsConfig,
     ObsContext,
     Stall,
 )
@@ -55,7 +54,6 @@ from repro.obs.export import (
 )
 from repro.obs.latency import LatencySummary, percentile_nearest_rank
 from repro.obs.profile import (
-    CounterRegistry,
     ProfileContext,
     RegionProfiler,
     wall_now,
@@ -74,7 +72,6 @@ __all__ = [
     "TERMINAL_STAGES",
     "MsgEvent",
     "Stall",
-    "ObsConfig",
     "ObsContext",
     "MessageTimeline",
     "build_timelines",
@@ -108,6 +105,5 @@ __all__ = [
     "percentile_nearest_rank",
     "ProfileContext",
     "RegionProfiler",
-    "CounterRegistry",
     "wall_now",
 ]

@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.monitor import TimeSeries
 
-__all__ = ["STAGES", "TERMINAL_STAGES", "MsgEvent", "Stall", "ObsConfig", "ObsContext"]
+__all__ = ["STAGES", "TERMINAL_STAGES", "MsgEvent", "Stall", "ObsContext"]
 
 #: The lifecycle-stage taxonomy.  Not every message visits every stage;
 #: the subset and order depend on the layer and protocol (see
@@ -103,21 +103,10 @@ class Stall:
         return self.end - self.start
 
 
-@dataclass
-class ObsConfig:
-    """Knobs for the observability context."""
-
-    #: Sampler period in simulated seconds; <= 0 disables the sampler.
-    sample_period: float = 25e-6
-    #: Record per-message stage events (the trace stream).
-    trace_messages: bool = True
-
-
 class ObsContext:
     """Collects lifecycle events, probe samples, and stall records."""
 
-    def __init__(self, config: Optional[ObsConfig] = None):
-        self.config = config or ObsConfig()
+    def __init__(self):
         self.env = None
         self.fabric = None
         self.events: List[MsgEvent] = []
@@ -158,10 +147,9 @@ class ObsContext:
                                 lambda n=nic: n.tx_outstanding)
             self.register_probe("nic.inflight_bytes", host,
                                 lambda s=self, h=host: s._inflight.get(h, 0))
-        if self.config.sample_period > 0:
-            from repro.obs.sampler import start_sampler
+        from repro.obs.sampler import start_sampler
 
-            self._sampler_proc = start_sampler(self)
+        self._sampler_proc = start_sampler(self)
         return self
 
     # ------------------------------------------------------------------
@@ -185,8 +173,6 @@ class ObsContext:
         wake than the one it happens at: a chained delay elides that
         one (``at=env.due(links before it)``), a departure has no
         queue entry (the NIC knows the instant when it injects)."""
-        if not self.config.trace_messages:
-            return
         self.events.append(
             MsgEvent(trace, stage, host, self.now if at is None else at,
                      args or None)

@@ -161,7 +161,7 @@ def to_prometheus(timeline: dict, counters: Dict[str, int] = None,
     ``repro_obs_probe_peak`` (max sampled value per probe/host),
     ``repro_obs_stall_seconds_total`` (per kind/host), plus run-level
     gauges recovered from the timeline's ``meta``.  ``counters`` (a
-    :meth:`CounterRegistry.as_dict` mapping from the host-side
+    :meth:`ProfileContext.counters_dict` mapping from the host-side
     profiler) adds a ``repro_work_counter_total`` family so serve
     deployments expose work counts alongside latency; ``comm`` (a
     comm-doc from :meth:`CommStatsContext.comm_doc`) merges the

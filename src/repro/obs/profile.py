@@ -1,6 +1,6 @@
 """Host-side performance observability: regions, counters, profiles.
 
-Two instruments, one context, zero cost when off:
+One context, two kinds of data, zero cost when off:
 
 * :class:`RegionProfiler` — wall-clock *cells* over the host-side hot
   paths, one per static ``;``-joined region path
@@ -9,12 +9,14 @@ Two instruments, one context, zero cost when off:
   ``ctx.timed(path, fn)`` returns ``fn`` wrapped.  Produces a
   hierarchical self/cumulative report with call counts, exportable as
   JSON, a top-N table, or collapsed-stack (flamegraph) lines.
-* :class:`CounterRegistry` — deterministic *work* counters (events
-  scheduled/fired, heap ops, packets/bytes, matching probes, pool
-  acquires).  Pure functions of the simulated schedule, so repeat runs
-  of the same scenario produce identical counts and an identical
-  :meth:`~CounterRegistry.fingerprint` — the drift-detection anchor in
-  ``BENCH_core.json``.
+* **Work counts** — events scheduled/fired, heap ops, packets/bytes,
+  matching probes, pool acquires: a plain ``{name: int}`` dict.  Every
+  count is an ``int`` the components keep anyway; ``BspEngine.run()``
+  reads them once, off the finished engine (``BspEngine.work_counts()``),
+  and adds them into the context.  Pure functions of the simulated
+  schedule, so repeat runs of the same scenario produce identical counts
+  and an identical :func:`counter_fingerprint` — the drift-detection
+  anchor in ``BENCH_core.json``.
 
 Both ride on :class:`ProfileContext`, which ``BspEngine`` installs as
 ``fabric.profiler`` and ``env.profiler`` before the layers are built;
@@ -27,13 +29,9 @@ calls through :meth:`~RegionProfiler.timed`.  The contract mirrors
   touch a component's counts, or change iteration order; ``RunMetrics``
   with the profiler enabled equals the plain run (tier-1 asserted).
 * **Cheap when on** — per-packet sites read the clock on every
-  :data:`LEAF_SAMPLE_STRIDE`-th call only, and per-packet *work counts*
-  are never incremented on the hot path at all: components that already
-  maintain deterministic tallies (NIC and pool counts, matching-queue
-  probe counts) register a :meth:`ProfileContext.add_source` callback
-  instead, read at snapshot time and settled into the registry when the
-  engine's run returns.  ``benchmarks/perf`` reports the residual as
-  ``obs.trace_overhead_frac`` per workload.
+  :data:`LEAF_SAMPLE_STRIDE`-th call only, and counting costs the
+  profiler nothing per event.  ``benchmarks/perf`` reports the residual
+  as ``obs.trace_overhead_frac`` per workload.
 
 Wall-clock time is intentionally confined to this module:
 :func:`wall_now` is the single sanctioned clock, so the determinism
@@ -45,16 +43,16 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.obs.atomic import atomic_write_text
 
 __all__ = [
     "wall_now",
     "RegionProfiler",
-    "CounterRegistry",
     "ProfileContext",
     "PROFILE_DOC_KIND",
+    "counter_fingerprint",
 ]
 
 PROFILE_DOC_KIND = "repro-profile"
@@ -240,60 +238,18 @@ class RegionProfiler:
         return "\n".join(lines)
 
 
-class CounterRegistry:
-    """Deterministic host-side work counters.
-
-    Unlike the components' own ``int`` counts (per-host, folded into
-    ``RunMetrics.layer_counters``), this is a single flat cross-layer
-    registry whose values depend only on the simulated schedule — never
-    on wall-clock — so two runs of the same scenario agree exactly.
-    :meth:`fingerprint` condenses the whole registry into a short hash:
-    the cheapest possible "did the work change?" probe for the bench
-    trajectory and for perf refactors that must not alter behaviour.
-    """
-
-    def __init__(self):
-        self._counts: Dict[str, int] = {}
-
-    def inc(self, name: str, n: int = 1) -> None:
-        c = self._counts
-        c[name] = c.get(name, 0) + n
-
-    def set(self, name: str, value: int) -> None:
-        """Overwrite a counter with an absolute value.
-
-        The landing pad for deferred sources
-        (:meth:`ProfileContext.flush`): a source reports its running
-        total, so repeated flushes write the same value (idempotent).
-        """
-        self._counts[name] = value
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        """Counters in sorted-name order (canonical form)."""
-        return {k: self._counts[k] for k in sorted(self._counts)}
-
-    def fingerprint(self) -> str:
-        """sha256 over the canonical JSON encoding, truncated to 16 hex.
-
-        Stable across insertion order and Python versions; changes iff
-        any counter's value changes.
-        """
-        blob = json.dumps(self.as_dict(), sort_keys=True).encode("ascii")
-        return hashlib.sha256(blob).hexdigest()[:16]
-
-    def merge(self, other: "CounterRegistry") -> None:
-        for name, value in other.as_dict().items():
-            self.inc(name, value)
-
-    def __len__(self) -> int:
-        return len(self._counts)
+def counter_fingerprint(counts: Mapping[str, int]) -> str:
+    """sha256 over the sorted-key JSON encoding of ``counts``, truncated
+    to 16 hex: stable across insertion order and Python versions, and
+    changed by any count's change — the cheapest "did the work change?"
+    probe for the bench trajectory and for behaviour-preserving perf
+    refactors."""
+    blob = json.dumps(dict(counts), sort_keys=True).encode("ascii")
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 class ProfileContext:
-    """Bundles the region profiler + counter registry onto the fabric.
+    """Bundles the region profiler and the work counts onto the fabric.
 
     :meth:`install` hangs the context off the fabric and environment
     (like ``FaultInjector`` / ``ObsContext``) and wraps each NIC's two
@@ -301,40 +257,22 @@ class ProfileContext:
     ``fabric.profiler`` once at construction and wrap their own hot
     calls through :attr:`timed`.
 
-    One context may be installed across several engines (the serve
-    layer runs one engine per batch): regions and counters accumulate,
+    :attr:`counters` is a plain dict that ``BspEngine.run()`` adds the
+    engine's ``work_counts()`` into on its way out — a run that raises
+    included.  One context may be installed across several engines (the
+    serve layer runs one engine per batch): regions and counts add up,
     which is exactly what a service-level profile wants.  The context
-    references no component beyond the end of its run, so a finished
-    engine is collectable while the context lives.
-
-    Two ways for counts to land in the registry:
-
-    * **Direct** — coarse per-phase code calls ``counters.inc`` (or the
-      bound :attr:`count` alias).  Used where a handful of increments
-      per round cannot matter.
-    * **Deferred** — per-packet/per-op paths never touch the registry;
-      the owning component registers an :meth:`add_source` callback
-      that reports its running totals from state it maintains anyway
-      (NIC/pool ``int`` counts, matching-queue probe
-      tallies).  :meth:`flush` folds every live source in; all snapshot
-      paths (:meth:`report_dict`, :meth:`counters_dict`,
-      :meth:`fingerprint`, :meth:`format_counters`) flush first, and
-      :meth:`settle` keeps the final totals and lets the sources go.
-      Reading ``ctx.counters`` directly between flushes sees only the
-      direct increments.
+    references no component, so a finished engine is collectable while
+    the context lives.
     """
 
     def __init__(self, clock=wall_now):
         self.regions = RegionProfiler(clock=clock)
-        self.counters = CounterRegistry()
-        #: Live deferred counter sources: callables returning an
-        #: iterable of ``(name, running_total)`` pairs.
-        self._sources: List = []
-        #: Final totals of the sources :meth:`settle` has dropped.
-        self._settled: Dict[str, int] = {}
+        #: Work counts by name, summed over the engines run under this
+        #: context.
+        self.counters: Dict[str, int] = {}
         self.cell = self.regions.cell
         self.timed = self.regions.timed
-        self.count = self.counters.inc
 
     def install(self, env, fabric) -> "ProfileContext":
         fabric.profiler = self
@@ -351,71 +289,32 @@ class ProfileContext:
                 "sim.engine.run;netapi.nic.deliver", nic.deliver,
                 sampled=True,
             )
-        # The NIC layer keeps deterministic per-NIC packet/byte stats
-        # regardless of profiling; snapshot them instead of paying
-        # per-packet increments.
-        self.add_source(lambda: _fabric_counts(fabric))
         return self
 
-    def add_source(self, fn) -> None:
-        """Register a deferred counter source (see the class docstring)."""
-        self._sources.append(fn)
+    def add_counts(self, counts: Mapping[str, int]) -> None:
+        """Add one engine's work counts into :attr:`counters`."""
+        totals = self.counters
+        for name, value in counts.items():
+            totals[name] = totals.get(name, 0) + value
 
-    def _source_totals(self) -> Dict[str, int]:
-        totals = dict(self._settled)
-        for fn in self._sources:
-            for name, value in fn():
-                totals[name] = totals.get(name, 0) + value
-        return totals
-
-    def flush(self) -> "ProfileContext":
-        """Fold every deferred source's totals into the registry.
-
-        Idempotent: sources report running totals, summed across
-        sources (settled ones included) and written with
-        :meth:`CounterRegistry.set`.  Zero totals are skipped so
-        counters only exist once the event they count has happened
-        (matching the direct-increment behaviour).
-        """
-        for name, value in self._source_totals().items():
-            if value:
-                self.counters.set(name, value)
-        return self
-
-    def settle(self) -> "ProfileContext":
-        """Keep the sources' current totals, drop the sources, flush.
-
-        ``BspEngine.run()`` calls this on its way out: the sources close
-        over the engine's fabric, endpoints and pools, and a context
-        that outlives the run must not keep them alive.  Every live
-        source goes, so engines sharing a context are built and run one
-        after the other (as the serve layer does).
-        """
-        self._settled = self._source_totals()
-        self._sources.clear()
-        return self.flush()
-
-    # -- snapshot accessors (always flushed) ---------------------------
     def counters_dict(self) -> Dict[str, int]:
-        self.flush()
-        return self.counters.as_dict()
+        """The work counts in sorted-name order (canonical form)."""
+        return {k: self.counters[k] for k in sorted(self.counters)}
 
     def fingerprint(self) -> str:
-        self.flush()
-        return self.counters.fingerprint()
+        return counter_fingerprint(self.counters)
 
     # -- reporting ------------------------------------------------------
     def report_dict(self, meta: Optional[dict] = None) -> dict:
         """The JSON profile document (validated by
         :func:`repro.obs.validate.validate_profile_doc`)."""
-        self.flush()
         return {
             "kind": PROFILE_DOC_KIND,
             "version": PROFILE_DOC_VERSION,
             "meta": dict(meta or {}),
             "regions": self.regions.rows(),
-            "counters": self.counters.as_dict(),
-            "fingerprint": self.counters.fingerprint(),
+            "counters": self.counters_dict(),
+            "fingerprint": self.fingerprint(),
         }
 
     def format_top(self, n: int = 10) -> str:
@@ -440,7 +339,7 @@ class ProfileContext:
             prev_group = group
             lines.append(f"{name:<{width}}  {counts[name]:>14}")
         lines.append("")
-        lines.append(f"{'fingerprint':<{width}}  {self.counters.fingerprint():>14}")
+        lines.append(f"{'fingerprint':<{width}}  {self.fingerprint():>14}")
         return "\n".join(lines)
 
     def save_json(self, path: str, meta: Optional[dict] = None) -> None:
@@ -450,15 +349,3 @@ class ProfileContext:
 
     def save_collapsed(self, path: str) -> None:
         atomic_write_text(path, self.to_collapsed())
-
-
-def _fabric_counts(fabric):
-    """Deferred source over the NICs' always-on counts
-    (``pkts_sent`` counts successful injections)."""
-    return (
-        ("netapi.pkts_injected", fabric.total("pkts_sent")),
-        ("netapi.bytes_injected", fabric.total("bytes_sent")),
-        ("netapi.pkts_delivered", fabric.total("pkts_received")),
-        ("netapi.bytes_delivered", fabric.total("bytes_received")),
-        ("netapi.tx_full", fabric.total("tx_queue_full")),
-    )

@@ -1,7 +1,7 @@
 """Periodic queue-depth sampler: one simulated process per run.
 
-The sampler wakes every ``ObsConfig.sample_period`` simulated seconds
-and reads every registered probe (:meth:`ObsContext.sample_once`).
+The sampler wakes every :data:`SAMPLE_PERIOD` simulated seconds and
+reads every registered probe (:meth:`ObsContext.sample_once`).
 Reads only — it never mutates component state, so the run's results are
 bit-identical with or without it.
 
@@ -17,19 +17,21 @@ from __future__ import annotations
 
 from repro.sim.engine import Interrupt
 
-__all__ = ["start_sampler"]
+__all__ = ["SAMPLE_PERIOD", "start_sampler"]
+
+#: Simulated seconds between two samples.
+SAMPLE_PERIOD = 25e-6
 
 
 def _sample_loop(obs):
     env = obs.env
-    period = obs.config.sample_period
     while True:
         obs.sample_once()
         if env.peek() == float("inf"):
             # Nothing else scheduled: we are the only remaining activity.
             return
         try:
-            yield env.timeout(period)
+            yield env.timeout(SAMPLE_PERIOD)
         except Interrupt:
             return
 

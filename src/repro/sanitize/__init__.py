@@ -21,7 +21,6 @@ from repro.sanitize.lci_checks import LciSanitizer
 from repro.sanitize.mpi_checks import MpiSanitizer, WindowSanitizer, signatures_overlap
 from repro.sanitize.runtime import (
     SANITIZER_EXIT_CODE,
-    SanitizerConfig,
     SanitizerContext,
     SanitizerError,
     Violation,
@@ -33,7 +32,6 @@ __all__ = [
     "SANITIZER_EXIT_CODE",
     "LciSanitizer",
     "MpiSanitizer",
-    "SanitizerConfig",
     "SanitizerContext",
     "SanitizerError",
     "Violation",

@@ -11,8 +11,8 @@ Two-sided / matching (:class:`MpiSanitizer`):
 * ``mpi.unexpected_at_finalize``     — messages still parked in the
   unexpected queue at finalize (sent but never received);
 * ``mpi.pending_recv_at_finalize``   — posted receives never matched;
-* ``mpi.unexpected_watermark``       — the unexpected queue crossed the
-  configured high watermark (the resource-exhaustion failure mode of
+* ``mpi.unexpected_watermark``       — the unexpected queue crossed
+  :data:`UNEXPECTED_WATERMARK` (the resource-exhaustion failure mode of
   Section III-B building up);
 * ``mpi.wildcard_order_hazard``      — a receive was posted whose
   signature overlaps a pending receive through a wildcard, so which
@@ -38,7 +38,15 @@ from typing import Dict, List, Tuple
 
 from repro.sanitize.runtime import SanitizerContext
 
-__all__ = ["MpiSanitizer", "WindowSanitizer", "signatures_overlap"]
+__all__ = [
+    "UNEXPECTED_WATERMARK", "MpiSanitizer", "WindowSanitizer",
+    "signatures_overlap",
+]
+
+#: MPI unexpected-queue length above which a high-watermark breach is
+#: reported (once per endpoint, at the first breach): far above anything
+#: a healthy run produces.
+UNEXPECTED_WATERMARK = 1024
 
 
 def signatures_overlap(
@@ -72,17 +80,17 @@ class MpiSanitizer:
             self._sends = [r for r in self._sends if not r.done]
 
     def on_unexpected(self, queue_len: int) -> None:
-        limit = self.ctx.config.unexpected_watermark
-        if queue_len > limit and not self._watermark_reported:
+        if queue_len > UNEXPECTED_WATERMARK and not self._watermark_reported:
             self._watermark_reported = True
             self.ctx.violation(
                 "mpi.unexpected_watermark",
                 self.rank,
                 f"unexpected-message queue reached {queue_len} entries "
-                f"(watermark {limit}): receives are not keeping up with "
-                "arrivals — the Section III-B exhaustion failure mode",
+                f"(watermark {UNEXPECTED_WATERMARK}): receives are not "
+                "keeping up with arrivals — the Section III-B exhaustion "
+                "failure mode",
                 queue_len=queue_len,
-                watermark=limit,
+                watermark=UNEXPECTED_WATERMARK,
             )
 
     def on_post_recv(self, posted_items, source: int, tag: int,

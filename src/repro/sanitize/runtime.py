@@ -34,7 +34,6 @@ from typing import Dict, List, Optional
 
 __all__ = [
     "SANITIZER_EXIT_CODE",
-    "SanitizerConfig",
     "SanitizerContext",
     "SanitizerError",
     "Violation",
@@ -118,16 +117,6 @@ class SanitizerError(RuntimeError):
         return self.violation.rule
 
 
-@dataclass
-class SanitizerConfig:
-    """Tunable thresholds of the runtime checkers."""
-
-    #: MPI unexpected-queue length above which a high-watermark breach
-    #: is reported (once per endpoint, at the first breach).  The
-    #: default is far above anything a healthy run produces.
-    unexpected_watermark: int = 1024
-
-
 class SanitizerContext:
     """The per-run hub every checker reports into.
 
@@ -138,17 +127,11 @@ class SanitizerContext:
     off.
     """
 
-    def __init__(
-        self,
-        mode: str = "raise",
-        env=None,
-        config: Optional[SanitizerConfig] = None,
-    ):
+    def __init__(self, mode: str = "raise", env=None):
         if mode not in _MODES:
             raise ValueError(f"unknown sanitize mode {mode!r}")
         self.mode = mode
         self.env = env
-        self.config = config or SanitizerConfig()
         self.violations: List[Violation] = []
 
     # ------------------------------------------------------------------

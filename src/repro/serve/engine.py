@@ -80,9 +80,12 @@ class ServeConfig:
 class ServeEngine:
     """One resident graph + scheduler + cache + admission controller."""
 
-    def __init__(self, config: ServeConfig, obs_config=None, profile=None,
+    def __init__(self, config: ServeConfig, obs: bool = False, profile=None,
                  commstats: bool = False):
         self.config = config
+        #: When True, every executed batch gets a fresh
+        #: :class:`repro.obs.ObsContext` (see :attr:`last_obs`).
+        self.obs_enabled = bool(obs)
         #: When True, every executed batch gets a fresh
         #: :class:`repro.obs.commstats.CommStatsContext`; the batch log
         #: carries the per-batch traffic summary and the report gains a
@@ -115,7 +118,6 @@ class ServeEngine:
             self._plan = get_plan(config.fault_plan, config.fault_seed)
             if self._plan.empty:
                 self._plan = None
-        self._obs_config = obs_config
         #: ObsContext of the most recent executed batch (export target).
         self.last_obs = None
         self._messages = 0
@@ -233,12 +235,10 @@ class ServeEngine:
                 ppr_damping=self.config.ppr_damping,
             )
         obs_ctx = None
-        if self._obs_config is not None:
-            from repro.obs import ObsConfig, ObsContext
+        if self.obs_enabled:
+            from repro.obs import ObsContext
 
-            cfg = self._obs_config if isinstance(self._obs_config, ObsConfig) \
-                else ObsConfig()
-            obs_ctx = ObsContext(cfg)
+            obs_ctx = ObsContext()
         comm_ctx = None
         if self.commstats_enabled:
             from repro.obs.commstats import CommStatsContext

@@ -464,11 +464,13 @@ class Environment:
         self.faults = None
         #: Optional :class:`repro.obs.profile.ProfileContext`.  When
         #: installed, :meth:`run` brackets the dispatch loop in a
-        #: ``sim.engine.run`` region and folds event/scheduler work counts
-        #: into the counter registry on exit.  Schedules are already
-        #: counted by ``_seq`` and fires by the run loop, so profiling
-        #: adds zero per-event cost.
+        #: ``sim.engine.run`` region.
         self.profiler = None
+        #: Entries scheduled and fired inside :meth:`run`, added on its
+        #: way out (schedules are the ``_seq`` delta, fires the loop's
+        #: own count): no per-event cost.
+        self.events_scheduled = 0
+        self.events_fired = 0
 
     @property
     def now(self) -> float:
@@ -630,13 +632,8 @@ class Environment:
             finally:
                 if collecting:
                     gc.enable()
-                if prof is not None:
-                    scheduled = self._seq - seq0
-                    ctr = prof.counters
-                    ctr.inc("sim.events_scheduled", scheduled)
-                    ctr.inc("sim.events_fired", count)
-                    # Every schedule pushes an entry, every fire pops one.
-                    ctr.inc("sim.heap_ops", scheduled + count)
+                self.events_scheduled += self._seq - seq0
+                self.events_fired += count
 
     def run_process(self, proc: Process, until: Optional[float] = None) -> Any:
         """Run until ``proc`` completes and return its value."""

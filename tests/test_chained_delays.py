@@ -16,7 +16,6 @@ import pytest
 
 from repro.bench.scenarios import Scenario, build_engine
 from repro.obs import ObsContext
-from repro.obs.context import ObsConfig
 from repro.serve import ServeConfig, ServeEngine, TapeSpec
 
 from tests.oracles import unchained
@@ -107,7 +106,7 @@ def test_rendezvous_sized_blobs(layer):
 def serve_batches():
     config = ServeConfig(scale=8, hosts=4, layer="lci", max_batch=8,
                          ppr_rounds=3)
-    engine = ServeEngine(config, obs_config=ObsConfig())
+    engine = ServeEngine(config, obs=True)
     report = engine.run_tape(TapeSpec(seed=5, num_queries=12, scale=8,
                                       mean_gap=4e-5))
     assert report.batches

@@ -104,6 +104,8 @@ def test_invalid_choice_rejected():
     ("serve --max-batch 0", "--max-batch"),
     ("run --app pagerank --pagerank-rounds 0", "--pagerank-rounds"),
     ("run --app pagerank --pagerank-rounds -1", "--pagerank-rounds"),
+    ("micro --threads 0", "--threads"),
+    ("micro --sizes -5", "--sizes"),
 ])
 def test_bad_scenario_flag_is_one_usage_error(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -122,7 +124,8 @@ _OUTPUTS = {"obs": None, "sanitize": None}
 
 #: ``parse_args([verb])`` of every verb, as the parser read it before
 #: the scenario flags were shared (``commstats`` and ``explain`` have
-#: since lost their baseline / ``--comm`` flags).
+#: since lost their baseline / ``--comm`` flags, ``bench-core`` its
+#: ``--repeats``).
 DEFAULTS = {
     "run": {**_SCENARIO, **_OUTPUTS, "app": "bfs", "scale": 12,
             "hosts": 16, "mpi_impl": "intelmpi", "pagerank_rounds": 20,
@@ -151,7 +154,7 @@ DEFAULTS = {
                   "mpi_impl": "intelmpi", "pagerank_rounds": 20,
                   "fault_plan": None, "json_path": None, "csv_path": None,
                   "heatmap_path": None, "prom_path": None},
-    "bench-core": {"out": None, "check": None, "repeats": 2},
+    "bench-core": {"out": None, "check": None},
     "lint": {"paths": [], "json_path": None, "sarif_path": None},
     "analyze": {"paths": [], "json_path": None, "sarif_path": None,
                 "check_baseline": None, "write_baseline": None,

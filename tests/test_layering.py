@@ -8,13 +8,15 @@ operations.  Importing the package loads neither scipy nor networkx.
 The kernel has one event queue with no geometry to set, and the
 libraries build plain records: no free-lists, no rebound hook slots.
 Components count in ``int`` attributes (no registry object, no
-``stats=`` / ``tracer=`` parameter), ``repro.sim`` writes no files, one
+``stats=`` / ``tracer=`` parameter) that the engine reads once, at the
+end of a run (no counter callbacks), ``repro.sim`` writes no files, one
 function in the package creates temp files and one encodes committed
 JSON, and the traffic gate lives in ``BENCH_core.json`` alone.
 """
 
 import ast
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +231,42 @@ def test_recorder_check_sees_registries_parameters_and_stats_chains():
         (1, "StatRegistry"), (3, "parameter stats"), (3, "parameter tracer"),
         (4, "StatRegistry"), (4, "assigns .stats"), (5, ".stats.counter"),
     ]
+
+
+#: The second counter system (a registry fed by per-component callbacks
+#: and settled at the end of a run) and the one-field config objects.
+#: Work counts are read once, off the finished engine
+#: (``BspEngine.work_counts()``); the constants live where they are used.
+RETIRED = re.compile(r"\b(add_source|settle|_profile_counts|CounterRegistry"
+                     r"|ObsConfig|SanitizerConfig)\b")
+
+
+def test_no_second_counter_system_and_no_config_objects():
+    root = Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}:{line}: {match.group()}"
+        for path in sorted(root.rglob("*.py"))
+        for line, text in enumerate(path.read_text().splitlines(), 1)
+        for match in RETIRED.finditer(text)
+    ]
+    assert offenders == []
+
+
+def _counter_reads(tree):
+    """Lines of every ``x.counters`` attribute read."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "counters"]
+
+
+def test_the_kernel_never_reads_the_profiler_counters():
+    # The run loop adds to its own two ints; the engine reads them.
+    path = Path(repro.__file__).parent / "sim" / "engine.py"
+    assert _counter_reads(ast.parse(path.read_text())) == []
+    assert _counter_reads(ast.parse(
+        "prof = env.profiler\n"
+        "if prof is not None:\n"
+        "    prof.counters['sim.events_fired'] += count\n"
+    )) == [3]
 
 
 def _imported_modules(tree):

@@ -19,7 +19,6 @@ import pytest
 
 from repro.bench.scenarios import Scenario, build_engine
 from repro.obs import (
-    ObsConfig,
     ObsContext,
     build_timelines,
     explain_report,
@@ -36,6 +35,7 @@ from repro.obs import (
     validate_prometheus,
     validate_timeline,
 )
+from repro.obs.sampler import SAMPLE_PERIOD
 
 LAYERS = ("lci", "mpi-probe", "mpi-rma")
 
@@ -152,7 +152,7 @@ def test_trace_ids_are_deterministic(traced_runs):
 
 
 def test_events_stamped_at_another_instant_export_in_time_order():
-    obs = ObsContext(ObsConfig(sample_period=0.0))
+    obs = ObsContext()
     obs.emit("t:0>1:0", "api", 0)                    # t = 0.0 (no env)
     obs.emit("t:0>1:0", "wire", 0, at=3.0)           # reported early
     obs.emit("t:0>1:1", "api", 0, at=1.0)
@@ -191,9 +191,8 @@ def test_sampler_populates_queue_probes(traced_runs):
     assert all(v >= 0 for v in series.values)
     # Samples tick on the configured period, starting at t=0; the
     # sampler self-stops within one period of the last protocol event.
-    period = obs.config.sample_period
-    assert series.times == [i * period for i in range(len(series))]
-    assert max(series.times) <= metrics.total_seconds + period
+    assert series.times == [i * SAMPLE_PERIOD for i in range(len(series))]
+    assert max(series.times) <= metrics.total_seconds + SAMPLE_PERIOD
 
 
 def test_mpi_probe_registers_matching_probes(traced_runs):
@@ -204,22 +203,8 @@ def test_mpi_probe_registers_matching_probes(traced_runs):
     assert "nic.rx_depth" in names
 
 
-def test_sampler_disabled_records_nothing():
-    obs = ObsContext(ObsConfig(sample_period=0.0))
-    build_engine(bfs8("lci"), obs=obs).run()
-    assert all(len(s) == 0 for s in obs.samples.values())
-    assert len(obs.events) > 0  # tracing still on
-
-
-def test_trace_messages_off_keeps_probes():
-    obs = ObsContext(ObsConfig(trace_messages=False))
-    build_engine(bfs8("lci"), obs=obs).run()
-    assert obs.events == []
-    assert any(len(s) > 0 for s in obs.samples.values())
-
-
 def test_register_probe_replaces_reader_keeps_series():
-    obs = ObsContext(ObsConfig(sample_period=0.0))
+    obs = ObsContext()
     obs.register_probe("q", 0, lambda: 1)
     obs.sample_once()
     first = obs.series("q", 0)

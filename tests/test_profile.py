@@ -5,10 +5,11 @@ The load-bearing guarantees pinned here:
 * installing a :class:`ProfileContext` leaves ``RunMetrics``
   bit-identical across every comm layer and both engines (pure
   observation);
-* the work-counter fingerprint is a pure function of the scenario:
-  repeat runs reproduce it exactly, the deferred-source
-  :meth:`~repro.obs.ProfileContext.flush` is idempotent, and a finished
-  engine's totals survive the engine;
+* work counts are read once, off the finished engine: a profiled run's
+  counters equal ``BspEngine.work_counts()`` of a plain and of a
+  commstats run, a run that raises still adds its counts to a shared
+  context, the fingerprint is a pure function of the scenario, and a
+  finished engine's totals survive the engine;
 * the region tree's self/cumulative arithmetic is exact under an
   injectable clock, for both spellings of the one primitive (``cell``
   bracket, ``timed`` wrapper), sampled or not, and a context shared by
@@ -29,8 +30,10 @@ from repro.bench.core_bench import core_benchmark
 from repro.bench.scenarios import Scenario, build_engine
 from repro.bench.serve_bench import check_against_file
 from repro.cli import main
+from repro.engine.bsp import BspEngine
+from repro.faults import LostCompletionError
 from repro.obs import (
-    CounterRegistry,
+    CommStatsContext,
     ProfileContext,
     RegionProfiler,
     validate_collapsed,
@@ -197,72 +200,73 @@ def test_default_clock_is_monotonic_wall():
 
 
 # ---------------------------------------------------------------------------
-# CounterRegistry
+# Work counts
 # ---------------------------------------------------------------------------
 
 def test_counter_fingerprint_order_independent():
-    a, b = CounterRegistry(), CounterRegistry()
-    a.inc("x", 2)
-    a.inc("y", 5)
-    b.inc("y", 5)
-    b.inc("x")
-    b.inc("x")
+    a, b = ProfileContext(), ProfileContext()
+    a.add_counts({"x": 2, "y": 5})
+    b.add_counts({"y": 5})
+    b.add_counts({"x": 1})
+    b.add_counts({"x": 1})
     assert a.fingerprint() == b.fingerprint()
-    assert a.as_dict() == {"x": 2, "y": 5}
+    assert a.counters_dict() == {"x": 2, "y": 5}
+    assert list(b.counters_dict()) == ["x", "y"]  # canonical order
 
 
 def test_counter_fingerprint_changes_with_values():
-    a = CounterRegistry()
-    a.inc("x")
-    fp = a.fingerprint()
-    a.inc("x")
-    assert a.fingerprint() != fp
-
-
-def test_counter_set_is_idempotent_landing_pad():
-    c = CounterRegistry()
-    c.set("n", 7)
-    c.set("n", 7)
-    assert c.get("n") == 7
-    c.set("n", 9)
-    assert c.get("n") == 9
-
-
-def test_flush_idempotent_and_lazy():
     ctx = ProfileContext()
-    total = {"v": 0}
-
-    def source():
-        return (("layer.ops", total["v"]),)
-
-    ctx.add_source(source)
-    total["v"] = 4
-    assert ctx.counters.get("layer.ops") == 0  # not flushed yet
-    ctx.flush()
-    ctx.flush()
-    assert ctx.counters.get("layer.ops") == 4
-    total["v"] = 6
-    assert ctx.counters_dict()["layer.ops"] == 6  # snapshot paths flush
+    ctx.add_counts({"x": 1})
+    fp = ctx.fingerprint()
+    ctx.add_counts({"x": 1})
+    assert ctx.fingerprint() != fp
 
 
-def test_flush_skips_zero_totals():
+def test_work_counts_hold_nonzero_counts_only():
+    eng = build_engine(bfs8("lci"))
+    assert eng.work_counts() == {}  # built, not run: nothing counted yet
+    eng.run()
+    counts = eng.work_counts()
+    assert 0 not in counts.values()
+    assert not [name for name in counts if name.startswith("mpi.")]
+    assert counts["sim.heap_ops"] == (
+        counts["sim.events_scheduled"] + counts["sim.events_fired"])
+
+
+PARITY = [bfs8(layer) for layer in LAYERS] + [
+    bfs8("mpi-probe", system="gemini"),
+    Scenario(app="bfs", graph="rmat", scale=8, hosts=4, layer="lci",
+             fault_plan="drop-5pct"),
+]
+
+
+@pytest.mark.parametrize("sc", PARITY, ids=lambda sc: sc.label())
+def test_profiled_counts_equal_work_counts_of_unprofiled_runs(sc):
     ctx = ProfileContext()
-    ctx.add_source(lambda: (("never.happened", 0),))
-    assert "never.happened" not in ctx.counters_dict()
+    build_engine(sc, profile=ctx).run()
+    plain = build_engine(sc)
+    plain.run()
+    observed = build_engine(sc, commstats=CommStatsContext())
+    observed.run()
+    assert ctx.counters_dict() == plain.work_counts()
+    assert ctx.counters_dict() == observed.work_counts()
 
 
-def test_settle_keeps_totals_and_drops_sources():
+def test_shared_context_sums_a_failed_and_a_plain_engine():
+    """The serve layer's failed-batch path: an engine whose run raises
+    still adds its counts to the shared context."""
     ctx = ProfileContext()
-    total = {"v": 3}
-    ctx.add_source(lambda: (("layer.ops", total["v"]),))
-    ctx.settle()
-    total["v"] = 99  # the source is gone: nothing reads this any more
-    assert ctx.counters_dict()["layer.ops"] == 3
-    ctx.add_source(lambda: (("layer.ops", 4),))  # the next engine's source
-    assert ctx.counters_dict()["layer.ops"] == 7
-    ctx.settle()
-    ctx.settle()
-    assert ctx.counters_dict()["layer.ops"] == 7
+    hung = build_engine(bfs8("mpi-probe"), profile=ctx,
+                        fault_plan="drop-5pct")
+    with pytest.raises(LostCompletionError):
+        hung.run()
+    plain = build_engine(bfs8("mpi-probe"), profile=ctx)
+    plain.run()
+    expected = hung.work_counts()
+    assert expected["netapi.pkts_injected"] > 0
+    for name, value in plain.work_counts().items():
+        expected[name] = expected.get(name, 0) + value
+    assert ctx.counters_dict() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +433,7 @@ TINY = (Scenario(app="bfs", graph="rmat", scale=7, hosts=2, layer="lci"),)
 
 
 def test_core_benchmark_shape_and_check(tmp_path):
-    doc = core_benchmark(TINY, repeats=2)
+    doc = core_benchmark(TINY)
     (row,) = doc["scenarios"]
     assert set(row) == {"label", "sim"}  # nothing machine-dependent
     assert row["sim"]["fingerprint"]
@@ -439,7 +443,7 @@ def test_core_benchmark_shape_and_check(tmp_path):
     path.write_text(canonical_json(doc))
 
     # A regenerated document matches byte for byte...
-    doc2 = core_benchmark(TINY, repeats=1)
+    doc2 = core_benchmark(TINY)
     assert check_against_file(doc2, str(path)) == []
     assert canonical_json(doc2) == path.read_text()
 
@@ -449,8 +453,32 @@ def test_core_benchmark_shape_and_check(tmp_path):
     assert check_against_file(doc3, str(path))
 
 
+def test_core_benchmark_runs_each_scenario_twice_and_checks_the_replay(
+        monkeypatch):
+    profiled = []
+    run, work_counts = BspEngine.run, BspEngine.work_counts
+
+    def counted_run(self):
+        profiled.append(self.profiler is not None)
+        return run(self)
+
+    monkeypatch.setattr(BspEngine, "run", counted_run)
+    core_benchmark(TINY)
+    assert profiled == [True, False]
+
+    def drifting(self):
+        counts = work_counts(self)
+        if self.profiler is None:
+            counts["sim.events_fired"] += 1
+        return counts
+
+    monkeypatch.setattr(BspEngine, "work_counts", drifting)
+    with pytest.raises(AssertionError, match="work counts not reproducible"):
+        core_benchmark(TINY)
+
+
 def test_comm_volume_change_trips_the_sim_comm_gate(tmp_path):
-    doc = core_benchmark(TINY, repeats=1)
+    doc = core_benchmark(TINY)
     path = tmp_path / "BENCH_core.json"
     path.write_text(canonical_json(doc))
     moved = json.loads(canonical_json(doc))
@@ -522,7 +550,7 @@ def test_cli_bench_core_roundtrip(tmp_path, capsys, monkeypatch):
     import repro.bench.core_bench as cb
     monkeypatch.setattr(cb, "CANONICAL_SCENARIOS", TINY)
     path = str(tmp_path / "BENCH_core.json")
-    assert main(["bench-core", "--out", path, "--repeats", "1"]) == 0
+    assert main(["bench-core", "--out", path]) == 0
     capsys.readouterr()
-    assert main(["bench-core", "--check", path, "--repeats", "1"]) == 0
+    assert main(["bench-core", "--check", path]) == 0
     assert "match" in capsys.readouterr().out

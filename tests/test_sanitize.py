@@ -27,11 +27,11 @@ from repro.netapi.packet import PacketType
 from repro.sanitize import (
     SANITIZER_EXIT_CODE,
     LciSanitizer,
-    SanitizerConfig,
     SanitizerContext,
     SanitizerError,
     signatures_overlap,
 )
+from repro.sanitize import mpi_checks
 from repro.sanitize.lint import (
     is_order_sensitive,
     lint_repo,
@@ -48,10 +48,10 @@ from repro.sim.rng import RngFactory
 # Helpers: worlds with sanitizers armed (discovered via fabric.sanitizer,
 # exactly the path the engine uses)
 # ---------------------------------------------------------------------------
-def make_mpi_world(num_hosts=2, mode="warn", san_config=None):
+def make_mpi_world(num_hosts=2, mode="warn"):
     env = Environment()
     fabric = Fabric(env, num_hosts, stampede2())
-    ctx = SanitizerContext(mode, env=env, config=san_config)
+    ctx = SanitizerContext(mode, env=env)
     fabric.sanitizer = ctx
     world = MpiWorld(env, fabric, intel_mpi(), ThreadMode.MULTIPLE)
     return env, world, ctx
@@ -503,10 +503,9 @@ def test_identical_signatures_are_not_a_hazard():
     assert ctx.by_rule("mpi.wildcard_order_hazard") == []
 
 
-def test_unexpected_watermark_fires_once():
-    env, world, ctx = make_mpi_world(
-        2, san_config=SanitizerConfig(unexpected_watermark=2)
-    )
+def test_unexpected_watermark_fires_once(monkeypatch):
+    monkeypatch.setattr(mpi_checks, "UNEXPECTED_WATERMARK", 2)
+    env, world, ctx = make_mpi_world(2)
 
     def sender(env):
         ep = world.endpoint(0)
