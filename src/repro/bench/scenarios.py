@@ -63,9 +63,9 @@ class Scenario:
     fault_plan: Optional[str] = None
     #: Seed of the fault plan's draw streams (defaults to the plan's own).
     fault_seed: Optional[int] = None
-    #: Protocol sanitizers: "warn" | "raise" | "off" | None (consult
-    #: the ``REPRO_SANITIZE`` environment variable at engine build).
-    sanitize: Optional[str] = None
+    #: Protocol sanitizers: True | False | None (consult the
+    #: ``REPRO_SANITIZE`` environment variable at engine build).
+    sanitize: Optional[bool] = None
 
     def label(self) -> str:
         base = (

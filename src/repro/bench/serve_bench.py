@@ -14,8 +14,7 @@ Fields the acceptance gate reads: ``serve.throughput.queries_per_sec``,
 
 from __future__ import annotations
 
-import json
-from typing import List, Optional
+from typing import List
 
 __all__ = [
     "BENCH_FORMAT",
@@ -99,13 +98,3 @@ def compare_bench_docs(fresh: dict, committed: dict,
     if fresh != committed:
         return [f"{path}: {fresh!r} != {committed!r}"]
     return []
-
-
-def check_against_file(doc: dict, path: str) -> Optional[List[str]]:
-    """Compare ``doc`` with the JSON at ``path``; None if unreadable."""
-    try:
-        with open(path) as fh:
-            committed = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    return compare_bench_docs(doc, committed)

@@ -37,8 +37,8 @@ take them; counts are range-checked at parse time.
 
 Exit codes: 0 success; 1 generic failure / lint findings; 2 usage
 errors (bad flags, unknown fault plans, unreadable tapes); 3
-(:data:`repro.sanitize.SANITIZER_EXIT_CODE`) when a run finished but
-warn-mode protocol sanitizers recorded violations.
+(:data:`repro.sanitize.SANITIZER_EXIT_CODE`) when an armed protocol
+sanitizer raised :class:`~repro.sanitize.SanitizerError`, from any verb.
 """
 
 from __future__ import annotations
@@ -51,11 +51,7 @@ from repro.bench.micro import MICRO_INTERFACES, message_rate, pingpong_latency
 from repro.bench.report import format_seconds, format_table
 from repro.bench.scenarios import Scenario, build_engine, run_scenario
 from repro.comm.layer_base import LAYER_NAMES
-from repro.sanitize.runtime import (
-    SANITIZER_EXIT_CODE,
-    SanitizerError,
-    format_violations,
-)
+from repro.sanitize.runtime import SANITIZER_EXIT_CODE, SanitizerError
 
 __all__ = ["main", "build_parser"]
 
@@ -136,10 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[_cluster_flags(), _app_flag(), _mpi_flags()],
     )
     run.set_defaults(scale=12, hosts=16)
-    run.add_argument("--sanitize", nargs="?", const="warn",
-                     choices=["warn", "raise"], default=None,
-                     help="arm the protocol sanitizers (default mode: "
-                          "warn; exits %d on violations)"
+    run.add_argument("--sanitize", action="store_const", const=True,
+                     help="arm the protocol sanitizers (exits %d on a "
+                          "violation; unset: REPRO_SANITIZE decides)"
                           % SANITIZER_EXIT_CODE)
     run.add_argument("--obs", nargs="?", const="obs-timeline.json",
                      metavar="PATH",
@@ -149,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--obs-chrome", metavar="PATH",
                      help="also export the obs timeline as a Chrome "
                           "trace: message flow arrows, round spans, "
-                          "fault / sanitizer instants (implies --obs)")
+                          "fault instants (implies --obs)")
     run.add_argument("--obs-prom", metavar="PATH",
                      help="also export aggregate obs metrics in "
                           "Prometheus text format (implies --obs)")
@@ -171,8 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed of the fault draw streams")
     chaos.add_argument("--list-plans", action="store_true",
                        help="list the named fault plans and exit")
-    chaos.add_argument("--sanitize", nargs="?", const="warn",
-                       choices=["warn", "raise"], default=None,
+    chaos.add_argument("--sanitize", action="store_const", const=True,
                        help="arm the protocol sanitizers for both the "
                             "baseline and the faulted run")
     chaos.add_argument("--obs", nargs="?", const="obs-timeline.json",
@@ -244,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve under a named fault plan "
                             "(graceful degradation)")
     serve.add_argument("--fault-seed", type=int, default=None)
-    serve.add_argument("--sanitize", nargs="?", const="warn",
-                       choices=["warn", "raise"], default=None,
+    serve.add_argument("--sanitize", action="store_const", const=True,
                        help="arm the protocol sanitizers for every batch")
     serve.add_argument("--obs", nargs="?", const="obs-serve.json",
                        metavar="PATH",
@@ -378,11 +371,7 @@ def _cmd_run(args) -> int:
     from repro.obs.profile import wall_now
 
     wall0 = wall_now()
-    try:
-        m = build_engine(sc, obs=obs, commstats=commstats).run()
-    except SanitizerError as exc:
-        print(f"sanitizer violation: {exc}", file=sys.stderr)
-        return SANITIZER_EXIT_CODE
+    m = build_engine(sc, obs=obs, commstats=commstats).run()
     m.stamp_wall(wall_now() - wall0)
     comm_doc = None
     if commstats is not None:
@@ -400,9 +389,6 @@ def _cmd_run(args) -> int:
     print(f"\ntotal {format_seconds(m.total_seconds)} = compute "
           f"{format_seconds(m.compute_seconds)} + comm "
           f"{format_seconds(m.comm_seconds)} over {m.rounds} rounds")
-    if m.sanitizer_violations:
-        print(format_violations(m.sanitizer_violations), file=sys.stderr)
-        return SANITIZER_EXIT_CODE
     return 0
 
 
@@ -489,13 +475,9 @@ def _cmd_chaos(args) -> int:
         from repro.obs import ObsContext
         obs = ObsContext()
     sc = _scenario(args)
-    try:
-        # --obs also arms the comm observatory so the report can
-        # attribute byte deltas (retransmits, drops) to the fault plan.
-        report = run_chaos(sc, plan, obs=obs, commstats=obs is not None)
-    except SanitizerError as exc:
-        print(f"sanitizer violation: {exc}", file=sys.stderr)
-        return SANITIZER_EXIT_CODE
+    # --obs also arms the comm observatory so the report can
+    # attribute byte deltas (retransmits, drops) to the fault plan.
+    report = run_chaos(sc, plan, obs=obs, commstats=obs is not None)
     if obs is not None:
         from repro.obs import save_chrome_trace, save_timeline
         timeline = obs.as_timeline(meta={
@@ -509,11 +491,7 @@ def _cmd_chaos(args) -> int:
             save_chrome_trace(args.obs_chrome, timeline)
             print(f"obs chrome trace written to {args.obs_chrome}")
     print(format_chaos_report(report))
-    if report.outcome != "recovered":
-        return 1
-    if report.sanitizer_violations:
-        return SANITIZER_EXIT_CODE
-    return 0
+    return 0 if report.outcome == "recovered" else 1
 
 
 def _cmd_sweep(args) -> int:
@@ -638,11 +616,7 @@ def _cmd_serve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        report = engine.drain(queries)
-    except SanitizerError as exc:
-        print(f"sanitizer violation: {exc}", file=sys.stderr)
-        return SANITIZER_EXIT_CODE
+    report = engine.drain(queries)
 
     if args.save_tape:
         atomic_write_text(args.save_tape, tape_to_json(spec, queries))
@@ -678,10 +652,6 @@ def _cmd_serve(args) -> int:
             )
             print(f"obs prometheus metrics written to {args.obs_prom}")
     print(format_serve_report(report))
-    if report.sanitizer_violations:
-        print(format_violations(report.sanitizer_violations),
-              file=sys.stderr)
-        return SANITIZER_EXIT_CODE
     return 0
 
 
@@ -927,7 +897,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "lint": _cmd_lint,
         "analyze": _cmd_analyze,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except SanitizerError as exc:
+        print(f"sanitizer violation: {exc}", file=sys.stderr)
+        return SANITIZER_EXIT_CODE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -94,13 +94,13 @@ class EngineConfig:
     #: name of one (``repro.faults.NAMED_PLANS``), or ``None`` for a
     #: fault-free run (the default; no hooks are installed).
     fault_plan: Optional[object] = None
-    #: Protocol sanitizers: ``"warn"`` (accumulate, surface in metrics),
-    #: ``"raise"`` (structured SanitizerError at the violation point),
-    #: ``"off"`` (force-disable), or ``None`` to consult the
+    #: Protocol sanitizers: ``True`` arms them (a violation raises
+    #: :class:`~repro.sanitize.SanitizerError` where it is found),
+    #: ``False`` forces them off, ``None`` consults the
     #: ``REPRO_SANITIZE`` environment variable — the only place the
     #: environment is read, at engine construction, so the simulation
     #: modules themselves stay environment-independent (lint rule D104).
-    sanitize: Optional[str] = None
+    sanitize: Optional[bool] = None
     #: Optional :class:`repro.obs.ObsContext` for message-lifecycle
     #: tracing, queue probes and the engine's per-round compute /
     #: allreduce spans.  Installed on the fabric before the layers are
@@ -162,11 +162,8 @@ class BspEngine:
         # Sanitizers ride on the fabric (like the fault injector) so the
         # protocol components can self-discover them; they must be
         # installed before the layers are built.
-        self.sanitizer_ctx = None
-        _san_mode = resolve_mode(config.sanitize)
-        if _san_mode is not None:
-            self.sanitizer_ctx = SanitizerContext(_san_mode, env=self.env)
-            self.fabric.sanitizer = self.sanitizer_ctx
+        if resolve_mode(config.sanitize):
+            self.fabric.sanitizer = SanitizerContext(env=self.env)
         # The injector must be installed before the layers are built so
         # LCI can arm its ack/retransmit recovery protocol.
         self.injector = None
@@ -622,9 +619,6 @@ class BspEngine:
         m.blobs_sent = counters.get("blobs_sent", 0) + counters.get("puts", 0)
         if self.injector is not None:
             m.fault_counts = self.injector.counts()
-        if self.sanitizer_ctx is not None:
-            m.sanitizer_mode = self.sanitizer_ctx.mode
-            m.sanitizer_violations = self.sanitizer_ctx.as_dicts()
         return m
 
     # ------------------------------------------------------------------

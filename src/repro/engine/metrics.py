@@ -54,11 +54,6 @@ class RunMetrics:
     #: Faults injected during the run (empty when no plan was installed):
     #: drops, duplicates, reorders, stalls, dilations.
     fault_counts: Dict[str, int] = field(default_factory=dict)
-    #: Sanitizer mode the run was executed under ("" when sanitizers
-    #: were off) and the violations recorded (``Violation.as_dict``
-    #: rows; only ever non-empty in warn mode — raise mode aborts).
-    sanitizer_mode: str = ""
-    sanitizer_violations: List[Dict] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     @property

@@ -24,7 +24,7 @@ package ``__init__``; the CLI and tests import it lazily.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from repro.bench.scenarios import Scenario, build_engine
 from repro.faults.plan import LostCompletionError, get_plan
 from repro.lci.reliability import ReliableLink
 from repro.mpi.exceptions import MPIError
-from repro.sanitize.runtime import format_violations
 from repro.sim.engine import SimulationError
 
 __all__ = [
@@ -59,8 +58,6 @@ class ChaosReport:
     fault_counts: Dict[str, int] = field(default_factory=dict)
     recovery: Dict[str, int] = field(default_factory=dict)
     rounds: int = 0
-    #: Warn-mode sanitizer violations from both runs (baseline first).
-    sanitizer_violations: List[Dict] = field(default_factory=list)
     #: Fault-attributed traffic deltas (baseline vs. faulted wire
     #: volume, plus what the injector actually dropped), populated when
     #: :func:`run_chaos` ran with ``commstats=True``.
@@ -128,7 +125,6 @@ def run_chaos(
     base_engine = build_engine(sc, commstats=base_comm)
     base_metrics = base_engine.run()
     base_answer = base_engine.assemble_global()
-    sanitizer_violations: List[Dict] = list(base_metrics.sanitizer_violations)
 
     report = ChaosReport(
         scenario=sc.label(),
@@ -137,7 +133,6 @@ def run_chaos(
         outcome="recovered",
         baseline_seconds=base_metrics.total_seconds,
     )
-    report.sanitizer_violations = sanitizer_violations
     if plan.empty:
         report.faulted_seconds = base_metrics.total_seconds
         report.rounds = base_metrics.rounds
@@ -175,10 +170,6 @@ def run_chaos(
         }
     if engine.injector is not None:
         report.fault_counts = engine.injector.counts()
-    if engine.sanitizer_ctx is not None:
-        # The context (not the metrics) has the violations even when the
-        # faulted run hung or crashed before producing metrics.
-        sanitizer_violations.extend(engine.sanitizer_ctx.as_dicts())
     if faulted_comm is not None:
         # Counts are recorded at injection time, so the faulted matrix
         # is meaningful even when the run later hung or crashed.
@@ -350,6 +341,4 @@ def format_chaos_report(report: ChaosReport) -> str:
             f"injector dropped {c['dropped_msgs']} pkts / "
             f"{c['dropped_bytes']} B"
         )
-    if report.sanitizer_violations:
-        lines.append(format_violations(report.sanitizer_violations))
     return "\n".join(lines)

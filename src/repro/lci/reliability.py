@@ -175,11 +175,16 @@ class ReliableLink:
     def close(self) -> None:
         """Tear down with the server: cancel every pending retransmission.
 
-        Packets still unacknowledged at shutdown are abandoned — the run
-        is over, so their buffers no longer matter.
+        Packets still unacknowledged at shutdown are abandoned, but their
+        local-completion callbacks still run, so every budget they hold
+        goes home to the pool (the run is over, so no retransmission
+        needs the buffer).  Zero simulated time.
         """
         self.closed = True
-        self._unacked.clear()
+        abandoned, self._unacked = self._unacked, {}
+        for entry in abandoned.values():
+            if entry.on_local_complete is not None:
+                entry.on_local_complete()
 
     @property
     def in_flight(self) -> int:

@@ -252,10 +252,6 @@ class MpiWindow:
         """RDMA-put ``payload`` into our slot at ``target`` (MPI_Put)."""
         st = self._state[rank]
         if target not in st.started_targets:
-            if self.sanitizer is not None:
-                # Records the structured violation (and raises
-                # SanitizerError in raise mode) before the hard error.
-                self.sanitizer.on_put_outside_epoch(rank, target)
             raise MPIUsageError(
                 f"rank {rank}: put to {target} outside access epoch"
             )

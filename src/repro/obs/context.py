@@ -24,9 +24,9 @@ kinds of data, all pure observation:
 * **Activity spans** — closed intervals of engine work per host and
   round (compute, allreduce), reported by the engine (:meth:`span`).
 
-Fault and sanitizer *instants* are not collected at all: the injector's
-replayable trace, the plan's windows and the sanitizer's violation list
-are read off the fabric when the timeline is exported.
+Fault *instants* are not collected at all: the injector's replayable
+trace and the plan's windows are read off the fabric when the timeline
+is exported.
 
 Determinism contract (the same guarantee the sanitizers give): hooks
 never advance simulated time, never touch a component's counts, and
@@ -197,7 +197,7 @@ class ObsContext:
     def instants(self) -> List[list]:
         """``[host, category, name, t, args]`` markers, read from the
         logs their owners keep: the fault plan's windows (both edges),
-        the injector's trace and the sanitizer's violations."""
+        and the injector's trace."""
         rows: List[list] = []
         fabric = self.fabric
         if fabric is None:
@@ -217,12 +217,6 @@ class ObsContext:
                 rows.append([
                     ev.src, "fault", f"{ev.kind} {ev.ptype}->{ev.dst}",
                     ev.time, {"size": ev.size, "delay": ev.delay},
-                ])
-        if fabric.sanitizer is not None:
-            for v in fabric.sanitizer.violations:
-                rows.append([
-                    max(v.host, 0), "sanitizer", f"san:{v.rule}", v.time,
-                    dict(v.details),
                 ])
         return rows
 

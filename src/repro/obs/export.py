@@ -9,8 +9,8 @@ Three output formats, all deterministic byte-for-byte for a given run:
   on one process row per host, with ``ph:"s"/"f"`` *flow events*
   stitching each message's sender-side and receiver-side spans into a
   single arrow in Perfetto / ``chrome://tracing``; the engine's round
-  spans on each host's ``main`` row and fault / sanitizer instants on a
-  row per category.  The program's only Chrome-trace writer.
+  spans on each host's ``main`` row and fault instants on their own
+  row.  The program's only Chrome-trace writer.
 * **Prometheus text format** (:func:`to_prometheus`) — aggregate
   counters/gauges for scraping or diffing in CI.
 
@@ -114,7 +114,7 @@ def to_chrome_trace(timeline: dict) -> dict:
             "ts": start * 1e6, "dur": (end - start) * 1e6,
             "args": args,
         })
-    # Fault and sanitizer markers: one thread row per category.
+    # Fault markers: one thread row per category.
     for host, category, name, t, args in timeline.get("instants", ()):
         events.append({
             "ph": "i", "pid": host, "tid": category,

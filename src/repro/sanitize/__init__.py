@@ -14,7 +14,8 @@ protocol models honest so every perf/refactor PR has a safety net:
 * :mod:`repro.sanitize.runtime` + the per-layer checkers
   (:mod:`~repro.sanitize.lci_checks`, :mod:`~repro.sanitize.mpi_checks`)
   — opt-in MUST-style runtime sanitizers (``repro run --sanitize`` or
-  ``REPRO_SANITIZE=1``).
+  ``REPRO_SANITIZE=1``): a violation raises :class:`SanitizerError`
+  where it is found, and the CLI exits 3.
 """
 
 from repro.sanitize.lci_checks import LciSanitizer
@@ -23,8 +24,6 @@ from repro.sanitize.runtime import (
     SANITIZER_EXIT_CODE,
     SanitizerContext,
     SanitizerError,
-    Violation,
-    format_violations,
     resolve_mode,
 )
 
@@ -34,9 +33,7 @@ __all__ = [
     "MpiSanitizer",
     "SanitizerContext",
     "SanitizerError",
-    "Violation",
     "WindowSanitizer",
-    "format_violations",
     "resolve_mode",
     "signatures_overlap",
 ]

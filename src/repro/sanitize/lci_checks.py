@@ -81,7 +81,6 @@ class LciSanitizer:
                 "already recycled)",
                 packet=pkt.uid,
             )
-            return
         state[self.host] = _RETIRED
 
     def on_packet_use(self, pkt) -> None:

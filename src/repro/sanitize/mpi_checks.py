@@ -19,12 +19,11 @@ Two-sided / matching (:class:`MpiSanitizer`):
   message lands in which buffer depends on arrival interleaving (the
   classic MUST nondeterministic-matching warning).
 
-One-sided / PSCW epochs (:class:`WindowSanitizer`):
+One-sided / PSCW epochs (:class:`WindowSanitizer`; a put with no open
+access epoch is a hard :class:`~repro.mpi.exceptions.MPIUsageError` on
+every run, sanitized or not):
 
-* ``mpi.rma_put_outside_epoch`` — MPI_Put issued with no open access
-  epoch to the target (also a hard :class:`~repro.mpi.exceptions.
-  MPIUsageError`; the sanitizer records the structured violation first);
-* ``mpi.rma_overlapping_put``   — two puts into overlapping byte ranges
+* ``mpi.rma_overlapping_put`` — two puts into overlapping byte ranges
   of the same target slot within one access epoch, with no intervening
   synchronization: a window data race whose outcome is whichever put
   the NIC orders last.
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 #: MPI unexpected-queue length above which a high-watermark breach is
-#: reported (once per endpoint, at the first breach): far above anything
-#: a healthy run produces.
+#: reported: far above anything a healthy run produces.
 UNEXPECTED_WATERMARK = 1024
 
 
@@ -71,7 +69,6 @@ class MpiSanitizer:
         self.ctx = ctx
         self.rank = rank
         self._sends: List[object] = []      # MpiRequest, pruned lazily
-        self._watermark_reported = False
 
     # ------------------------------------------------------------------
     def on_send(self, req) -> None:
@@ -80,8 +77,7 @@ class MpiSanitizer:
             self._sends = [r for r in self._sends if not r.done]
 
     def on_unexpected(self, queue_len: int) -> None:
-        if queue_len > UNEXPECTED_WATERMARK and not self._watermark_reported:
-            self._watermark_reported = True
+        if queue_len > UNEXPECTED_WATERMARK:
             self.ctx.violation(
                 "mpi.unexpected_watermark",
                 self.rank,
@@ -118,7 +114,6 @@ class MpiSanitizer:
                     new_source=source, new_tag=tag,
                     pending_source=entry.source, pending_tag=entry.tag,
                 )
-                return
 
     # ------------------------------------------------------------------
     def check_finalize(self, endpoint) -> None:
@@ -187,14 +182,4 @@ class WindowSanitizer:
                     target=target, offset=lo, nbytes=nbytes,
                     earlier_offset=plo, earlier_end=phi,
                 )
-                break
         ranges.append((lo, hi))
-
-    def on_put_outside_epoch(self, rank: int, target: int) -> None:
-        self.ctx.violation(
-            "mpi.rma_put_outside_epoch",
-            rank,
-            f"window {self.label!r}: put to target {target} with no open "
-            "access epoch (MPI_Win_start missing or already completed)",
-            target=target,
-        )

@@ -68,8 +68,8 @@ class ServeConfig:
     #: Named fault plan to serve under (``None``/"none" = fault-free).
     fault_plan: Optional[str] = None
     fault_seed: Optional[int] = None
-    #: Sanitizer mode forwarded to every batch engine.
-    sanitize: Optional[str] = None
+    #: Sanitizer switch forwarded to every batch engine.
+    sanitize: Optional[bool] = None
     #: Admission-control knobs.
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: Clock charge for a batch killed by a fault, used until the
@@ -123,8 +123,6 @@ class ServeEngine:
         self._messages = 0
         self._message_bytes = 0
         self._exec_seconds = 0.0
-        #: Warn-mode sanitizer violations accumulated across batches.
-        self.sanitizer_violations: List[dict] = []
         self._inbox: List[Query] = []
         self._scenario = Scenario(
             app="serve", graph=config.graph, scale=config.scale,
@@ -213,7 +211,6 @@ class ServeEngine:
             exec_seconds=self._exec_seconds,
             messages=self._messages,
             message_bytes=self._message_bytes,
-            sanitizer_violations=list(self.sanitizer_violations),
             wall_seconds=wall_now() - wall_start,
         )
 
@@ -276,8 +273,6 @@ class ServeEngine:
             ]
         if obs_ctx is not None:
             self.last_obs = obs_ctx
-        if metrics.sanitizer_violations:
-            self.sanitizer_violations.extend(metrics.sanitizer_violations)
         self.clock += metrics.total_seconds
         self._exec_seconds += metrics.total_seconds
         self._messages += metrics.blobs_sent
@@ -344,8 +339,6 @@ class ServeReport:
     exec_seconds: float
     messages: int
     message_bytes: int
-    #: Warn-mode sanitizer violations from every executed batch.
-    sanitizer_violations: List[dict] = field(default_factory=list)
     #: Host wall-clock seconds the drain took (machine-dependent, so
     #: kept OUT of the deterministic document unless asked for).
     wall_seconds: float = 0.0
@@ -415,7 +408,6 @@ class ServeReport:
             },
             "cache": dict(self.cache_stats),
             "admission": dict(self.admission_stats),
-            "sanitizer_violations": len(self.sanitizer_violations),
             "results": [r.as_row() for r in self.results],
         }
         with_comm = [b for b in executed if "comm" in b]

@@ -6,7 +6,8 @@ separate waits it stands for.  The two runs must agree exactly — every
 simulated timestamp, footprint, counter and answer, and the whole obs
 timeline (events, probe samples, stalls) — and differ only in how many
 queue entries they needed.  The suite runs in CI with and without
-``REPRO_SANITIZE=1``, so the comparison covers the sanitized paths too.
+``REPRO_SANITIZE=1``, so the comparison covers the sanitized paths too
+(an armed sanitizer raises on any violation).
 """
 
 import json
@@ -41,7 +42,6 @@ def observe(sc):
         "blobs": (m.blobs_sent, m.payload_bytes_sent, m.updates_shipped),
         "counters": m.layer_counters,
         "faults": m.fault_counts,
-        "violations": m.sanitizer_violations,
         "answer": eng.assemble_global().tobytes(),
         "timeline": json.dumps(obs.as_timeline(), sort_keys=True),
     }

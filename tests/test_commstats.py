@@ -81,8 +81,7 @@ def every_instrument(sc, **kw):
 def test_commstats_with_obs_still_bit_identical(layer):
     sc = bfs8(layer)
     plain = build_engine(sc).run()
-    observed = every_instrument(replace(sc, sanitize="warn")).run()
-    assert observed.sanitizer_violations == []
+    observed = every_instrument(replace(sc, sanitize=True)).run()
     assert observed.total_seconds == plain.total_seconds
     assert observed.row() == plain.row()
 
@@ -90,7 +89,7 @@ def test_commstats_with_obs_still_bit_identical(layer):
 def test_every_instrument_at_once_gemini():
     sc = replace(bfs8("mpi-probe"), system="gemini")
     plain = build_engine(sc).run()
-    observed = every_instrument(replace(sc, sanitize="warn")).run()
+    observed = every_instrument(replace(sc, sanitize=True)).run()
     assert observed.row() == plain.row()
 
 

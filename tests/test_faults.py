@@ -172,6 +172,9 @@ def test_lci_recovers_exact_answer(plan):
     # Recovery machinery ran and is visible in the metrics.
     assert m.layer_counters.get("rel_sends", 0) > 0
     assert m.layer_counters.get("acks", 0) > 0
+    # Sends still unacknowledged at shutdown return their budgets too:
+    # every host's packet pool ends full.
+    assert [l.rt.pool.in_use for l in eng.layers] == [0] * len(eng.layers)
 
 
 def test_lci_windowed_faults_slow_but_correct():

@@ -252,6 +252,28 @@ def test_no_second_counter_system_and_no_config_objects():
     assert offenders == []
 
 
+SANITIZER_LISTS = re.compile(
+    r"\b(sanitizer_violations|sanitizer_mode|format_violations)\b")
+
+
+def test_one_sanitizer_mode_that_raises_where_it_finds():
+    # A violation raises SanitizerError at its detection point; no
+    # "warn" mode, and no violation list threaded through the reports.
+    root = Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}:{line}: {match.group()}"
+        for path in sorted(root.rglob("*.py"))
+        for line, text in enumerate(path.read_text().splitlines(), 1)
+        for match in SANITIZER_LISTS.finditer(text)
+    ] + [
+        f"{path.relative_to(root)}:{node.lineno}: 'warn'"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and node.value == "warn"
+    ]
+    assert offenders == []
+
+
 def _counter_reads(tree):
     """Lines of every ``x.counters`` attribute read."""
     return [node.lineno for node in ast.walk(tree)

@@ -4,10 +4,12 @@ The matching queues implement exactly the semantics LCI drops — wildcard
 receives and the FIFO-per-(source, tag) ordering guarantee — so their
 corner cases are load-bearing for the paper's comparison.  The pool
 tests walk the full exhaustion → recycle → reuse cycle (local caches,
-steal path, receive reserve) with the lifecycle sanitizer armed: clean
-on the healthy paths, and loudly caught on deliberately planted leak
-and double-free bugs.
+steal path, receive reserve) with the lifecycle sanitizer armed: silent
+on the healthy paths, and raising on deliberately planted leak and
+double-free bugs.
 """
+
+import pytest
 
 from repro.lci import PacketPool
 from repro.mpi.matching import (
@@ -17,7 +19,7 @@ from repro.mpi.matching import (
     UnexpectedQueue,
 )
 from repro.mpi.types import ANY_SOURCE, ANY_TAG, MpiRequest
-from repro.sanitize import LciSanitizer, SanitizerContext
+from repro.sanitize import LciSanitizer, SanitizerContext, SanitizerError
 from repro.sim.engine import Environment
 from repro.sim.machine import stampede2
 
@@ -170,9 +172,8 @@ def make_pool(size, rx_reserve=0, local_cache=None):
         env, stampede2().cpu, size=size, packet_data_bytes=1024,
         rx_reserve=rx_reserve, **kwargs,
     )
-    ctx = SanitizerContext("warn", env=env)
-    pool.sanitizer = LciSanitizer(ctx, host=0)
-    return env, pool, ctx
+    pool.sanitizer = LciSanitizer(SanitizerContext(env=env), host=0)
+    return env, pool
 
 
 def drive(env, gen):
@@ -180,7 +181,7 @@ def drive(env, gen):
 
 
 def test_pool_exhaust_recycle_reuse_cycle_is_clean():
-    env, pool, ctx = make_pool(size=2)
+    env, pool = make_pool(size=2)
 
     def cycle(env):
         out = []
@@ -197,11 +198,10 @@ def test_pool_exhaust_recycle_reuse_cycle_is_clean():
     results = drive(env, cycle(env))
     assert results == [True, True, False, True] * 3
     assert pool.in_use == 0
-    assert len(ctx) == 0
 
 
 def test_pool_local_cache_hit_then_steal_path():
-    env, pool, ctx = make_pool(size=4, local_cache=4)
+    env, pool = make_pool(size=4, local_cache=4)
     t1, t2 = object(), object()
 
     def cycle(env):
@@ -225,11 +225,10 @@ def test_pool_local_cache_hit_then_steal_path():
 
     drive(env, cycle(env))
     assert pool.in_use == 0
-    assert len(ctx) == 0
 
 
 def test_pool_send_side_steal_honors_rx_reserve():
-    env, pool, ctx = make_pool(size=4, rx_reserve=2, local_cache=4)
+    env, pool = make_pool(size=4, rx_reserve=2, local_cache=4)
     t1 = object()
 
     def cycle(env):
@@ -253,11 +252,10 @@ def test_pool_send_side_steal_honors_rx_reserve():
             yield from pool.free()
 
     drive(env, cycle(env))
-    assert len(ctx) == 0
 
 
 def test_pool_planted_leak_caught_after_reuse_cycle():
-    env, pool, ctx = make_pool(size=3)
+    env, pool = make_pool(size=3)
 
     def cycle(env):
         # A healthy exhaustion/recycle round first...
@@ -269,26 +267,29 @@ def test_pool_planted_leak_caught_after_reuse_cycle():
         yield from pool.alloc()
 
     drive(env, cycle(env))
-    pool.sanitizer.check_shutdown(pool)
-    leaks = ctx.by_rule("lci.packet_leak")
-    assert len(leaks) == 1
-    assert leaks[0].details["leaked"] == 1
+    with pytest.raises(SanitizerError) as ei:
+        pool.sanitizer.check_shutdown(pool)
+    assert ei.value.rule == "lci.packet_leak"
+    assert ei.value.host == 0
+    assert ei.value.details == {"leaked": 1, "pool_size": 3}
 
 
 def test_pool_planted_double_free_caught():
-    env, pool, ctx = make_pool(size=2)
+    env, pool = make_pool(size=2)
 
     def cycle(env):
         yield from pool.alloc()
         yield from pool.free()
         yield from pool.free()      # planted: the same budget again
 
-    drive(env, cycle(env))
-    assert ctx.summary() == {"lci.pool_double_free": 1}
+    with pytest.raises(SanitizerError) as ei:
+        drive(env, cycle(env))
+    assert ei.value.rule == "lci.pool_double_free"
+    assert ei.value.details == {"free_packets": 2, "pool_size": 2}
 
 
 def test_pool_free_into_full_local_cache_overflows_to_shared():
-    env, pool, ctx = make_pool(size=3, local_cache=1)
+    env, pool = make_pool(size=3, local_cache=1)
     t1 = object()
 
     def cycle(env):
@@ -303,11 +304,10 @@ def test_pool_free_into_full_local_cache_overflows_to_shared():
 
     drive(env, cycle(env))
     assert pool.in_use == 0
-    assert len(ctx) == 0
 
 
 def test_pool_wait_available_wakes_on_free():
-    env, pool, ctx = make_pool(size=1)
+    env, pool = make_pool(size=1)
     order = []
 
     def holder(env):
@@ -330,5 +330,4 @@ def test_pool_wait_available_wakes_on_free():
     env.run()
     assert [tag for tag, _ in order] == ["freed", "woken"]
     assert order[1][1] >= 5.0
-    assert len(ctx) == 0
 

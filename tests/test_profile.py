@@ -28,7 +28,7 @@ import pytest
 
 from repro.bench.core_bench import core_benchmark
 from repro.bench.scenarios import Scenario, build_engine
-from repro.bench.serve_bench import check_against_file
+from repro.bench.serve_bench import compare_bench_docs
 from repro.cli import main
 from repro.engine.bsp import BspEngine
 from repro.faults import LostCompletionError
@@ -442,15 +442,17 @@ def test_core_benchmark_shape_and_check(tmp_path):
     path = tmp_path / "BENCH_core.json"
     path.write_text(canonical_json(doc))
 
+    committed = json.loads(path.read_text())
+
     # A regenerated document matches byte for byte...
     doc2 = core_benchmark(TINY)
-    assert check_against_file(doc2, str(path)) == []
+    assert compare_bench_docs(doc2, committed) == []
     assert canonical_json(doc2) == path.read_text()
 
     # ...while any drift is loud.
     doc3 = json.loads(canonical_json(doc))
     doc3["scenarios"][0]["sim"]["fingerprint"] = "0" * 16
-    assert check_against_file(doc3, str(path))
+    assert compare_bench_docs(doc3, committed)
 
 
 def test_core_benchmark_runs_each_scenario_twice_and_checks_the_replay(
@@ -477,24 +479,17 @@ def test_core_benchmark_runs_each_scenario_twice_and_checks_the_replay(
         core_benchmark(TINY)
 
 
-def test_comm_volume_change_trips_the_sim_comm_gate(tmp_path):
+def test_comm_volume_change_trips_the_sim_comm_gate():
     doc = core_benchmark(TINY)
-    path = tmp_path / "BENCH_core.json"
-    path.write_text(canonical_json(doc))
     moved = json.loads(canonical_json(doc))
     comm = moved["scenarios"][0]["sim"]["comm"]
     comm["wire_bytes"] += 1
     comm["fingerprint"] = "0" * 16
-    diffs = check_against_file(moved, str(path))
+    diffs = compare_bench_docs(moved, doc)
     assert [d.split(":")[0] for d in diffs] == [
         "scenarios[0].sim.comm.fingerprint",
         "scenarios[0].sim.comm.wire_bytes",
     ]
-
-
-def test_check_against_missing_file(tmp_path):
-    doc = {"format": "repro-bench-core/v1", "scenarios": []}
-    assert check_against_file(doc, str(tmp_path / "absent.json")) is None
 
 
 @pytest.mark.parametrize("verb, module, function", [

@@ -21,7 +21,6 @@ from repro.mpi import (
     ThreadMode,
     intel_mpi,
 )
-from repro.mpi.exceptions import MPIUsageError
 from repro.netapi.nic import Fabric
 from repro.netapi.packet import PacketType
 from repro.sanitize import (
@@ -29,6 +28,7 @@ from repro.sanitize import (
     LciSanitizer,
     SanitizerContext,
     SanitizerError,
+    resolve_mode,
     signatures_overlap,
 )
 from repro.sanitize import mpi_checks
@@ -38,7 +38,6 @@ from repro.sanitize.lint import (
     lint_source,
     report_dict,
 )
-from repro.sanitize.runtime import resolve_mode
 from repro.sim.engine import Environment
 from repro.sim.machine import stampede2
 from repro.sim.rng import RngFactory
@@ -48,33 +47,30 @@ from repro.sim.rng import RngFactory
 # Helpers: worlds with sanitizers armed (discovered via fabric.sanitizer,
 # exactly the path the engine uses)
 # ---------------------------------------------------------------------------
-def make_mpi_world(num_hosts=2, mode="warn"):
+def make_mpi_world(num_hosts=2):
     env = Environment()
     fabric = Fabric(env, num_hosts, stampede2())
-    ctx = SanitizerContext(mode, env=env)
-    fabric.sanitizer = ctx
+    fabric.sanitizer = SanitizerContext(env=env)
     world = MpiWorld(env, fabric, intel_mpi(), ThreadMode.MULTIPLE)
-    return env, world, ctx
+    return env, world
 
 
-def make_lci_world(num_hosts=2, mode="warn"):
+def make_lci_world(num_hosts=2):
     env = Environment()
     fabric = Fabric(env, num_hosts, stampede2())
-    ctx = SanitizerContext(mode, env=env)
-    fabric.sanitizer = ctx
+    fabric.sanitizer = SanitizerContext(env=env)
     world = LciRuntime.create_world(env, fabric)
-    return env, world, ctx
+    return env, world
 
 
-def make_sanitized_pool(size=3, rx_reserve=0, mode="warn"):
+def make_sanitized_pool(size=3, rx_reserve=0):
     env = Environment()
-    ctx = SanitizerContext(mode, env=env)
     pool = PacketPool(
         env, stampede2().cpu, size=size, packet_data_bytes=1024,
         rx_reserve=rx_reserve,
     )
-    pool.sanitizer = LciSanitizer(ctx, host=0)
-    return env, pool, ctx
+    pool.sanitizer = LciSanitizer(SanitizerContext(env=env), host=0)
+    return env, pool
 
 
 # ---------------------------------------------------------------------------
@@ -281,54 +277,37 @@ def test_lint_suppressed_count_survives_into_report(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Mode resolution and context mechanics
+# Enablement
 # ---------------------------------------------------------------------------
 def test_resolve_mode_env_gating(monkeypatch):
-    for off in ("", "0", "off", "false", "no"):
+    for off in ("", "0", "off", "false", "no", " OFF "):
         monkeypatch.setenv("REPRO_SANITIZE", off)
-        assert resolve_mode() is None
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    assert resolve_mode() == "warn"
-    monkeypatch.setenv("REPRO_SANITIZE", "raise")
-    assert resolve_mode() == "raise"
-    monkeypatch.setenv("REPRO_SANITIZE", "strict")
-    assert resolve_mode() == "raise"
+        assert resolve_mode() is False
+    for on in ("1", "yes", "raise"):
+        monkeypatch.setenv("REPRO_SANITIZE", on)
+        assert resolve_mode() is True
     # Explicit settings beat the environment.
-    assert resolve_mode("off") is None
+    assert resolve_mode(False) is False
     monkeypatch.delenv("REPRO_SANITIZE")
-    assert resolve_mode("warn") == "warn"
-    with pytest.raises(ValueError):
-        resolve_mode("bogus")
-
-
-def test_context_warn_accumulates_raise_raises():
-    warn = SanitizerContext("warn")
-    warn.violation("x.rule", 0, "first")
-    warn.violation("x.rule", 1, "second")
-    assert len(warn) == 2
-    assert warn.summary() == {"x.rule": 2}
-    assert [v.host for v in warn.by_rule("x.rule")] == [0, 1]
-    strict = SanitizerContext("raise")
-    with pytest.raises(SanitizerError) as ei:
-        strict.violation("x.rule", 3, "boom", detail=7)
-    assert ei.value.rule == "x.rule"
-    assert ei.value.violation.details == {"detail": 7}
+    assert resolve_mode() is False
+    assert resolve_mode(True) is True
 
 
 # ---------------------------------------------------------------------------
 # LCI lifecycle sanitizers (planted bugs)
 # ---------------------------------------------------------------------------
 def test_pool_double_free_planted():
-    env, pool, ctx = make_sanitized_pool(size=3)
+    env, pool = make_sanitized_pool(size=3)
     # The pool starts full: any free now is a double free.
-    pool.free_nowait()
-    assert ctx.summary() == {"lci.pool_double_free": 1}
-    v = ctx.by_rule("lci.pool_double_free")[0]
-    assert v.details["pool_size"] == 3
+    with pytest.raises(SanitizerError) as ei:
+        pool.free_nowait()
+    assert ei.value.rule == "lci.pool_double_free"
+    assert ei.value.host == 0
+    assert ei.value.details == {"free_packets": 3, "pool_size": 3}
 
 
 def test_pool_leak_planted():
-    env, pool, ctx = make_sanitized_pool(size=3)
+    env, pool = make_sanitized_pool(size=3)
 
     def proc(env):
         yield from pool.alloc()
@@ -337,37 +316,54 @@ def test_pool_leak_planted():
 
     env.process(proc(env))
     env.run()
-    pool.sanitizer.check_shutdown(pool)
-    leaks = ctx.by_rule("lci.packet_leak")
-    assert len(leaks) == 1
-    assert leaks[0].details["leaked"] == 2
+    with pytest.raises(SanitizerError) as ei:
+        pool.sanitizer.check_shutdown(pool)
+    assert ei.value.rule == "lci.packet_leak"
+    assert ei.value.details["leaked"] == 2
 
 
-def test_packet_double_free_and_use_after_free_planted():
-    env, pool, ctx = make_sanitized_pool(size=3)
+def _retire_and_free(pool):
+    """Generator: one packet allocated, handled, retired and freed."""
+    yield from pool.alloc()
+    pkt = pool.make_packet(PacketType.EGR, 0, 1, 5, 64)
+    pool.touch(pkt)                     # live: fine
+    pool.retire(pkt)
+    yield from pool.free()
+    return pkt
+
+
+def test_packet_double_free_planted():
+    env, pool = make_sanitized_pool(size=3)
 
     def proc(env):
-        yield from pool.alloc()
-        pkt = pool.make_packet(PacketType.EGR, 0, 1, 5, 64)
-        pool.touch(pkt)                 # live: fine
-        pool.retire(pkt)
-        yield from pool.free()
+        pkt = yield from _retire_and_free(pool)
         pool.retire(pkt)                # double free
+
+    env.process(proc(env))
+    with pytest.raises(SanitizerError) as ei:
+        env.run()
+    assert ei.value.rule == "lci.packet_double_free"
+    assert ei.value.host == 0
+
+
+def test_packet_use_after_free_planted():
+    env, pool = make_sanitized_pool(size=3)
+
+    def proc(env):
+        pkt = yield from _retire_and_free(pool)
         pool.touch(pkt)                 # use after free
 
     env.process(proc(env))
-    env.run()
-    assert ctx.summary() == {
-        "lci.packet_double_free": 1,
-        "lci.packet_use_after_free": 1,
-    }
+    with pytest.raises(SanitizerError) as ei:
+        env.run()
+    assert ei.value.rule == "lci.packet_use_after_free"
+    assert ei.value.details["packet"] > 0
 
 
 def test_packet_lifecycle_is_per_host():
     """The transport hands the same Packet object to both ends; the
     sender retiring its budget must not poison the receiver's view."""
-    env = Environment()
-    ctx = SanitizerContext("warn", env=env)
+    ctx = SanitizerContext(env=Environment())
     sender = LciSanitizer(ctx, host=0)
     receiver = LciSanitizer(ctx, host=1)
 
@@ -381,13 +377,14 @@ def test_packet_lifecycle_is_per_host():
     sender.on_packet_retired(pkt)
     receiver.on_packet_use(pkt)     # receiver still live: no violation
     receiver.on_packet_retired(pkt)
-    assert len(ctx) == 0
-    sender.on_packet_use(pkt)       # sender is retired: violation
-    assert ctx.summary() == {"lci.packet_use_after_free": 1}
+    with pytest.raises(SanitizerError) as ei:
+        sender.on_packet_use(pkt)   # sender is retired: violation
+    assert ei.value.rule == "lci.packet_use_after_free"
+    assert ei.value.host == 0
 
 
 def test_lci_healthy_roundtrip_is_clean():
-    env, world, ctx = make_lci_world(2)
+    env, world = make_lci_world(2)
     result = {}
 
     def sender(env):
@@ -401,26 +398,43 @@ def test_lci_healthy_roundtrip_is_clean():
     env.process(receiver(env))
     env.run()
     for rt in world:
-        rt.stop_server()
+        rt.stop_server()            # the shutdown audit raises nothing
     assert result["payload"] == b"y" * 256
-    assert len(ctx) == 0
 
 
-def test_lci_unreceived_message_reported_at_shutdown():
-    """Send without a matching dequeue: the arrival sits in the
-    completion queue on a pool budget — both reported at shutdown."""
-    env, world, ctx = make_lci_world(2)
+def _send_never_received():
+    """An LCI world whose host 1 got one message nobody dequeued."""
+    env, world = make_lci_world(2)
 
     def sender(env):
         yield from world[0].send_blocking(1, tag=9, size=128, payload=b"z")
 
     env.process(sender(env))
     env.run()
-    world[1].stop_server()
-    summary = ctx.summary()
-    assert summary.get("lci.packet_leak") == 1
-    assert summary.get("lci.cq_unreaped") == 1
-    assert ctx.by_rule("lci.packet_leak")[0].host == 1
+    return world
+
+
+def test_lci_unreceived_message_reported_at_shutdown():
+    """Send without a matching dequeue: the arrival sits in the
+    completion queue on a pool budget that never comes home."""
+    world = _send_never_received()
+    with pytest.raises(SanitizerError) as ei:
+        world[1].stop_server()
+    assert ei.value.rule == "lci.packet_leak"
+    assert ei.value.host == 1
+    assert ei.value.details == {"leaked": 1, "pool_size": world[1].pool.size}
+
+
+def test_lci_unreaped_completion_reported_at_shutdown():
+    """The arrival's budget is returned but its queue entry never
+    dequeued: the completion queue still holds it at shutdown."""
+    world = _send_never_received()
+    world[1].pool.free_nowait()
+    with pytest.raises(SanitizerError) as ei:
+        world[1].stop_server()
+    assert ei.value.rule == "lci.cq_unreaped"
+    assert ei.value.host == 1
+    assert ei.value.details == {"unreaped": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +448,14 @@ def test_signatures_overlap():
     assert not signatures_overlap(A_S, 4, A_S, 5, A_S, A_T)  # disjoint tags
 
 
-def test_unmatched_send_and_unexpected_at_finalize():
-    env, world, ctx = make_mpi_world(2)
+def _rendezvous_send_never_received():
+    """Rank 0's rendezvous send whose receiver never posts: the RTS
+    parks in rank 1's unexpected queue and the request never completes."""
+    env, world = make_mpi_world(2)
     big = world.config.eager_limit * 4
 
     def sender(env):
-        ep = world.endpoint(0)
-        # Rendezvous send whose receiver never posts: the RTS parks in
-        # rank 1's unexpected queue and this request never completes.
-        yield from ep.isend(1, tag=3, size=big, payload=b"?")
+        yield from world.endpoint(0).isend(1, tag=3, size=big, payload=b"?")
 
     def receiver(env):
         ep = world.endpoint(1)
@@ -452,17 +465,29 @@ def test_unmatched_send_and_unexpected_at_finalize():
     env.process(sender(env))
     env.process(receiver(env))
     env.run()
-    world.endpoint(0).finalize_check()
-    world.endpoint(1).finalize_check()
-    summary = ctx.summary()
-    assert summary.get("mpi.unmatched_send_at_finalize") == 1
-    assert summary.get("mpi.unexpected_at_finalize") == 1
-    v = ctx.by_rule("mpi.unmatched_send_at_finalize")[0]
-    assert v.host == 0 and v.details["first_peer"] == 1
+    return world
+
+
+def test_unmatched_send_at_finalize():
+    world = _rendezvous_send_never_received()
+    with pytest.raises(SanitizerError) as ei:
+        world.endpoint(0).finalize_check()
+    assert ei.value.rule == "mpi.unmatched_send_at_finalize"
+    assert ei.value.host == 0
+    assert ei.value.details == {"count": 1, "first_peer": 1, "first_tag": 3}
+
+
+def test_unexpected_at_finalize():
+    world = _rendezvous_send_never_received()
+    with pytest.raises(SanitizerError) as ei:
+        world.endpoint(1).finalize_check()
+    assert ei.value.rule == "mpi.unexpected_at_finalize"
+    assert ei.value.host == 1
+    assert ei.value.details == {"count": 1}
 
 
 def test_pending_recv_at_finalize():
-    env, world, ctx = make_mpi_world(2)
+    env, world = make_mpi_world(2)
 
     def receiver(env):
         ep = world.endpoint(1)
@@ -470,12 +495,14 @@ def test_pending_recv_at_finalize():
 
     env.process(receiver(env))
     env.run()
-    world.endpoint(1).finalize_check()
-    assert ctx.summary() == {"mpi.pending_recv_at_finalize": 1}
+    with pytest.raises(SanitizerError) as ei:
+        world.endpoint(1).finalize_check()
+    assert ei.value.rule == "mpi.pending_recv_at_finalize"
+    assert ei.value.details == {"count": 1}
 
 
 def test_wildcard_order_hazard_on_overlapping_posts():
-    env, world, ctx = make_mpi_world(2)
+    env, world = make_mpi_world(2)
 
     def receiver(env):
         ep = world.endpoint(1)
@@ -483,15 +510,16 @@ def test_wildcard_order_hazard_on_overlapping_posts():
         yield from ep.irecv(source=0, tag=7)   # overlaps via ANY_SOURCE
 
     env.process(receiver(env))
-    env.run()
-    hazards = ctx.by_rule("mpi.wildcard_order_hazard")
-    assert len(hazards) == 1
-    assert hazards[0].details["pending_source"] == ANY_SOURCE
+    with pytest.raises(SanitizerError) as ei:
+        env.run()
+    assert ei.value.rule == "mpi.wildcard_order_hazard"
+    assert ei.value.host == 1
+    assert ei.value.details["pending_source"] == ANY_SOURCE
 
 
 def test_identical_signatures_are_not_a_hazard():
     """FIFO per-(source, tag) keeps identical posts deterministic."""
-    env, world, ctx = make_mpi_world(2)
+    env, world = make_mpi_world(2)
 
     def receiver(env):
         ep = world.endpoint(1)
@@ -499,13 +527,13 @@ def test_identical_signatures_are_not_a_hazard():
         yield from ep.irecv(source=ANY_SOURCE, tag=7)
 
     env.process(receiver(env))
-    env.run()
-    assert ctx.by_rule("mpi.wildcard_order_hazard") == []
+    env.run()                           # raises nothing
 
 
 def test_unexpected_watermark_fires_once(monkeypatch):
+    """The first breach raises; later arrivals never get to report."""
     monkeypatch.setattr(mpi_checks, "UNEXPECTED_WATERMARK", 2)
-    env, world, ctx = make_mpi_world(2)
+    env, world = make_mpi_world(2)
 
     def sender(env):
         ep = world.endpoint(0)
@@ -520,101 +548,64 @@ def test_unexpected_watermark_fires_once(monkeypatch):
 
     env.process(sender(env))
     env.process(receiver(env))
-    env.run()
-    marks = ctx.by_rule("mpi.unexpected_watermark")
-    assert len(marks) == 1          # reported once, not on every breach
-    assert marks[0].details["queue_len"] == 3
+    with pytest.raises(SanitizerError) as ei:
+        env.run()
+    assert ei.value.rule == "mpi.unexpected_watermark"
+    assert ei.value.details == {"queue_len": 3, "watermark": 2}
 
 
 # ---------------------------------------------------------------------------
 # MPI RMA / PSCW epoch sanitizers (planted races)
 # ---------------------------------------------------------------------------
-def run_pscw(mode, origin_puts):
-    """One PSCW epoch from rank 0 to rank 1 issuing ``origin_puts``."""
-    env, world, ctx = make_mpi_world(2, mode=mode)
+def run_pscw(origin_puts, epochs=1):
+    """PSCW epochs from rank 0 to rank 1, each issuing ``origin_puts``."""
+    env, world = make_mpi_world(2)
     win = MpiWindow(world, size_fn=lambda o, t: 4096, label="san-win")
 
     def origin(env):
         yield from win.create(0)
-        yield from win.start(0, [1])
-        for (nbytes, offset) in origin_puts:
-            yield from win.put(0, 1, nbytes, payload=b"p", offset=offset)
-        yield from win.complete(0)
-
-    def target(env):
-        yield from win.create(1)
-        yield from win.post(1, [0])
-        yield from win.wait(1)
-
-    env.process(origin(env))
-    env.process(target(env))
-    env.run()
-    return ctx
-
-
-def test_rma_overlapping_put_race_detected():
-    ctx = run_pscw("warn", [(512, 0), (512, 256)])   # [0,512) x [256,768)
-    races = ctx.by_rule("mpi.rma_overlapping_put")
-    assert len(races) == 1
-    assert races[0].details["earlier_offset"] == 0
-    assert races[0].details["offset"] == 256
-
-
-def test_rma_disjoint_puts_are_clean():
-    ctx = run_pscw("warn", [(512, 0), (512, 512), (512, 1024)])
-    assert len(ctx) == 0
-
-
-def test_rma_race_cannot_span_epochs():
-    """complete() synchronizes: the same offset in a new epoch is fine."""
-    env, world, ctx = make_mpi_world(2)
-    win = MpiWindow(world, size_fn=lambda o, t: 4096, label="san-win")
-
-    def origin(env):
-        yield from win.create(0)
-        for _ in range(2):
+        for _ in range(epochs):
             yield from win.start(0, [1])
-            yield from win.put(0, 1, 512, payload=b"p", offset=0)
+            for (nbytes, offset) in origin_puts:
+                yield from win.put(0, 1, nbytes, payload=b"p", offset=offset)
             yield from win.complete(0)
 
     def target(env):
         yield from win.create(1)
-        for _ in range(2):
+        for _ in range(epochs):
             yield from win.post(1, [0])
             yield from win.wait(1)
 
     env.process(origin(env))
     env.process(target(env))
     env.run()
-    assert len(ctx) == 0
 
 
-def test_rma_put_outside_epoch_recorded_and_raises_usage_error():
-    env, world, ctx = make_mpi_world(2)
-    win = MpiWindow(world, size_fn=lambda o, t: 4096, label="san-win")
-    caught = []
+def test_rma_overlapping_put_race_detected():
+    with pytest.raises(SanitizerError) as ei:
+        run_pscw([(512, 0), (512, 256)])   # [0,512) x [256,768)
+    assert ei.value.rule == "mpi.rma_overlapping_put"
+    assert ei.value.host == 0
+    assert ei.value.details == {
+        "target": 1, "offset": 256, "nbytes": 512,
+        "earlier_offset": 0, "earlier_end": 512,
+    }
 
-    def origin(env):
-        yield from win.create(0)
-        try:
-            yield from win.put(0, 1, 64, payload=b"p")
-        except MPIUsageError as e:
-            caught.append(str(e))
 
-    def target(env):
-        yield from win.create(1)
+def test_rma_disjoint_puts_are_clean():
+    run_pscw([(512, 0), (512, 512), (512, 1024)])   # raises nothing
 
-    env.process(origin(env))
-    env.process(target(env))
-    env.run()
-    assert caught and "outside access epoch" in caught[0]
-    assert ctx.summary() == {"mpi.rma_put_outside_epoch": 1}
+
+def test_rma_race_cannot_span_epochs():
+    """complete() synchronizes: the same offset in a new epoch is fine."""
+    run_pscw([(512, 0)], epochs=2)                   # raises nothing
 
 
 def test_rma_overlapping_put_raise_mode():
     with pytest.raises(SanitizerError) as ei:
-        run_pscw("raise", [(512, 0), (512, 0)])
+        run_pscw([(512, 0), (512, 0)])
     assert ei.value.rule == "mpi.rma_overlapping_put"
+    assert ei.value.details["earlier_offset"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -648,15 +639,15 @@ def test_sanitized_runs_are_bit_identical(app, layer):
     def run(sanitize):
         sc = Scenario(app=app, graph="rmat", scale=8, hosts=2, layer=layer,
                       pagerank_rounds=3, sanitize=sanitize)
-        return build_engine(sc).run()
+        engine = build_engine(sc)
+        return engine, engine.run()
 
-    # "off" (not None) so a REPRO_SANITIZE=1 test environment cannot
+    # False (not None) so a REPRO_SANITIZE=1 test environment cannot
     # arm the baseline too and trivialise the comparison.
-    base = run("off")
-    sane = run("warn")
-    assert sane.sanitizer_mode == "warn"
-    assert sane.sanitizer_violations == []
-    assert base.sanitizer_mode == ""
+    base_engine, base = run(False)
+    sane_engine, sane = run(True)
+    assert base_engine.fabric.sanitizer is None
+    assert sane_engine.fabric.sanitizer is not None
     assert sane.total_seconds == base.total_seconds
     assert sane.compute_seconds == base.compute_seconds
     assert sane.comm_seconds == base.comm_seconds
@@ -684,46 +675,29 @@ def test_cli_lint_exit_codes(tmp_path, capsys):
     assert len(data["findings"]) == 1
 
 
-def test_cli_run_exits_3_on_warn_mode_violations(monkeypatch, capsys):
+class _RaisingEngine:
+    """Stands in for a built engine whose run trips a sanitizer."""
+
+    def run(self):
+        raise SanitizerError("mpi.rma_overlapping_put", 0, 0.0,
+                             "planted race", {})
+
+
+@pytest.mark.parametrize("verb", ["run", "chaos", "serve"])
+def test_cli_exits_3_on_sanitizer_error(verb, monkeypatch, capsys):
     import repro.cli as cli
+    import repro.faults.harness as harness
+    import repro.serve.engine as serve_engine
 
-    class FakeMetrics:
-        total_seconds = 1.0
-        compute_seconds = 0.5
-        comm_seconds = 0.5
-        rounds = 2
-        sanitizer_mode = "warn"
-        sanitizer_violations = [{
-            "rule": "lci.packet_leak", "host": 0, "time": 0.0,
-            "message": "planted", "details": {"leaked": 1},
-        }]
+    def build(*args, **kwargs):
+        return _RaisingEngine()
 
-        def row(self):
-            return {"app": "bfs", "layer": "lci"}
-
-        def stamp_wall(self, wall_seconds):
-            return self
-
-    class FakeEngine:
-        def run(self):
-            return FakeMetrics()
-
-    monkeypatch.setattr(cli, "build_engine",
-                        lambda sc, obs=None, commstats=None: FakeEngine())
-    assert cli.main(["run", "--sanitize"]) == SANITIZER_EXIT_CODE
-    assert "lci.packet_leak" in capsys.readouterr().err
-
-
-def test_cli_run_exits_3_on_sanitizer_error(monkeypatch, capsys):
-    import repro.cli as cli
-    from repro.sanitize.runtime import Violation
-
-    class FakeEngine:
-        def run(self):
-            raise SanitizerError(Violation(
-                "mpi.rma_overlapping_put", 0, 0.0, "planted race"))
-
-    monkeypatch.setattr(cli, "build_engine",
-                        lambda sc, obs=None, commstats=None: FakeEngine())
-    assert cli.main(["run", "--sanitize", "raise"]) == SANITIZER_EXIT_CODE
-    assert "planted race" in capsys.readouterr().err
+    for module in (cli, harness, serve_engine):
+        monkeypatch.setattr(module, "build_engine", build)
+    argv = [verb, "--sanitize", "--scale", "6", "--hosts", "2"]
+    if verb == "serve":
+        argv += ["--tape-queries", "1"]
+    assert cli.main(argv) == SANITIZER_EXIT_CODE
+    err = capsys.readouterr().err
+    assert "[mpi.rma_overlapping_put] host 0" in err
+    assert "planted race" in err

@@ -9,7 +9,6 @@ import pytest
 from repro.apps import Bfs
 from repro.engine import BspEngine, EngineConfig
 from repro.graph.generators import rmat
-from repro.netapi.nic import Fabric
 from repro.obs import (
     ObsContext,
     save_chrome_trace,
@@ -19,9 +18,6 @@ from repro.obs import (
     validate_timeline,
 )
 from repro.obs.atomic import atomic_write_text
-from repro.sanitize import SanitizerContext
-from repro.sim.engine import Environment
-from repro.sim.machine import stampede2
 
 
 def test_chrome_trace_export(tmp_path):
@@ -109,20 +105,6 @@ def test_engine_emits_spans():
     assert validate_chrome_trace(chrome) == []
     assert len([e for e in chrome["traceEvents"]
                 if e["ph"] == "X" and e["cat"] == "compute"]) == len(comp)
-
-
-def test_sanitizer_violations_export_as_instants():
-    env = Environment()
-    fabric = Fabric(env, 2, stampede2())
-    fabric.sanitizer = san = SanitizerContext("warn", env=env)
-    obs = ObsContext().install(env, fabric)
-    san.violation("lci.packet_leak", 1, "two budgets never came home", held=2)
-    san.violation("mpi.finalize", -1, "not host-bound")
-    # Read at export from the sanitizer's own list; -1 lands on host 0.
-    assert obs.as_timeline()["instants"] == [
-        [1, "sanitizer", "san:lci.packet_leak", 0.0, {"held": 2}],
-        [0, "sanitizer", "san:mpi.finalize", 0.0, {}],
-    ]
 
 
 @pytest.mark.parametrize("section, row, problem", [
