@@ -38,7 +38,8 @@ take them; counts are range-checked at parse time.
 Exit codes: 0 success; 1 generic failure / lint findings; 2 usage
 errors (bad flags, unknown fault plans, unreadable tapes); 3
 (:data:`repro.sanitize.SANITIZER_EXIT_CODE`) when an armed protocol
-sanitizer raised :class:`~repro.sanitize.SanitizerError`, from any verb.
+sanitizer or an engine run's end-of-run conservation audit raised
+:class:`~repro.sanitize.SanitizerError`, from any verb.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.set_defaults(scale=12, hosts=16)
     run.add_argument("--sanitize", action="store_const", const=True,
-                     help="arm the protocol sanitizers (exits %d on a "
+                     help="arm the per-event protocol sanitizers (exits %d on a "
                           "violation; unset: REPRO_SANITIZE decides)"
                           % SANITIZER_EXIT_CODE)
     run.add_argument("--obs", nargs="?", const="obs-timeline.json",
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--list-plans", action="store_true",
                        help="list the named fault plans and exit")
     chaos.add_argument("--sanitize", action="store_const", const=True,
-                       help="arm the protocol sanitizers for both the "
+                       help="arm the per-event protocol sanitizers for both the "
                             "baseline and the faulted run")
     chaos.add_argument("--obs", nargs="?", const="obs-timeline.json",
                        metavar="PATH",
@@ -239,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(graceful degradation)")
     serve.add_argument("--fault-seed", type=int, default=None)
     serve.add_argument("--sanitize", action="store_const", const=True,
-                       help="arm the protocol sanitizers for every batch")
+                       help="arm the per-event protocol sanitizers for "
+                            "every batch")
     serve.add_argument("--obs", nargs="?", const="obs-serve.json",
                        metavar="PATH",
                        help="write the last executed batch's "

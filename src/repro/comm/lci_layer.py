@@ -192,4 +192,6 @@ class LciCommLayer(CommLayer):
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
+        """Stop the LCI server.  Budgets still out and completions never
+        dequeued are the engine's end-of-run audit's to report."""
         self.rt.stop_server()

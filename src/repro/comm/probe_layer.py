@@ -334,8 +334,9 @@ class ProbeCommLayer(CommLayer):
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
+        """Stop the helper thread.  What MPI_Finalize would find left
+        over (sends, unexpected messages, posted receives) is the
+        engine's end-of-run audit's to report."""
         self._stopping = True
         if self._comm_proc.is_alive:
             self._comm_proc.interrupt("stop")
-        # MPI_Finalize audit (no-op unless sanitizers are armed).
-        self.ep.finalize_check()

@@ -237,8 +237,9 @@ class RmaCommLayer(CommLayer):
                 return
 
     def shutdown(self) -> None:
+        """Stop the helper thread.  What MPI_Finalize would find left
+        over (sends, unexpected messages, posted receives) is the
+        engine's end-of-run audit's to report."""
         self._stopping = True
         if self._progress_proc.is_alive:
             self._progress_proc.interrupt("stop")
-        # MPI_Finalize audit (no-op unless sanitizers are armed).
-        self.ep.finalize_check()

@@ -26,7 +26,7 @@ reports its numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from repro.graph.partition.proxies import Partition
 from repro.lci.queue_iface import LciQueue
 from repro.mpi.endpoint import MpiEndpoint
 from repro.netapi.nic import Fabric
-from repro.sanitize.runtime import SanitizerContext, resolve_mode
+from repro.sanitize.runtime import SanitizerContext, conservation_audit, resolve_mode
 from repro.sim.engine import Environment
 from repro.sim.machine import MachineModel, stampede2
 
@@ -94,12 +94,13 @@ class EngineConfig:
     #: name of one (``repro.faults.NAMED_PLANS``), or ``None`` for a
     #: fault-free run (the default; no hooks are installed).
     fault_plan: Optional[object] = None
-    #: Protocol sanitizers: ``True`` arms them (a violation raises
-    #: :class:`~repro.sanitize.SanitizerError` where it is found),
-    #: ``False`` forces them off, ``None`` consults the
+    #: Per-event protocol sanitizers: ``True`` arms them (a violation
+    #: raises :class:`~repro.sanitize.SanitizerError` where it is
+    #: found), ``False`` forces them off, ``None`` consults the
     #: ``REPRO_SANITIZE`` environment variable — the only place the
     #: environment is read, at engine construction, so the simulation
     #: modules themselves stay environment-independent (lint rule D104).
+    #: The end-of-run conservation audit runs either way.
     sanitize: Optional[bool] = None
     #: Optional :class:`repro.obs.ObsContext` for message-lifecycle
     #: tracing, queue probes and the engine's per-round compute /
@@ -250,6 +251,12 @@ class BspEngine:
         # computed lazily on the first round and reused every round after.
         self._sync_cache = {}
 
+    def _libraries(self) -> Tuple[List[LciQueue], List[MpiEndpoint]]:
+        """The hosts' LCI runtimes and MPI endpoints, in host order."""
+        libs = [obj for layer in self.layers for obj in layer._counted()]
+        return ([lib for lib in libs if isinstance(lib, LciQueue)],
+                [lib for lib in libs if isinstance(lib, MpiEndpoint)])
+
     def work_counts(self) -> Dict[str, int]:
         """The run's work counts by name, read off the components.
 
@@ -258,9 +265,7 @@ class BspEngine:
         name is present once its count is non-zero.
         """
         env, fabric, lname = self.env, self.fabric, self.config.layer
-        libs = [obj for layer in self.layers for obj in layer._counted()]
-        rts = [lib for lib in libs if isinstance(lib, LciQueue)]
-        eps = [lib for lib in libs if isinstance(lib, MpiEndpoint)]
+        rts, eps = self._libraries()
         counts = {
             "sim.events_scheduled": env.events_scheduled,
             "sim.events_fired": env.events_fired,
@@ -300,6 +305,8 @@ class BspEngine:
         return max(1, self.config.machine.cpu.cores - 1)
 
     def run(self) -> RunMetrics:
+        """Run every host to the end; once all finished cleanly, audit
+        conservation (:func:`~repro.sanitize.runtime.conservation_audit`)."""
         procs = [
             self.env.process(self._host_proc(h), name=f"host-{h}")
             for h in range(self.config.num_hosts)
@@ -324,6 +331,7 @@ class BspEngine:
                 raise RuntimeError(f"{p.name} never finished (deadlock?)")
             if not p.ok:
                 raise p._value
+        conservation_audit(*self._libraries(), self.env.now)
         return self._metrics()
 
     # ------------------------------------------------------------------

@@ -78,9 +78,6 @@ class LocalGraph:
     def edge_sources(self) -> np.ndarray:
         return self._src_cache
 
-    def is_master(self, local_id) -> bool:
-        return local_id < self.num_masters
-
     def __repr__(self) -> str:
         return (
             f"LocalGraph(host={self.host}, masters={self.num_masters}, "

@@ -57,17 +57,6 @@ class MpmcQueue:
             for ev in waiters:
                 ev.succeed(None)
 
-    def enqueue_nowait(self, item: Any) -> None:
-        """Zero-cost enqueue for contexts that prepaid the atomic."""
-        self._items.append(item)
-        self.enqueues += 1
-        if len(self._items) > self.max_length:
-            self.max_length = len(self._items)
-        if self._nonempty_waiters:
-            waiters, self._nonempty_waiters = self._nonempty_waiters, []
-            for ev in waiters:
-                ev.succeed(None)
-
     def dequeue(self):
         """Generator: returns the oldest item or ``None`` (non-blocking).
 

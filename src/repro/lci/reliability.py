@@ -185,7 +185,3 @@ class ReliableLink:
         for entry in abandoned.values():
             if entry.on_local_complete is not None:
                 entry.on_local_complete()
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._unacked)

@@ -100,9 +100,6 @@ class LciRuntime(LciQueue):
             self.reliability.close()
         if self._server_proc is not None and self._server_proc.is_alive:
             self._server_proc.interrupt("stop")
-        if self.sanitizer is not None:
-            # Shutdown audit: every budget home, completion queue drained.
-            self.sanitizer.check_shutdown(self.pool, self.queue)
 
     # ------------------------------------------------------------------
     # Algorithm 3: NETWORK-PROGRESS, run forever by the server

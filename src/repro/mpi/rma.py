@@ -145,9 +145,6 @@ class MpiWindow:
             if t == rank
         )
 
-    def max_put_bytes(self, origin: int, target: int) -> int:
-        return self._sizes.get((origin, target), 0)
-
     # ------------------------------------------------------------------
     # Control-message plumbing
     # ------------------------------------------------------------------

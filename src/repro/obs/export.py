@@ -41,8 +41,18 @@ def save_timeline(path: str, timeline: dict) -> str:
 
 
 def load_timeline(path: str) -> dict:
+    """A saved timeline; ``ValueError`` when it is not an object or a
+    section `repro explain` reads has the wrong type."""
     with open(path) as f:
-        return json.load(f)
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a timeline must be a JSON object, not "
+                         f"{type(doc).__name__}")
+    for key, kind in (("meta", dict), ("events", list), ("samples", list),
+                      ("stalls", list)):
+        if not isinstance(doc.get(key, kind()), kind):
+            raise ValueError(f"timeline field {key!r} must be a {kind.__name__}")
+    return doc
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Correctness tooling: static determinism lint + runtime protocol sanitizers.
+"""Correctness tooling: static determinism lint + runtime protocol checks.
 
 Two halves, one goal — keep the simulator bit-deterministic and the
 protocol models honest so every perf/refactor PR has a safety net:
@@ -11,11 +11,12 @@ protocol models honest so every perf/refactor PR has a safety net:
   mutation corpus in :mod:`repro.sanitize.corpus`;
 * :mod:`repro.sanitize.report` — the shared ``--json`` schema and
   SARIF emitter used by both static passes;
-* :mod:`repro.sanitize.runtime` + the per-layer checkers
-  (:mod:`~repro.sanitize.lci_checks`, :mod:`~repro.sanitize.mpi_checks`)
-  — opt-in MUST-style runtime sanitizers (``repro run --sanitize`` or
-  ``REPRO_SANITIZE=1``): a violation raises :class:`SanitizerError`
-  where it is found, and the CLI exits 3.
+* :mod:`repro.sanitize.runtime` — the end-of-run conservation audit
+  every engine run ends with, and, with the per-layer checkers
+  (:mod:`~repro.sanitize.lci_checks`, :mod:`~repro.sanitize.mpi_checks`),
+  the opt-in MUST-style per-event sanitizers (``repro run --sanitize``
+  or ``REPRO_SANITIZE=1``).  Both raise :class:`SanitizerError` where
+  they find a violation, and the CLI exits 3.
 """
 
 from repro.sanitize.lci_checks import LciSanitizer
@@ -24,6 +25,7 @@ from repro.sanitize.runtime import (
     SANITIZER_EXIT_CODE,
     SanitizerContext,
     SanitizerError,
+    conservation_audit,
     resolve_mode,
 )
 
@@ -34,6 +36,7 @@ __all__ = [
     "SanitizerContext",
     "SanitizerError",
     "WindowSanitizer",
+    "conservation_audit",
     "resolve_mode",
     "signatures_overlap",
 ]

@@ -1,30 +1,29 @@
-"""LCI lifecycle sanitizers: packet-pool and completion-queue checks.
+"""LCI lifecycle sanitizers: packet-pool budget and packet recycle checks.
 
 The LCI paper family (and its successor, arXiv 2505.01864) identifies
 packet/completion lifecycle bugs as the dominant failure mode of
 lightweight runtimes: a budget freed twice silently inflates the pool, a
 budget never freed shrinks it until senders livelock, and a recycled
 packet touched after its free is a stale read.  The checker here reads
-the pool's budget accounting and shadows the per-packet recycle state:
+the pool's budget accounting at each free and shadows the per-packet
+recycle state:
 
 * ``lci.pool_double_free``     — a free that would push the pool's free
   count past its fixed capacity (some budget was returned twice);
-* ``lci.packet_leak``          — budgets still checked out when the
-  runtime shuts down (packets never freed);
 * ``lci.packet_double_free``   — one specific packet retired twice;
 * ``lci.packet_use_after_free``— a retired (recycled) packet handled
-  again by the server or the receive path;
-* ``lci.cq_unreaped``          — completion-queue entries still parked
-  at shutdown (arrivals enqueued for compute threads that nobody ever
-  dequeued — a lost-message bug in the consumer).
+  again by the server or the receive path.
+
+A budget never freed and a completion never dequeued are not checked
+here: every engine run ends with
+:func:`~repro.sanitize.runtime.conservation_audit`, which reads the
+pool's ``in_use`` and the completion queue's length.
 
 All checks are pure observation: no simulated time is charged, so
 sanitized runs stay bit-identical to unsanitized ones.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.sanitize.runtime import SanitizerContext
 
@@ -41,7 +40,7 @@ _RETIRED = "retired"
 
 
 class LciSanitizer:
-    """Per-host shadow of one packet pool + completion queue."""
+    """Per-host shadow of one packet pool's budgets and packets."""
 
     def __init__(self, ctx: SanitizerContext, host: int):
         self.ctx = ctx
@@ -91,28 +90,4 @@ class LciSanitizer:
                 f"packet {pkt!r} handled after its pool budget was "
                 "recycled (stale read of a reused buffer)",
                 packet=pkt.uid,
-            )
-
-    # ------------------------------------------------------------------
-    # Shutdown audit
-    # ------------------------------------------------------------------
-    def check_shutdown(self, pool, queue: Optional[object] = None) -> None:
-        """Audit at runtime shutdown: every budget home, queue drained."""
-        if pool.in_use > 0:
-            self.ctx.violation(
-                "lci.packet_leak",
-                self.host,
-                f"{pool.in_use} packet budget(s) still checked out at "
-                "shutdown (allocated but never freed)",
-                leaked=pool.in_use,
-                pool_size=pool.size,
-            )
-        if queue is not None and len(queue) > 0:
-            self.ctx.violation(
-                "lci.cq_unreaped",
-                self.host,
-                f"{len(queue)} completion-queue entr(y/ies) never reaped: "
-                "arrivals were enqueued for compute threads but nobody "
-                "dequeued them",
-                unreaped=len(queue),
             )

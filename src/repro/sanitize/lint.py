@@ -47,7 +47,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.obs.atomic import atomic_write_text
 
@@ -534,7 +534,3 @@ def format_findings(result: LintResult) -> str:
 
 def save_report(result: LintResult, path: str) -> str:
     return atomic_write_text(path, json.dumps(report_dict(result), indent=2))
-
-
-def _unused_tuple_guard() -> Tuple[int, int]:  # pragma: no cover
-    return (0, 0)

@@ -1,16 +1,14 @@
-"""MUST-style MPI usage sanitizers: matching, finalize, and RMA epochs.
+"""MUST-style MPI usage sanitizers: matching and RMA epochs.
 
 These mirror the misuse classes MUST (and the Caliper/Benchpark MPI
 pattern analyses in PAPERS.md) flag on real MPI programs, restricted to
-what the paper's three layers can actually commit:
+what the paper's three layers can actually commit.  What MPI_Finalize
+makes erroneous — sends never completed, unexpected messages never
+received, posted receives never matched — is not checked here: every
+engine run ends with :func:`~repro.sanitize.runtime.conservation_audit`.
 
 Two-sided / matching (:class:`MpiSanitizer`):
 
-* ``mpi.unmatched_send_at_finalize`` — a send request never completed
-  when the endpoint is finalized (its receiver never posted a match);
-* ``mpi.unexpected_at_finalize``     — messages still parked in the
-  unexpected queue at finalize (sent but never received);
-* ``mpi.pending_recv_at_finalize``   — posted receives never matched;
 * ``mpi.unexpected_watermark``       — the unexpected queue crossed
   :data:`UNEXPECTED_WATERMARK` (the resource-exhaustion failure mode of
   Section III-B building up);
@@ -62,19 +60,9 @@ def signatures_overlap(
 class MpiSanitizer:
     """Per-endpoint two-sided usage checker."""
 
-    #: Compact the tracked-send list once it grows past this.
-    _COMPACT_AT = 256
-
     def __init__(self, ctx: SanitizerContext, rank: int):
         self.ctx = ctx
         self.rank = rank
-        self._sends: List[object] = []      # MpiRequest, pruned lazily
-
-    # ------------------------------------------------------------------
-    def on_send(self, req) -> None:
-        self._sends.append(req)
-        if len(self._sends) > self._COMPACT_AT:
-            self._sends = [r for r in self._sends if not r.done]
 
     def on_unexpected(self, queue_len: int) -> None:
         if queue_len > UNEXPECTED_WATERMARK:
@@ -114,37 +102,6 @@ class MpiSanitizer:
                     new_source=source, new_tag=tag,
                     pending_source=entry.source, pending_tag=entry.tag,
                 )
-
-    # ------------------------------------------------------------------
-    def check_finalize(self, endpoint) -> None:
-        """Audit when the layer finalizes the endpoint (MPI_Finalize)."""
-        unmatched = [r for r in self._sends if not r.done]
-        if unmatched:
-            r = unmatched[0]
-            self.ctx.violation(
-                "mpi.unmatched_send_at_finalize",
-                self.rank,
-                f"{len(unmatched)} send(s) never completed at finalize "
-                f"(first: to rank {r.peer}, tag {r.tag}, {r.size}B — the "
-                "receiver never posted a matching receive)",
-                count=len(unmatched), first_peer=r.peer, first_tag=r.tag,
-            )
-        if len(endpoint.unexpected) > 0:
-            self.ctx.violation(
-                "mpi.unexpected_at_finalize",
-                self.rank,
-                f"{len(endpoint.unexpected)} message(s) still in the "
-                "unexpected queue at finalize (sent but never received)",
-                count=len(endpoint.unexpected),
-            )
-        if len(endpoint.posted) > 0:
-            self.ctx.violation(
-                "mpi.pending_recv_at_finalize",
-                self.rank,
-                f"{len(endpoint.posted)} posted receive(s) never matched "
-                "at finalize",
-                count=len(endpoint.posted),
-            )
 
 
 class WindowSanitizer:

@@ -1410,9 +1410,26 @@ def _finding_key(f: ProtoFinding) -> Tuple[str, str, str]:
 
 
 def load_baseline(path) -> List[Dict]:
+    """The accepted entries; ``ValueError`` on a document of the wrong
+    shape (not an object, ``accepted`` not a list of entries with
+    string ``rule`` / ``path`` / ``symbol``)."""
     with open(path) as fh:
         doc = json.load(fh)
-    return list(doc.get("accepted", []))
+    if not isinstance(doc, dict):
+        raise ValueError(f"a baseline must be a JSON object, not "
+                         f"{type(doc).__name__}")
+    accepted = doc.get("accepted", [])
+    if not isinstance(accepted, list):
+        raise ValueError(f"baseline field 'accepted' must be a list, not "
+                         f"{type(accepted).__name__}")
+    for entry in accepted:
+        if not (isinstance(entry, dict)
+                and isinstance(entry.get("rule"), str)
+                and isinstance(entry.get("path"), str)
+                and isinstance(entry.get("symbol", ""), str)):
+            raise ValueError(f"baseline entry {entry!r} needs string "
+                             "fields 'rule' and 'path'")
+    return accepted
 
 
 def save_baseline(findings: Sequence[ProtoFinding], path,

@@ -132,10 +132,6 @@ class ServeEngine:
         )
 
     # -- submission API ------------------------------------------------
-    def submit(self, query: Query) -> None:
-        """Enqueue one query (processed by the next :meth:`drain`)."""
-        self._inbox.append(query)
-
     def submit_many(self, queries: Sequence[Query]) -> None:
         self._inbox.extend(queries)
 

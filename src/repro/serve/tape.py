@@ -122,11 +122,18 @@ def tape_to_json(spec: TapeSpec, queries: List[Query]) -> str:
 
 
 def tape_from_json(text: str) -> Tuple[TapeSpec, List[Query]]:
+    """Parse a saved tape; ``ValueError`` on a document of the wrong shape."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a serve tape must be a JSON object, not "
+                         f"{type(doc).__name__}")
     if doc.get("format") != "repro-serve-tape/v1":
-        raise ValueError(
-            f"not a serve tape (format={doc.get('format')!r})"
-        )
-    spec = TapeSpec.from_dict(doc["spec"])
-    queries = [Query.from_row(row) for row in doc["queries"]]
+        raise ValueError(f"not a serve tape (format={doc.get('format')!r})")
+    try:
+        spec = TapeSpec.from_dict(doc["spec"])
+        queries = [Query.from_row(row) for row in doc["queries"]]
+    except KeyError as exc:
+        raise ValueError(f"serve tape lacks field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"serve tape has an ill-typed field: {exc}") from None
     return spec, queries

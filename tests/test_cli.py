@@ -118,6 +118,36 @@ def test_bad_scenario_flag_is_one_usage_error(argv, flag, capsys):
     assert f"error: argument {flag}: " in errors[0]
 
 
+_TAPE = "repro-serve-tape/v1"
+
+
+@pytest.mark.parametrize("verb, doc, code", [
+    ("explain", [], 1),
+    ("serve", [], 2),
+    ("serve", {"format": _TAPE}, 2),
+    ("serve", {"format": _TAPE, "spec": {}, "queries": []}, 2),
+    ("analyze", [], 2),
+    ("analyze", {"accepted": 5}, 2),
+])
+def test_wrong_shape_json_is_one_error_line(verb, doc, code, tmp_path,
+                                            capsys):
+    """Valid JSON of the wrong shape: the verb's unreadable-file exit."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    source = tmp_path / "clean.py"
+    source.write_text("x = 1\n")
+    argv = {
+        "explain": ["explain", str(path)],
+        "serve": ["serve", "--scale", "6", "--hosts", "2",
+                  "--tape", str(path)],
+        "analyze": ["analyze", str(source), "--check-baseline", str(path)],
+    }[verb]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
 _SCENARIO = {"graph": "rmat", "layer": "lci", "system": "abelian",
              "machine": "stampede2", "seed": 1}
 _OUTPUTS = {"obs": None, "sanitize": None}

@@ -274,6 +274,23 @@ def test_one_sanitizer_mode_that_raises_where_it_finds():
     assert offenders == []
 
 
+SHUTDOWN_AUDITS = re.compile(
+    r"\b(finalize_check|check_finalize|check_shutdown|on_send)\b")
+
+
+def test_conservation_is_audited_once_at_the_end_of_the_run():
+    # conservation_audit reads the components after BspEngine.run(); no
+    # layer audits at shutdown and no sanitizer shadows the send list.
+    root = Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}:{line}: {match.group()}"
+        for path in sorted(root.rglob("*.py"))
+        for line, text in enumerate(path.read_text().splitlines(), 1)
+        for match in SHUTDOWN_AUDITS.finditer(text)
+    ]
+    assert offenders == []
+
+
 def _counter_reads(tree):
     """Lines of every ``x.counters`` attribute read."""
     return [node.lineno for node in ast.walk(tree)

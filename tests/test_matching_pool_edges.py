@@ -11,7 +11,7 @@ double-free bugs.
 
 import pytest
 
-from repro.lci import PacketPool
+from repro.lci import LciConfig, LciRuntime, PacketPool
 from repro.mpi.matching import (
     PostedQueue,
     PostedReceive,
@@ -19,7 +19,13 @@ from repro.mpi.matching import (
     UnexpectedQueue,
 )
 from repro.mpi.types import ANY_SOURCE, ANY_TAG, MpiRequest
-from repro.sanitize import LciSanitizer, SanitizerContext, SanitizerError
+from repro.netapi.nic import Fabric
+from repro.sanitize import (
+    LciSanitizer,
+    SanitizerContext,
+    SanitizerError,
+    conservation_audit,
+)
 from repro.sim.engine import Environment
 from repro.sim.machine import stampede2
 
@@ -255,20 +261,27 @@ def test_pool_send_side_steal_honors_rx_reserve():
 
 
 def test_pool_planted_leak_caught_after_reuse_cycle():
-    env, pool = make_pool(size=3)
+    """No sanitizer armed: the end-of-run audit reads the pool itself."""
+    env = Environment()
+    world = LciRuntime.create_world(
+        env, Fabric(env, 2, stampede2()),
+        config=LciConfig(pool_packets_min=3, pool_packets_per_host=1),
+    )
+    pool = world[0].pool
 
     def cycle(env):
-        # A healthy exhaustion/recycle round first...
+        # A healthy exhaustion/recycle round first (receive side: a
+        # runtime's send side stops at the receive reserve)...
         for _ in range(3):
-            yield from pool.alloc()
+            assert (yield from pool.alloc(for_recv=True))
         for _ in range(3):
             yield from pool.free()
         # ...then the planted bug: one budget checked out, never freed.
-        yield from pool.alloc()
+        assert (yield from pool.alloc(for_recv=True))
 
     drive(env, cycle(env))
     with pytest.raises(SanitizerError) as ei:
-        pool.sanitizer.check_shutdown(pool)
+        conservation_audit(world, (), env.now)
     assert ei.value.rule == "lci.packet_leak"
     assert ei.value.host == 0
     assert ei.value.details == {"leaked": 1, "pool_size": 3}

@@ -1,10 +1,12 @@
-"""Tests for repro.sanitize: the determinism lint and protocol sanitizers.
+"""Tests for repro.sanitize: the determinism lint, the protocol
+sanitizers and the end-of-run conservation audit.
 
 Each runtime rule is demonstrated on a deliberately broken fixture (a
 planted leak, a planted double-free, a planted RMA race...) and the
 bit-identity acceptance property — sanitized runs produce exactly the
 numbers unsanitized runs do — is asserted end-to-end on BFS and
-PageRank.
+PageRank.  The audit's rules are planted on worlds with no sanitizer
+armed, and once through a whole engine run.
 """
 
 import json
@@ -28,6 +30,7 @@ from repro.sanitize import (
     LciSanitizer,
     SanitizerContext,
     SanitizerError,
+    conservation_audit,
     resolve_mode,
     signatures_overlap,
 )
@@ -45,22 +48,34 @@ from repro.sim.rng import RngFactory
 
 # ---------------------------------------------------------------------------
 # Helpers: worlds with sanitizers armed (discovered via fabric.sanitizer,
-# exactly the path the engine uses)
+# exactly the path the engine uses) or, for the audit, not
 # ---------------------------------------------------------------------------
-def make_mpi_world(num_hosts=2):
+def _fabric(num_hosts, sanitize):
     env = Environment()
     fabric = Fabric(env, num_hosts, stampede2())
-    fabric.sanitizer = SanitizerContext(env=env)
+    if sanitize:
+        fabric.sanitizer = SanitizerContext(env=env)
+    return env, fabric
+
+
+def make_mpi_world(num_hosts=2, sanitize=True):
+    env, fabric = _fabric(num_hosts, sanitize)
     world = MpiWorld(env, fabric, intel_mpi(), ThreadMode.MULTIPLE)
     return env, world
 
 
-def make_lci_world(num_hosts=2):
-    env = Environment()
-    fabric = Fabric(env, num_hosts, stampede2())
-    fabric.sanitizer = SanitizerContext(env=env)
+def make_lci_world(num_hosts=2, sanitize=True):
+    env, fabric = _fabric(num_hosts, sanitize)
     world = LciRuntime.create_world(env, fabric)
     return env, world
+
+
+def audit(env, runtimes=(), endpoints=()):
+    """The end-of-run audit over a bare world's components."""
+    with pytest.raises(SanitizerError) as ei:
+        conservation_audit(runtimes, endpoints, env.now)
+    assert ei.value.time == env.now
+    return ei.value
 
 
 def make_sanitized_pool(size=3, rx_reserve=0):
@@ -307,19 +322,20 @@ def test_pool_double_free_planted():
 
 
 def test_pool_leak_planted():
-    env, pool = make_sanitized_pool(size=3)
+    env, world = make_lci_world(2, sanitize=False)
+    pool = world[0].pool
 
     def proc(env):
         yield from pool.alloc()
         yield from pool.alloc()
-        # ...and never free: a leak at shutdown.
+        # ...and never free: a leak at the end of the run.
 
     env.process(proc(env))
     env.run()
-    with pytest.raises(SanitizerError) as ei:
-        pool.sanitizer.check_shutdown(pool)
-    assert ei.value.rule == "lci.packet_leak"
-    assert ei.value.details["leaked"] == 2
+    err = audit(env, runtimes=world)
+    assert err.rule == "lci.packet_leak"
+    assert err.host == 0
+    assert err.details == {"leaked": 2, "pool_size": pool.size}
 
 
 def _retire_and_free(pool):
@@ -397,44 +413,42 @@ def test_lci_healthy_roundtrip_is_clean():
     env.process(sender(env))
     env.process(receiver(env))
     env.run()
-    for rt in world:
-        rt.stop_server()            # the shutdown audit raises nothing
+    conservation_audit(world, (), env.now)      # raises nothing
     assert result["payload"] == b"y" * 256
 
 
 def _send_never_received():
-    """An LCI world whose host 1 got one message nobody dequeued."""
-    env, world = make_lci_world(2)
+    """An unsanitized LCI world whose host 1 got one message nobody
+    dequeued."""
+    env, world = make_lci_world(2, sanitize=False)
 
     def sender(env):
         yield from world[0].send_blocking(1, tag=9, size=128, payload=b"z")
 
     env.process(sender(env))
     env.run()
-    return world
+    return env, world
 
 
 def test_lci_unreceived_message_reported_at_shutdown():
     """Send without a matching dequeue: the arrival sits in the
     completion queue on a pool budget that never comes home."""
-    world = _send_never_received()
-    with pytest.raises(SanitizerError) as ei:
-        world[1].stop_server()
-    assert ei.value.rule == "lci.packet_leak"
-    assert ei.value.host == 1
-    assert ei.value.details == {"leaked": 1, "pool_size": world[1].pool.size}
+    env, world = _send_never_received()
+    err = audit(env, runtimes=world)
+    assert err.rule == "lci.packet_leak"
+    assert err.host == 1
+    assert err.details == {"leaked": 1, "pool_size": world[1].pool.size}
 
 
 def test_lci_unreaped_completion_reported_at_shutdown():
     """The arrival's budget is returned but its queue entry never
-    dequeued: the completion queue still holds it at shutdown."""
-    world = _send_never_received()
+    dequeued: the completion queue still holds it at the end."""
+    env, world = _send_never_received()
     world[1].pool.free_nowait()
-    with pytest.raises(SanitizerError) as ei:
-        world[1].stop_server()
-    assert ei.value.rule == "lci.cq_unreaped"
-    assert ei.value.host == 1
-    assert ei.value.details == {"unreaped": 1}
+    err = audit(env, runtimes=world)
+    assert err.rule == "lci.cq_unreaped"
+    assert err.host == 1
+    assert err.details == {"unreaped": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +464,9 @@ def test_signatures_overlap():
 
 def _rendezvous_send_never_received():
     """Rank 0's rendezvous send whose receiver never posts: the RTS
-    parks in rank 1's unexpected queue and the request never completes."""
-    env, world = make_mpi_world(2)
+    parks in rank 1's unexpected queue and the request never completes.
+    No sanitizer is armed: the audit reads the endpoints alone."""
+    env, world = make_mpi_world(2, sanitize=False)
     big = world.config.eager_limit * 4
 
     def sender(env):
@@ -465,29 +480,29 @@ def _rendezvous_send_never_received():
     env.process(sender(env))
     env.process(receiver(env))
     env.run()
-    return world
+    return env, world
 
 
 def test_unmatched_send_at_finalize():
-    world = _rendezvous_send_never_received()
-    with pytest.raises(SanitizerError) as ei:
-        world.endpoint(0).finalize_check()
-    assert ei.value.rule == "mpi.unmatched_send_at_finalize"
-    assert ei.value.host == 0
-    assert ei.value.details == {"count": 1, "first_peer": 1, "first_tag": 3}
+    env, world = _rendezvous_send_never_received()
+    # Hosts in order: rank 0's open send is reported before rank 1's
+    # parked RTS.
+    err = audit(env, endpoints=[world.endpoint(0), world.endpoint(1)])
+    assert err.rule == "mpi.unmatched_send_at_finalize"
+    assert err.host == 0
+    assert err.details == {"count": 1}
 
 
 def test_unexpected_at_finalize():
-    world = _rendezvous_send_never_received()
-    with pytest.raises(SanitizerError) as ei:
-        world.endpoint(1).finalize_check()
-    assert ei.value.rule == "mpi.unexpected_at_finalize"
-    assert ei.value.host == 1
-    assert ei.value.details == {"count": 1}
+    env, world = _rendezvous_send_never_received()
+    err = audit(env, endpoints=[world.endpoint(1)])
+    assert err.rule == "mpi.unexpected_at_finalize"
+    assert err.host == 1
+    assert err.details == {"count": 1}
 
 
 def test_pending_recv_at_finalize():
-    env, world = make_mpi_world(2)
+    env, world = make_mpi_world(2, sanitize=False)
 
     def receiver(env):
         ep = world.endpoint(1)
@@ -495,10 +510,34 @@ def test_pending_recv_at_finalize():
 
     env.process(receiver(env))
     env.run()
-    with pytest.raises(SanitizerError) as ei:
-        world.endpoint(1).finalize_check()
-    assert ei.value.rule == "mpi.pending_recv_at_finalize"
-    assert ei.value.details == {"count": 1}
+    err = audit(env, endpoints=[world.endpoint(0), world.endpoint(1)])
+    assert err.rule == "mpi.pending_recv_at_finalize"
+    assert err.host == 1
+    assert err.details == {"count": 1}
+
+
+def test_completed_sends_pass_the_audit():
+    """Eager and rendezvous sends both count as completed once done."""
+    env, world = make_mpi_world(2, sanitize=False)
+    big = world.config.eager_limit * 4
+
+    def sender(env):
+        ep = world.endpoint(0)
+        for size in (64, big):
+            req = yield from ep.isend(1, tag=1, size=size, payload=b"s")
+            yield from ep.wait(req)
+
+    def receiver(env):
+        ep = world.endpoint(1)
+        for _ in range(2):
+            yield from ep.recv(source=0, tag=1)
+
+    env.process(sender(env))
+    env.process(receiver(env))
+    env.run()
+    ep0 = world.endpoint(0)
+    assert ep0.isends == ep0.sends_completed == 2
+    conservation_audit((), [world.endpoint(0), world.endpoint(1)], env.now)
 
 
 def test_wildcard_order_hazard_on_overlapping_posts():
@@ -652,6 +691,53 @@ def test_sanitized_runs_are_bit_identical(app, layer):
     assert sane.compute_seconds == base.compute_seconds
     assert sane.comm_seconds == base.comm_seconds
     assert sane.rounds == base.rounds
+
+
+# ---------------------------------------------------------------------------
+# The end-of-run audit runs on every engine run, sanitized or not
+# ---------------------------------------------------------------------------
+def _leaky_engine(sc, **kwargs):
+    """The scenario's engine, with host 1 keeping its first freed
+    receive budget (a planted LCI consumer leak)."""
+    engine = build_engine(sc, **kwargs)
+    pool = engine.layers[1].rt.pool
+    real_free = pool.free
+    kept = []
+
+    def free(thread=None):
+        if kept:
+            yield from real_free(thread)
+        kept.append(thread)
+
+    pool.free = free
+    return engine
+
+
+def test_unsanitized_engine_run_raises_on_planted_leak():
+    sc = Scenario(app="bfs", graph="rmat", scale=8, hosts=2, layer="lci",
+                  sanitize=False)
+    engine = _leaky_engine(sc)
+    assert engine.fabric.sanitizer is None
+    with pytest.raises(SanitizerError) as ei:
+        engine.run()
+    assert ei.value.rule == "lci.packet_leak"
+    assert ei.value.host == 1
+    assert ei.value.time == engine.env.now
+    assert ei.value.details == {
+        "leaked": 1, "pool_size": engine.layers[1].rt.pool.size,
+    }
+
+
+def test_cli_run_exits_3_on_planted_leak_without_sanitize(monkeypatch,
+                                                          capsys):
+    import repro.cli as cli
+
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.setattr(cli, "build_engine", _leaky_engine)
+    argv = ["run", "--app", "bfs", "--scale", "7", "--hosts", "2",
+            "--layer", "lci"]
+    assert cli.main(argv) == SANITIZER_EXIT_CODE
+    assert "[lci.packet_leak] host 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
