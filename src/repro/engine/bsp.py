@@ -35,7 +35,7 @@ from repro.comm.layer_base import CommLayer, make_layers
 from repro.comm.serialization import pack_cost, pack_updates, unpack_cost
 from repro.engine.metrics import RunMetrics
 from repro.engine.vertex_program import VertexProgram
-from repro.graph.csr import CsrGraph, resident
+from repro.graph.csr import CsrGraph, csr_order, first_occurrences, resident
 from repro.graph.partition import make_partition
 from repro.graph.partition.proxies import Partition
 from repro.lci.queue_iface import LciQueue
@@ -52,19 +52,38 @@ __all__ = ["EngineConfig", "BspEngine", "symmetrize"]
 def symmetrize(graph: CsrGraph) -> CsrGraph:
     """Add reverse edges (used for cc, which is undirected semantics).
 
+    The result is ``CsrGraph.from_edges(dedup=True)`` of the 2|E| pairs
+    "every edge, then every edge reversed" (edge data following each
+    pair), built without materializing the pair columns: with ``ends`` =
+    every edge's source, then every edge's target, pair ``p`` is
+    ``(ends[p], ends[(p + |E|) mod 2|E|])`` and carries edge ``p mod |E|``'s
+    data, so the pair keys are written straight from the CSR arrays and
+    the kept pairs' targets and data are gathered with ``mode="wrap"``.
+
     A frozen graph's symmetrized form is built once, frozen and kept
     resident (:func:`repro.graph.csr.resident`).
     """
-    src, dst = graph.edges()
-    all_src = np.concatenate([src, dst])
-    all_dst = np.concatenate([dst, src])
+    n, m = graph.num_nodes, graph.num_edges
+    ends = np.concatenate([graph.edge_sources(), graph.indices])
+    key = ends * n
+    key[:m] += graph.indices
+    key[m:] += ends[:m]
+    keep = first_occurrences(key, n * n)
+    del key
+    not_loop = ends[:m] != graph.indices
+    keep[:m] &= not_loop
+    keep[m:] &= not_loop
+    del not_loop
+    indptr, sel = csr_order(ends, n, keep)
+    del keep
+    # pair p's target is ends[p + |E|] (mod 2|E|), its data
+    # edge_data[p + |E|] (mod |E|)
+    sel += m
     edge_data = None
     if graph.edge_data is not None:
-        edge_data = np.concatenate([graph.edge_data, graph.edge_data])
-    return CsrGraph.from_edges(
-        all_src, all_dst, graph.num_nodes, edge_data=edge_data, dedup=True,
-        name=graph.name + ".sym",
-    )
+        edge_data = np.take(graph.edge_data, sel, mode="wrap")
+    return CsrGraph(indptr, np.take(ends, sel, mode="wrap"), n,
+                    edge_data=edge_data, name=graph.name + ".sym")
 
 
 @dataclass

@@ -14,8 +14,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 __all__ = [
-    "CsrGraph", "stable_argsort", "group_offsets", "resident",
-    "RESIDENT_BOUND",
+    "CsrGraph", "stable_argsort", "first_occurrences", "group_offsets",
+    "csr_order", "index_dtype", "index_range", "resident", "RESIDENT_BOUND",
 ]
 
 #: How many results each :func:`resident` derivation keeps.
@@ -50,7 +50,7 @@ def resident(derive):
 
 
 def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for int64 ``0 <= keys < bound``.
+    """``np.argsort(keys, kind="stable")`` for integer ``0 <= keys < bound``.
 
     The bound picks the cheapest sort that gives exactly that order, on
     arithmetic grounds only: keys of at most 16 bits go through NumPy's
@@ -62,15 +62,60 @@ def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     """
     narrow = np.min_scalar_type(bound - 1)
     if narrow.itemsize <= 2:
-        return np.argsort(keys.astype(narrow), kind="stable")
+        return np.argsort(keys.astype(narrow, copy=False), kind="stable")
     pos_bits = max(len(keys) - 1, 0).bit_length()
     if (bound - 1).bit_length() + pos_bits > 63:
         return np.argsort(keys, kind="stable")
-    packed = keys << pos_bits
-    packed |= np.arange(len(keys), dtype=np.int64)
+    packed = np.left_shift(keys, pos_bits, dtype=np.int64)
+    packed |= index_range(len(keys))
     packed.sort()
     packed &= (1 << pos_bits) - 1
     return packed
+
+
+def first_occurrences(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Mask over positions: ``True`` where ``keys[p]`` is not in ``keys[:p]``.
+
+    ``keys`` is int64 with ``0 <= keys < bound``, and scratch: where key
+    plus position fit 63 bits it is overwritten with ``key << pos_bits |
+    position`` and sorted in place (a run of equal keys then starts at
+    its earliest position), so the only other |keys|-sized arrays are
+    one narrow position array and two bool masks.  Wider keys go through
+    the stable argsort.
+    """
+    count = len(keys)
+    first = np.zeros(count, dtype=bool)
+    if count == 0:
+        return first
+    run_start = np.empty(count, dtype=bool)
+    run_start[0] = True
+    pos_bits = (count - 1).bit_length()
+    if (bound - 1).bit_length() + pos_bits > 63:
+        pos = np.argsort(keys, kind="stable")
+        keys = keys[pos]
+    else:
+        pos = index_range(count)
+        keys <<= pos_bits
+        keys |= pos
+        keys.sort()
+        np.bitwise_and(keys, (1 << pos_bits) - 1, out=pos, casting="unsafe")
+        keys >>= pos_bits
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    first[pos[run_start]] = True
+    return first
+
+
+def index_dtype(count: int) -> np.dtype:
+    """int32 where every index below ``count`` fits, else int64: the
+    dtype of positions or node ids held only as scratch, at half the
+    bytes."""
+    return np.dtype(np.int32 if count <= np.iinfo(np.int32).max + 1
+                    else np.int64)
+
+
+def index_range(count: int) -> np.ndarray:
+    """``arange(count)`` in :func:`index_dtype`."""
+    return np.arange(count, dtype=index_dtype(count))
 
 
 def group_offsets(ids: np.ndarray, num_groups: int) -> np.ndarray:
@@ -78,6 +123,41 @@ def group_offsets(ids: np.ndarray, num_groups: int) -> np.ndarray:
     ``[offsets[g], offsets[g + 1])`` of the stably sorted ids."""
     counts = np.bincount(ids, minlength=num_groups)
     return np.concatenate(([0], np.cumsum(counts)))
+
+
+def csr_order(sources: np.ndarray, num_nodes: int,
+              keep: Optional[np.ndarray] = None
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, order)`` of the CSR holding the edge positions ``keep``
+    marks (every position if ``None``), edge ``e`` starting at node
+    ``sources[e]``: ``order`` lists those positions ascending within
+    each source, sources ascending, so ``targets[order]`` is the CSR's
+    ``indices``."""
+    if keep is None:
+        return (group_offsets(sources, num_nodes),
+                stable_argsort(sources, num_nodes))
+    sel = np.flatnonzero(keep)
+    kept = sources[sel]
+    indptr = group_offsets(kept, num_nodes)
+    order = stable_argsort(kept, num_nodes)
+    del kept
+    return indptr, sel[order]
+
+
+def _check_edge_list(src, dst, num_nodes, edge_data) -> None:
+    """Raise ``ValueError`` unless the pairs can be a graph's edges: one
+    length for every column, every id in ``[0, num_nodes)``.  Checked
+    before any key arithmetic, where an out-of-range id would alias
+    another pair."""
+    if len(src) != len(dst):
+        raise ValueError("src/dst length mismatch")
+    if edge_data is not None and len(edge_data) != len(src):
+        raise ValueError(
+            f"edge_data has {len(edge_data)} entries for {len(src)} edges"
+        )
+    for end, ids in (("source", src), ("target", dst)):
+        if len(ids) and (ids.min() < 0 or ids.max() >= num_nodes):
+            raise ValueError(f"edge {end} out of range [0, {num_nodes})")
 
 
 class CsrGraph:
@@ -157,36 +237,29 @@ class CsrGraph:
     ) -> "CsrGraph":
         """Build CSR from parallel (src, dst) arrays.
 
-        ``dedup=True`` removes duplicate (src, dst) pairs and self loops,
-        as the synthetic generators produce multi-edges.
+        ``dedup=True`` removes self loops and every repeat of a (src, dst)
+        pair after its first occurrence, as the synthetic generators
+        produce multi-edges.  Every id must lie in ``[0, num_nodes)`` and
+        ``edge_data`` (if given) must have one entry per pair.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
-        if len(src) != len(dst):
-            raise ValueError("src/dst length mismatch")
-        if dedup:
-            keep = src != dst
-            src, dst = src[keep], dst[keep]
-            if edge_data is not None:
-                edge_data = np.asarray(edge_data)[keep]
-            # Keep the first occurrence of every (src, dst), in input
-            # order: stably sorted, a run of equal keys starts at its
-            # earliest position.
-            key = src * num_nodes + dst
-            order = stable_argsort(key, num_nodes * num_nodes)
-            key = key[order]
-            first = np.ones(len(key), dtype=bool)
-            np.not_equal(key[1:], key[:-1], out=first[1:])
-            keep = np.zeros(len(key), dtype=bool)
-            keep[order[first]] = True
-            src, dst = src[keep], dst[keep]
-            if edge_data is not None:
-                edge_data = edge_data[keep]
-        order = stable_argsort(src, num_nodes)
         if edge_data is not None:
-            edge_data = np.asarray(edge_data)[order]
-        return cls(group_offsets(src, num_nodes), dst[order], num_nodes,
-                   edge_data=edge_data, name=name)
+            edge_data = np.asarray(edge_data)
+        _check_edge_list(src, dst, num_nodes, edge_data)
+        keep = None
+        if dedup:
+            key = src * num_nodes
+            key += dst
+            keep = first_occurrences(key, num_nodes * num_nodes)
+            del key
+            keep &= src != dst
+        indptr, order = csr_order(src, num_nodes, keep)
+        del keep
+        if edge_data is not None:
+            edge_data = edge_data[order]
+        return cls(indptr, dst[order], num_nodes, edge_data=edge_data,
+                   name=name)
 
     def freeze(self) -> "CsrGraph":
         """Make the underlying arrays read-only and return ``self``.

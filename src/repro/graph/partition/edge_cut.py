@@ -13,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CsrGraph
-from repro.graph.partition.proxies import Partition, build_partition
+from repro.graph.partition.proxies import (
+    Partition, build_partition, host_dtype,
+)
 
 __all__ = ["blocked_edge_cut", "balanced_node_blocks"]
 
@@ -45,5 +47,6 @@ def balanced_node_blocks(graph: CsrGraph, num_blocks: int, alpha: float = 8.0) -
 def blocked_edge_cut(graph: CsrGraph, num_hosts: int) -> Partition:
     """Partition with Gemini's policy: edge lives with its source's owner."""
     owner = balanced_node_blocks(graph, num_hosts)
-    edge_owner = np.repeat(owner, np.diff(graph.indptr))
+    edge_owner = np.repeat(owner.astype(host_dtype(num_hosts)),
+                           np.diff(graph.indptr))
     return build_partition(graph, num_hosts, owner, edge_owner, "edge-cut")

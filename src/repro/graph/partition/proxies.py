@@ -25,9 +25,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CsrGraph, group_offsets, stable_argsort
+from repro.graph.csr import (
+    CsrGraph, group_offsets, index_dtype, index_range, stable_argsort,
+)
 
-__all__ = ["LocalGraph", "Partition", "build_partition"]
+__all__ = ["LocalGraph", "Partition", "build_partition", "host_dtype"]
 
 
 class LocalGraph:
@@ -44,6 +46,7 @@ class LocalGraph:
         num_masters: int,
         indptr: np.ndarray,
         indices: np.ndarray,
+        edge_sources: np.ndarray,
         edge_data: Optional[np.ndarray] = None,
     ):
         self.host = host
@@ -56,12 +59,12 @@ class LocalGraph:
         #: destination here?  (drives partition-aware sync selection)
         self.is_edge_src = np.zeros(len(global_ids), dtype=bool)
         self.is_edge_dst = np.zeros(len(global_ids), dtype=bool)
-        srcs = np.repeat(
-            np.arange(len(global_ids), dtype=np.int64), np.diff(indptr)
-        )
-        self.is_edge_src[srcs] = True
+        self.is_edge_src[edge_sources] = True
         self.is_edge_dst[indices] = True
-        self._src_cache = srcs
+        #: Each edge's local source, aligned with ``indices`` — what the
+        #: builder sorted the edges by, so it is handed over, not rebuilt
+        #: from ``indptr``.
+        self._src_cache = edge_sources
 
     @property
     def num_local(self) -> int:
@@ -209,6 +212,13 @@ class Partition:
         )
 
 
+def host_dtype(num_hosts: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every host id: a policy's
+    |E|-long ``edge_owner`` is built in it (one byte per edge up to 256
+    hosts)."""
+    return np.min_scalar_type(max(num_hosts - 1, 0))
+
+
 def build_partition(
     graph: CsrGraph,
     num_hosts: int,
@@ -219,7 +229,8 @@ def build_partition(
     """Materialize local graphs and sync metadata from assignments.
 
     ``owner``: length |V|, master host of each node.
-    ``edge_owner``: length |E| aligned with the CSR edge order.
+    ``edge_owner``: length |E| aligned with the CSR edge order, of any
+    integer dtype (the policies use :func:`host_dtype`).
 
     Edges and nodes are each grouped by host in one stable sort; a host
     then gathers its own slice, so the cost is O(|E| + |V|) plus one
@@ -227,7 +238,7 @@ def build_partition(
     every edge.
     """
     owner = np.asarray(owner, dtype=np.int64)
-    edge_owner = np.asarray(edge_owner, dtype=np.int64)
+    edge_owner = np.asarray(edge_owner)
     if len(owner) != graph.num_nodes:
         raise ValueError("owner array must cover every node")
     if len(edge_owner) != graph.num_edges:
@@ -237,54 +248,31 @@ def build_partition(
             raise ValueError(f"{name} out of host range")
 
     num_nodes = graph.num_nodes
-    all_src = graph.edge_sources()
-    all_dst = graph.indices
     # Host h's edges are edge_order[edge_start[h]:edge_start[h + 1]], in
     # CSR order; its masters node_order[node_start[h]:node_start[h + 1]],
-    # ascending.
-    edge_order = stable_argsort(edge_owner, num_hosts)
+    # ascending.  ``edge_order`` and ``all_src`` (every edge's source)
+    # live through the host loop, only as scratch: int32 where they fit.
     edge_start = group_offsets(edge_owner, num_hosts)
+    edge_order = stable_argsort(edge_owner, num_hosts).astype(
+        index_dtype(graph.num_edges), copy=False)
     node_order = stable_argsort(owner, num_hosts)
     node_start = group_offsets(owner, num_hosts)
     #: Local id of every node at its owner (masters come first there).
     master_lid = np.empty(num_nodes, dtype=np.int64)
     master_lid[node_order] = np.arange(num_nodes) - node_start[owner[node_order]]
+    all_src = np.repeat(index_range(num_nodes), np.diff(graph.indptr))
     # Scratch reused by every host: ``touched`` is all-False between
     # hosts; ``local_id`` is only ever read at the current host's ids.
     touched = np.zeros(num_nodes, dtype=bool)
     local_id = np.empty(num_nodes, dtype=np.int64)
-
-    locals_: List[LocalGraph] = []
-    for h in range(num_hosts):
-        edges = edge_order[edge_start[h]:edge_start[h + 1]]
-        esrc = all_src[edges]
-        edst = all_dst[edges]
-        masters = node_order[node_start[h]:node_start[h + 1]]
-        num_masters = len(masters)  # every owned node is a master
-        touched[esrc] = True
-        touched[edst] = True
-        touched[masters] = False
-        mirrors = np.flatnonzero(touched)
-        touched[mirrors] = False
-        global_ids = np.concatenate([masters, mirrors])
-        local_id[global_ids] = np.arange(len(global_ids))
-
-        lsrc = local_id[esrc]
-        ldst = local_id[edst]
-        # Local CSR order is the stable sort by local source.  Edges
-        # arrive in ascending global source and local ids ascend with
-        # global ids among masters and among mirrors, so that sort is
-        # "master-source edges, then mirror-source edges".
-        from_mirror = lsrc >= num_masters
-        order = np.concatenate(
-            (np.flatnonzero(~from_mirror), np.flatnonzero(from_mirror))
+    locals_ = [
+        _local_graph(
+            graph, h, all_src, edge_order[edge_start[h]:edge_start[h + 1]],
+            node_order[node_start[h]:node_start[h + 1]], touched, local_id,
         )
-        lsrc, ldst, edges = lsrc[order], ldst[order], edges[order]
-        edata = graph.edge_data[edges] if graph.edge_data is not None else None
-        locals_.append(LocalGraph(
-            h, global_ids, num_masters,
-            group_offsets(lsrc, len(global_ids)), ldst, edata,
-        ))
+        for h in range(num_hosts)
+    ]
+    del all_src, edge_order
 
     # ---- sync metadata -------------------------------------------------
     reduce_pairs: Dict[Tuple[int, int], SyncPair] = {}
@@ -314,4 +302,42 @@ def build_partition(
                 )
     return Partition(
         graph, num_hosts, owner, locals_, policy, reduce_pairs, bcast_pairs
+    )
+
+
+def _local_graph(graph, host, all_src, edges, masters, touched, local_id):
+    """Host ``host``'s local graph from its ``edges`` (CSR positions,
+    ascending) and ``masters`` (ascending global ids).  Its temporaries
+    die when it returns, before the next host starts."""
+    esrc = all_src[edges]
+    edst = graph.indices[edges]
+    num_masters = len(masters)  # every owned node is a master
+    touched[esrc] = True
+    touched[edst] = True
+    touched[masters] = False
+    mirrors = np.flatnonzero(touched)
+    touched[mirrors] = False
+    global_ids = np.concatenate([masters, mirrors])
+    local_id[global_ids] = np.arange(len(global_ids))
+    lsrc = local_id[esrc]
+    del esrc
+    ldst = local_id[edst]
+    del edst
+    # Local CSR order is the stable sort by local source.  Edges arrive
+    # in ascending global source and local ids ascend with global ids
+    # among masters and among mirrors, so that sort is "master-source
+    # edges, then mirror-source edges" — the input order itself when no
+    # source is a mirror (every edge-cut host).
+    from_mirror = lsrc >= num_masters
+    if from_mirror.any():
+        order = np.concatenate(
+            (np.flatnonzero(~from_mirror), np.flatnonzero(from_mirror))
+        )
+        del from_mirror
+        lsrc, ldst, edges = lsrc[order], ldst[order], edges[order]
+        del order
+    edata = graph.edge_data[edges] if graph.edge_data is not None else None
+    return LocalGraph(
+        host, global_ids, num_masters, group_offsets(lsrc, len(global_ids)),
+        ldst, lsrc, edata,
     )

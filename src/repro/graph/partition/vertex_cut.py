@@ -22,7 +22,9 @@ import numpy as np
 
 from repro.graph.csr import CsrGraph
 from repro.graph.partition.edge_cut import balanced_node_blocks
-from repro.graph.partition.proxies import Partition, build_partition
+from repro.graph.partition.proxies import (
+    Partition, build_partition, host_dtype,
+)
 
 __all__ = ["grid_shape", "cartesian_vertex_cut"]
 
@@ -41,10 +43,13 @@ def cartesian_vertex_cut(graph: CsrGraph, num_hosts: int) -> Partition:
     """Partition with the CVC policy."""
     rows, cols = grid_shape(num_hosts)
     owner = balanced_node_blocks(graph, num_hosts)
-    src_owner = np.repeat(owner, np.diff(graph.indptr))
-    dst_owner = owner[graph.indices]
-    # host id of grid cell (i, j) is i * cols + j
-    edge_owner = (src_owner // cols) * cols + (dst_owner % cols)
+    # host id of grid cell (i, j) is i * cols + j: the row comes from
+    # the source's owner, the column from the target's.  Both parts are
+    # per-node, so the one |E| array is written in the host dtype.
+    dtype = host_dtype(num_hosts)
+    edge_owner = np.repeat((owner // cols * cols).astype(dtype),
+                           np.diff(graph.indptr))
+    edge_owner += (owner % cols).astype(dtype)[graph.indices]
     part = build_partition(graph, num_hosts, owner, edge_owner, "cvc")
     part.grid = (rows, cols)  # type: ignore[attr-defined]
     return part

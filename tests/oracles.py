@@ -50,6 +50,20 @@ def from_edges(src, dst, num_nodes, edge_data=None, dedup=False, name=""):
     return CsrGraph(indptr, dst, num_nodes, edge_data=edge_data, name=name)
 
 
+def symmetrize(graph):
+    """Every edge plus its reverse through :func:`from_edges` with
+    ``dedup=True``: the pair columns and edge data concatenated."""
+    src, dst = graph.edges()
+    edge_data = None
+    if graph.edge_data is not None:
+        edge_data = np.concatenate([graph.edge_data, graph.edge_data])
+    return from_edges(
+        np.concatenate([src, dst]), np.concatenate([dst, src]),
+        graph.num_nodes, edge_data=edge_data, dedup=True,
+        name=graph.name + ".sym",
+    )
+
+
 # ----------------------------------------------------------------------
 # Partition construction
 # ----------------------------------------------------------------------
@@ -84,8 +98,11 @@ def build_partition(graph, num_hosts, owner, edge_owner, policy):
             edata = edata[order]
         counts = np.bincount(lsrc, minlength=len(global_ids))
         indptr = np.concatenate(([0], np.cumsum(counts)))
+        srcs = np.repeat(
+            np.arange(len(global_ids), dtype=np.int64), np.diff(indptr)
+        )
         locals_.append(
-            LocalGraph(h, global_ids, len(masters), indptr, ldst, edata)
+            LocalGraph(h, global_ids, len(masters), indptr, ldst, srcs, edata)
         )
 
     reduce_pairs: Dict[Tuple[int, int], SyncPair] = {}

@@ -77,6 +77,28 @@ def test_out_of_range_target_rejected():
         CsrGraph(np.array([0, 1]), np.array([5]), 1)
 
 
+@pytest.mark.parametrize("src, dst, num_nodes, data, dedup, message", [
+    # (0, 4) would alias (1, 0) in the dedup key 0 * 4 + 4 == 1 * 4 + 0
+    ([1, 0], [0, 4], 4, None, True, r"edge target out of range \[0, 4\)"),
+    # (1, -1) would alias (0, 3) in the dedup key
+    ([1, 0], [-1, 3], 4, None, True, r"edge target out of range \[0, 4\)"),
+    ([0, 6], [1, 2], 6, None, False, r"edge source out of range \[0, 6\)"),
+    ([0, 6], [1, 2], 6, None, True, r"edge source out of range \[0, 6\)"),
+    ([0, -1], [1, 2], 3, None, False, r"edge source out of range \[0, 3\)"),
+    ([0, 1], [1, 0], 2, [1, 2, 3], False, "edge_data has 3 entries for 2"),
+    ([0, 1], [1, 0], 2, [1, 2, 3], True, "edge_data has 3 entries for 2"),
+    ([0, 1], [1, 0], 2, [1], True, "edge_data has 1 entries for 2"),
+])
+def test_from_edges_rejects_bad_input(src, dst, num_nodes, data, dedup,
+                                      message):
+    """Lengths and id ranges are checked before any key arithmetic: an
+    out-of-range id must not alias another pair, and a misaligned
+    ``edge_data`` must not be cut to fit."""
+    with pytest.raises(ValueError, match=message):
+        CsrGraph.from_edges(np.array(src), np.array(dst), num_nodes,
+                            edge_data=data, dedup=dedup)
+
+
 def test_npz_roundtrip(tmp_path):
     g = small_graph()
     path = str(tmp_path / "g.npz")

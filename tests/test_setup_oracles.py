@@ -6,14 +6,18 @@ dicts must come out in the same key order: simulated schedules depend
 on all of it.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.engine.bsp import symmetrize
-from repro.graph.csr import CsrGraph, group_offsets, stable_argsort
+from repro.graph.csr import (
+    CsrGraph, first_occurrences, group_offsets, stable_argsort,
+)
 from repro.graph.generators import GRAPH_FAMILIES
 from repro.graph.partition import edge_cut, make_partition, vertex_cut
-from repro.graph.partition.proxies import build_partition
+from repro.graph.partition.proxies import build_partition, host_dtype
 from tests import oracles
 
 HOSTS = (1, 2, 3, 4, 7, 8, 16, 32, 128)
@@ -115,6 +119,33 @@ def test_stable_argsort_packs_exactly_up_to_63_bits():
                           np.argsort(keys, kind="stable"), bound)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int32])
+def test_stable_argsort_takes_any_integer_keys(dtype):
+    """Host ids arrive in ``host_dtype``; a key packed above its position
+    is widened to int64 first, so it cannot wrap in its own dtype."""
+    top = int(np.iinfo(dtype).max)
+    keys = np.array([top, 0, top, 1, 0] * 200, dtype=dtype)
+    for bound in (top + 1, 1 << 40):
+        assert_same_array(stable_argsort(keys, bound),
+                          np.argsort(keys, kind="stable"), (dtype, bound))
+
+
+@pytest.mark.parametrize("bound", [1, 2, 300, 1 << 40, 1 << 58, 1 << 62])
+@pytest.mark.parametrize("count", [0, 1, 2, 1000])
+def test_first_occurrences_equals_unique(bound, count):
+    """Packed and sorted in place, or (key plus position past 63 bits)
+    through the stable argsort: the mask is ``np.unique``'s first
+    indices either way, and ``keys`` is only scratch."""
+    rng = np.random.default_rng([bound % 9973, count])
+    keys = rng.integers(0, bound, size=count, dtype=np.int64)
+    if count >= 2:
+        keys[count // 2:] = keys[: count - count // 2]
+        keys[0], keys[-1] = bound - 1, 0
+    want = np.zeros(count, dtype=bool)
+    want[np.unique(keys, return_index=True)[1]] = True
+    assert_same_array(first_occurrences(keys.copy(), bound), want, bound)
+
+
 def test_group_offsets():
     ids = np.array([2, 0, 2, 2, 5], dtype=np.int64)
     assert group_offsets(ids, 7).tolist() == [0, 1, 1, 4, 4, 4, 5, 5]
@@ -157,15 +188,37 @@ def test_from_edges_float_edge_data_keeps_dtype_and_first_duplicate():
     assert g.edge_data.tolist() == [1.5, 5.5, 0.5]
 
 
+@pytest.mark.parametrize("data", [None, "int", "float"])
+@pytest.mark.parametrize("num_nodes, num_edges", [
+    (1, 0), (1, 3), (4, 30), (50, 2000), (70_000, 5000),
+])
+def test_symmetrize_equals_oracle(num_nodes, num_edges, data):
+    """Multi-edges, self loops and both directions of a pair carrying
+    different data: which occurrence survives, and in which order, is
+    the reference's."""
+    rng = np.random.default_rng([num_nodes, num_edges])
+    src = rng.integers(0, num_nodes, size=num_edges)
+    dst = rng.integers(0, num_nodes, size=num_edges)
+    edge_data = {
+        None: None,
+        "int": rng.integers(1, 64, size=num_edges).astype(np.int32),
+        "float": rng.random(num_edges),
+    }[data]
+    graph = CsrGraph.from_edges(src, dst, num_nodes, edge_data=edge_data,
+                                name="g")
+    assert_same_graph(symmetrize(graph), oracles.symmetrize(graph))
+
+
 # ----------------------------------------------------------------------
 # Generators, symmetrize, transpose, and their partitions
 # ----------------------------------------------------------------------
 def reference_graph(family, scale, seed, weights, monkeypatch):
-    """The family's generator with the reference CSR builder."""
+    """The family's generator with the reference CSR builder, and the
+    reference symmetrize."""
     with monkeypatch.context() as patch:
         patch.setattr(CsrGraph, "from_edges", staticmethod(oracles.from_edges))
         graph = GRAPH_FAMILIES[family](scale, seed=seed, weights=weights)
-        return graph, symmetrize(graph), graph.transpose()
+        return graph, oracles.symmetrize(graph), graph.transpose()
 
 
 @pytest.mark.parametrize("weights", [False, True])
@@ -187,11 +240,13 @@ def test_graphs_and_partitions_equal_oracles(
                     )
 
 
-@pytest.mark.parametrize("hosts", [1, 3, 8, 300])
+@pytest.mark.parametrize("hosts", [1, 3, 8, 257, 300])
 def test_arbitrary_assignments_equal_oracle(hosts):
     """``build_partition`` takes any assignment, not only the two
     policies' contiguous blocks: scattered owners, hosts without nodes
-    or edges, more hosts than the 8-bit key holds."""
+    or edges, more hosts than the 8-bit key holds, and ``edge_owner`` in
+    every integer dtype that holds the host ids (the policies pass the
+    narrowest; 257 hosts is the first that needs 16 bits)."""
     graph = GRAPH_FAMILIES["rmat"](7, seed=9, weights=True)
     rng = np.random.default_rng(hosts)
     owner = rng.integers(0, hosts, size=graph.num_nodes)
@@ -199,10 +254,50 @@ def test_arbitrary_assignments_equal_oracle(hosts):
     if hosts > 2:
         owner[owner == 1] = 0        # host 1 owns nothing
         edge_owner[edge_owner == 2] = 0  # host 2 computes nothing
-    assert_same_partition(
-        build_partition(graph, hosts, owner, edge_owner, "random"),
-        oracles.build_partition(graph, hosts, owner, edge_owner, "random"),
-    )
+    dtypes = [t for t in (np.uint8, np.uint16, np.int64)
+              if hosts - 1 <= np.iinfo(t).max]
+    assert len(dtypes) == (3 if hosts <= 256 else 2)
+    for dtype in dtypes:
+        got = build_partition(graph, hosts, owner, edge_owner.astype(dtype),
+                              "random")
+        assert_same_partition(
+            got,
+            oracles.build_partition(graph, hosts, owner, edge_owner, "random"),
+        )
+        for lg in got.locals:
+            # the builder hands over its sorted local sources; they must
+            # be exactly what ``indptr`` says
+            assert_same_array(lg.edge_sources(), np.repeat(
+                np.arange(lg.num_local, dtype=np.int64), np.diff(lg.indptr),
+            ), f"{dtype.__name__}: host {lg.host} edge sources")
+
+
+@pytest.mark.parametrize("hosts", [1, 4, 7, 256, 257, 70_000])
+def test_policies_build_edge_owner_in_the_host_dtype(hosts, monkeypatch):
+    """Both policies hand ``build_partition`` an |E| array one or two
+    bytes wide, holding the same host ids as the int64 arithmetic."""
+    graph = GRAPH_FAMILIES["rmat"](7, seed=3)
+    seen = {}
+
+    def spy(graph, num_hosts, owner, edge_owner, policy):
+        seen[policy] = edge_owner
+        return SimpleNamespace()
+
+    for module in (edge_cut, vertex_cut):
+        monkeypatch.setattr(module, "build_partition", spy)
+    edge_cut.blocked_edge_cut(graph, hosts)
+    vertex_cut.cartesian_vertex_cut(graph, hosts)
+    owner = edge_cut.balanced_node_blocks(graph, hosts)
+    src_owner = np.repeat(owner, np.diff(graph.indptr))
+    dst_owner = owner[graph.indices]
+    cols = vertex_cut.grid_shape(hosts)[1]
+    want = {"edge-cut": src_owner,
+            "cvc": (src_owner // cols) * cols + (dst_owner % cols)}
+    for policy, edge_owner in seen.items():
+        assert edge_owner.dtype == host_dtype(hosts), policy
+        assert edge_owner.dtype.itemsize == (1 if hosts <= 256 else
+                                             2 if hosts <= 65_536 else 4)
+        assert np.array_equal(edge_owner, want[policy]), policy
 
 
 def test_assignments_outside_the_host_range_are_rejected():
