@@ -10,8 +10,6 @@
     python -m repro inputs --scale 14
     python -m repro calibrate
     python -m repro lint [--json report.json] [--sarif r.sarif] [paths...]
-    python -m repro analyze [--check-baseline [PROTO_BASELINE.json]] \\
-        [--json report.json] [--sarif r.sarif] [--selftest] [paths...]
     python -m repro run ... --obs obs.json [--obs-chrome t.json] \\
         [--obs-prom m.prom]
     python -m repro explain obs.json [--check] [--top 5] [--per-round]
@@ -314,35 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--sarif", metavar="PATH", dest="sarif_path",
                       help="also write the findings as SARIF 2.1.0")
 
-    analyze = sub.add_parser(
-        "analyze",
-        help="interprocedural protocol analyzer (MPI/LCI/comm "
-             "lifecycles) over the simulation sources",
-    )
-    analyze.add_argument("paths", nargs="*", metavar="PATH",
-                         help="files/directories to analyze (default: "
-                              "the installed repro package)")
-    analyze.add_argument("--json", metavar="PATH", dest="json_path",
-                         help="also write the machine-readable JSON "
-                              "report (same schema as `lint --json`)")
-    analyze.add_argument("--sarif", metavar="PATH", dest="sarif_path",
-                         help="also write the findings as SARIF 2.1.0")
-    analyze.add_argument("--check-baseline", nargs="?",
-                         const="PROTO_BASELINE.json", default=None,
-                         metavar="PATH", dest="check_baseline",
-                         help="exit 0 iff every finding is accepted in "
-                              "the baseline file (default: "
-                              "./PROTO_BASELINE.json); stale entries "
-                              "are warned about")
-    analyze.add_argument("--write-baseline", nargs="?",
-                         const="PROTO_BASELINE.json", default=None,
-                         metavar="PATH", dest="write_baseline",
-                         help="accept the current findings into a "
-                              "baseline file (justify each entry "
-                              "before committing)")
-    analyze.add_argument("--selftest", action="store_true",
-                         help="run the mutation-corpus self-test and "
-                              "exit (nonzero on any corpus failure)")
     return p
 
 
@@ -818,69 +787,6 @@ def _cmd_lint(args) -> int:
     return 1 if result.findings else 0
 
 
-def _cmd_analyze(args) -> int:
-    from repro.sanitize import proto
-    from repro.sanitize.lint import repo_package_root
-    from repro.sanitize.report import save_json, save_sarif
-
-    if args.selftest:
-        from repro.sanitize.corpus import (
-            BAD_SNIPPETS,
-            CLEAN_SNIPPETS,
-            run_selftest,
-        )
-        failures, hits = run_selftest()
-        for failure in failures:
-            print(f"corpus failure: {failure}", file=sys.stderr)
-        caught = sum(hits.values())
-        print(f"mutation corpus: {caught}/{len(BAD_SNIPPETS)} seeded "
-              f"bugs caught by their intended rule, "
-              f"{len(CLEAN_SNIPPETS)} clean snippets checked, "
-              f"{len(failures)} failure(s)")
-        print("per-rule: " + ", ".join(
-            f"{rule}={n}" for rule, n in sorted(hits.items())))
-        return 1 if failures else 0
-
-    paths = args.paths or [repo_package_root()]
-    result = proto.analyze_paths(paths)
-    print(proto.format_findings(result))
-    if args.json_path:
-        save_json(proto.report_dict(result), args.json_path)
-        print(f"json report written to {args.json_path}")
-    if args.sarif_path:
-        save_sarif(proto.report_dict(result), args.sarif_path)
-        print(f"sarif report written to {args.sarif_path}")
-    if args.write_baseline:
-        proto.save_baseline(result.findings, args.write_baseline)
-        print(f"baseline written to {args.write_baseline}; edit the "
-              "justification fields before committing")
-        return 0
-    if args.check_baseline:
-        try:
-            accepted = proto.load_baseline(args.check_baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline "
-                  f"{args.check_baseline}: {exc}", file=sys.stderr)
-            return 2
-        new, stale = proto.diff_baseline(result.findings, accepted)
-        for entry in stale:
-            print(f"warning: stale baseline entry {entry['rule']} "
-                  f"{entry['path']} [{entry.get('symbol', '')}] — the "
-                  "finding no longer fires; remove it",
-                  file=sys.stderr)
-        if new:
-            for f in new:
-                print(f"new finding: {f}", file=sys.stderr)
-            print(f"{len(new)} finding(s) not in baseline "
-                  f"{args.check_baseline}; fix them or accept them "
-                  "with a justification", file=sys.stderr)
-            return 1
-        print(f"all {len(result.findings)} finding(s) accepted by "
-              f"{args.check_baseline}")
-        return 0
-    return 1 if result.findings else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -897,7 +803,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "profile": _cmd_profile,
         "bench-core": _cmd_bench_core,
         "lint": _cmd_lint,
-        "analyze": _cmd_analyze,
     }[args.command]
     try:
         return handler(args)

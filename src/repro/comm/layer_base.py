@@ -19,7 +19,9 @@ the host's simulated process:
 
 Buffer-footprint accounting (Fig. 5) is built into the base class: layers
 call :meth:`buf_alloc` / :meth:`buf_free` around every communication
-buffer they manage, and the harness reads :attr:`footprint` peaks.
+buffer they manage, and the harness reads :attr:`footprint` peaks.  At
+the end of a run the footprint is back at :meth:`preallocated_bytes`;
+the engine's conservation audit checks it.
 """
 
 from __future__ import annotations
@@ -81,6 +83,10 @@ class CommLayer:
 
     def buf_free(self, nbytes: int) -> None:
         self.footprint.sub(nbytes)
+
+    def preallocated_bytes(self) -> int:
+        """Buffer bytes held for the whole run (default: none)."""
+        return 0
 
     # ------------------------------------------------------------------
     # Counts

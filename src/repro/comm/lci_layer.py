@@ -54,6 +54,9 @@ class LciCommLayer(CommLayer):
         self.buf_alloc(self.rt.pool.bytes_allocated())
         self._drain_proc = None
 
+    def preallocated_bytes(self) -> int:
+        return self.rt.pool.bytes_allocated()
+
     def _counted(self) -> tuple:
         rel = self.rt.reliability
         return (self, self.rt) if rel is None else (self, self.rt, rel)

@@ -334,9 +334,18 @@ class ProbeCommLayer(CommLayer):
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop the helper thread.  What MPI_Finalize would find left
+        """Stop the helper thread.  A send that completed after the
+        thread's last test pass releases its buffer here, as
+        MPI_Finalize completes it; what MPI_Finalize would find left
         over (sends, unexpected messages, posted receives) is the
         engine's end-of-run audit's to report."""
         self._stopping = True
+        still = []
+        for req, nbytes in self._pending_sends:
+            if req.done:
+                self.buf_free(nbytes)
+            else:
+                still.append((req, nbytes))
+        self._pending_sends = still
         if self._comm_proc.is_alive:
             self._comm_proc.interrupt("stop")

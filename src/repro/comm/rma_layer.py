@@ -79,6 +79,10 @@ class RmaCommLayer(CommLayer):
     def _counted(self) -> tuple:
         return (self, self.ep)
 
+    def preallocated_bytes(self) -> int:
+        return sum(win.bytes_allocated(self.host)
+                   for win in self.windows.values())
+
     # ------------------------------------------------------------------
     @classmethod
     def create_world(

@@ -350,7 +350,8 @@ class BspEngine:
                 raise RuntimeError(f"{p.name} never finished (deadlock?)")
             if not p.ok:
                 raise p._value
-        conservation_audit(*self._libraries(), self.env.now)
+        conservation_audit(*self._libraries(), self.env.now,
+                           layers=self.layers)
         return self._metrics()
 
     # ------------------------------------------------------------------

@@ -88,6 +88,8 @@ class MpiWindow:
         #: (origin, target) -> RegisteredBuffer at the target.
         self._bufs: Dict[Tuple[int, int], RegisteredBuffer] = {}
         self._sizes: Dict[Tuple[int, int], int] = {}
+        #: target -> bytes of all its slots.
+        self._exposed = [0] * p
         #: When True, a dedicated progress thread drains the library and
         #: window waits only sleep on their wake events instead of also
         #: pumping progress themselves (halves per-arrival costs — the
@@ -101,6 +103,7 @@ class MpiWindow:
                 if nbytes <= 0:
                     continue
                 self._sizes[(origin, target)] = nbytes
+                self._exposed[target] += nbytes
         for ep in world.endpoints:
             ep._rma_handlers[self.win_id] = self._make_handler(ep.rank)
         self._created = [False] * p
@@ -139,11 +142,7 @@ class MpiWindow:
 
     def bytes_allocated(self, rank: int) -> int:
         """Window memory exposed at ``rank`` (the Fig. 5 footprint term)."""
-        return sum(
-            nbytes
-            for (o, t), nbytes in self._sizes.items()
-            if t == rank
-        )
+        return self._exposed[rank]
 
     # ------------------------------------------------------------------
     # Control-message plumbing

@@ -21,8 +21,7 @@ __all__ = ["atomic_write_text", "canonical_json"]
 
 def canonical_json(doc) -> str:
     """Sorted keys, two-space indent, trailing newline: the byte-stable
-    form of ``BENCH_*.json``, ``PROTO_BASELINE.json``, comm-docs and
-    reports."""
+    form of ``BENCH_*.json``, comm-docs and reports."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

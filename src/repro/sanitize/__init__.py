@@ -4,13 +4,8 @@ Two halves, one goal — keep the simulator bit-deterministic and the
 protocol models honest so every perf/refactor PR has a safety net:
 
 * :mod:`repro.sanitize.lint` — AST-based determinism lint
-  (``repro lint``), stdlib-only;
-* :mod:`repro.sanitize.proto` — interprocedural static protocol
-  analyzer (``repro analyze``): MPI request, PSCW epoch, packet-pool,
-  and comm-phase lifecycles checked whole-program, self-tested by the
-  mutation corpus in :mod:`repro.sanitize.corpus`;
-* :mod:`repro.sanitize.report` — the shared ``--json`` schema and
-  SARIF emitter used by both static passes;
+  (``repro lint``), stdlib-only, with its ``--json`` schema and SARIF
+  emitter in :mod:`repro.sanitize.report`;
 * :mod:`repro.sanitize.runtime` — the end-of-run conservation audit
   every engine run ends with, and, with the per-layer checkers
   (:mod:`~repro.sanitize.lci_checks`, :mod:`~repro.sanitize.mpi_checks`),

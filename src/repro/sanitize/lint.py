@@ -510,9 +510,8 @@ def lint_repo() -> LintResult:
 def report_dict(result: LintResult) -> Dict:
     """Machine-readable report (the ``repro lint --json`` payload).
 
-    Shares the schema of ``repro analyze --json`` (see
-    :func:`repro.sanitize.report.make_report`); the pre-schema
-    ``suppressed`` count is kept as a legacy alias.
+    The schema is :func:`repro.sanitize.report.make_report`'s; the
+    pre-schema ``suppressed`` count is kept as a legacy alias.
     """
     from repro.sanitize.report import make_report
 

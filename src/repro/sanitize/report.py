@@ -1,10 +1,9 @@
-"""Shared report schema + SARIF emitter for the static analyzers.
+"""Report schema + SARIF emitter of the determinism lint.
 
-``repro lint --json`` and ``repro analyze --json`` emit the same
-top-level shape so CI tooling can consume either interchangeably::
+``repro lint --json`` emits this top-level shape::
 
     {
-      "tool":         "repro-lint" | "repro-analyze",
+      "tool":         "repro-lint",
       "rules":        {"D101": "...", ...},
       "findings":     [{"rule", "path", "line", "col", "message", ...}],
       "suppressions": {"count": N},
@@ -12,10 +11,10 @@ top-level shape so CI tooling can consume either interchangeably::
       "counts_by_rule": {"D103": 2, ...}
     }
 
-:func:`to_sarif` converts any such report into a minimal SARIF 2.1.0
-document (one run, one driver, one result per finding) so both lint and
-analyze CI jobs can upload code-scanning artifacts from one code path.
-Stdlib only, same constraint as the analyzers themselves.
+:func:`to_sarif` converts such a report into a minimal SARIF 2.1.0
+document (one run, one driver, one result per finding), which
+``repro lint --sarif`` writes for code-scanning UIs.  Stdlib only, same
+constraint as the lint itself.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Dict, List, Mapping, Sequence
 
 from repro.obs.atomic import atomic_write_text, canonical_json
 
-__all__ = ["make_report", "to_sarif", "save_json", "save_sarif"]
+__all__ = ["make_report", "to_sarif", "save_sarif"]
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -41,7 +40,7 @@ def make_report(
     files_checked: int = 0,
     suppressed: int = 0,
 ) -> Dict:
-    """The shared ``--json`` payload for both analyzers.
+    """The ``--json`` payload.
 
     ``findings`` may be dataclasses with ``as_dict()`` or plain dicts;
     every entry must carry at least ``rule``/``path``/``line``/``col``/
@@ -67,7 +66,7 @@ def to_sarif(report: Mapping) -> Dict:
     """Minimal SARIF 2.1.0 document from a :func:`make_report` payload."""
     rules = report.get("rules", {})
     driver = {
-        "name": report.get("tool", "repro-analyzer"),
+        "name": report.get("tool", "repro-lint"),
         "informationUri": "https://example.invalid/repro",
         "rules": [
             {
@@ -101,9 +100,5 @@ def to_sarif(report: Mapping) -> Dict:
     }
 
 
-def save_json(report: Mapping, path: str) -> str:
-    return atomic_write_text(path, canonical_json(report))
-
-
 def save_sarif(report: Mapping, path: str) -> str:
-    return save_json(to_sarif(report), path)
+    return atomic_write_text(path, canonical_json(to_sarif(report)))

@@ -1,10 +1,11 @@
 """Sanitizer runtime: the structured error, the end-of-run audit and
 the per-run context of the per-event checks.
 
-:func:`conservation_audit` reads five identities every engine run must
-end with (LCI pool budgets home and completion queues drained, MPI
-sends completed and matching queues empty); ``BspEngine.run()`` calls it
-on every run.  The opt-in MUST-style per-event sanitizers are threaded
+:func:`conservation_audit` reads the identities every engine run must
+end with (LCI pool budgets home, none freed twice, and completion queues
+drained; MPI sends completed and matching queues empty; every layer's
+comm buffers back to what it preallocated); ``BspEngine.run()`` calls
+it on every run.  The opt-in MUST-style per-event sanitizers are threaded
 through the three simulated communication layers.  Both observe
 protocol state and never advance simulated time, so a checked run is
 **bit-identical** to an unchecked one.  A violation raises a structured
@@ -83,13 +84,21 @@ class SanitizerContext:
 
 
 def conservation_audit(runtimes: Iterable, endpoints: Iterable,
-                       now: float) -> None:
+                       now: float, layers: Iterable = ()) -> None:
     """Raise :class:`SanitizerError` on the first conservation identity
     a finished run broke, hosts in order, stamped ``now`` (the run's
-    end).  Reads LCI runtimes' pool and completion queue and MPI
-    endpoints' send counts and matching queues; changes nothing."""
+    end).  Reads LCI runtimes' pool and completion queue, MPI endpoints'
+    send counts and matching queues, and comm layers' buffer footprints;
+    changes nothing."""
     for rt in runtimes:
-        _audit(rt.rank, now, "lci.packet_leak", rt.pool.in_use, "leaked",
+        in_use = rt.pool.in_use
+        if in_use < 0:
+            raise SanitizerError(
+                "lci.pool_double_free", rt.rank, now,
+                f"{-in_use} packet budget(s) freed more than once by the "
+                "end of the run",
+                {"over_freed": -in_use, "pool_size": rt.pool.size})
+        _audit(rt.rank, now, "lci.packet_leak", in_use, "leaked",
                "packet budget(s) still checked out (never freed)",
                pool_size=rt.pool.size)
         _audit(rt.rank, now, "lci.cq_unreaped", len(rt.queue), "unreaped",
@@ -103,6 +112,12 @@ def conservation_audit(runtimes: Iterable, endpoints: Iterable,
                "message(s) left in the unexpected queue (never received)")
         _audit(ep.rank, now, "mpi.pending_recv_at_finalize",
                len(ep.posted), "count", "posted receive(s) never matched")
+    for layer in layers:
+        preallocated = layer.preallocated_bytes()
+        _audit(layer.host, now, "comm.buffer_leak",
+               layer.footprint.current - preallocated, "outstanding",
+               "comm-buffer byte(s) held beyond the preallocated ones",
+               preallocated=preallocated)
 
 
 def _audit(host: int, now: float, rule: str, left: int, key: str,

@@ -126,21 +126,16 @@ _TAPE = "repro-serve-tape/v1"
     ("serve", [], 2),
     ("serve", {"format": _TAPE}, 2),
     ("serve", {"format": _TAPE, "spec": {}, "queries": []}, 2),
-    ("analyze", [], 2),
-    ("analyze", {"accepted": 5}, 2),
 ])
 def test_wrong_shape_json_is_one_error_line(verb, doc, code, tmp_path,
                                             capsys):
     """Valid JSON of the wrong shape: the verb's unreadable-file exit."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    source = tmp_path / "clean.py"
-    source.write_text("x = 1\n")
     argv = {
         "explain": ["explain", str(path)],
         "serve": ["serve", "--scale", "6", "--hosts", "2",
                   "--tape", str(path)],
-        "analyze": ["analyze", str(source), "--check-baseline", str(path)],
     }[verb]
     assert main(argv) == code
     err = capsys.readouterr().err
@@ -186,9 +181,6 @@ DEFAULTS = {
                   "heatmap_path": None, "prom_path": None},
     "bench-core": {"out": None, "check": None},
     "lint": {"paths": [], "json_path": None, "sarif_path": None},
-    "analyze": {"paths": [], "json_path": None, "sarif_path": None,
-                "check_baseline": None, "write_baseline": None,
-                "selftest": False},
 }
 
 

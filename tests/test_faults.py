@@ -17,6 +17,7 @@ from repro.graph.generators import rmat
 from repro.mpi.exceptions import MPIProtocolError
 from repro.netapi.nic import Fabric
 from repro.obs import ObsContext, to_chrome_trace
+from repro.sanitize import SanitizerError
 from repro.sim.engine import Environment
 from repro.sim.machine import stampede2
 
@@ -236,12 +237,18 @@ def test_mpi_probe_duplicates_grow_unexpected_queue():
     mb = base.run()
     eng = BspEngine(g, app, EngineConfig(
         num_hosts=4, layer="mpi-probe", fault_plan=plan))
-    m = eng.run()
-    # Duplicate eager messages never match a posted receive: they pile up
-    # in the unexpected queue (MPI's divergent failure mode — a leak, not
-    # a crash).
-    assert (m.layer_counters.get("unexpected_msgs", 0)
-            > mb.layer_counters.get("unexpected_msgs", 0))
+    # Duplicate eager messages arrive unexpected, and the comm thread's
+    # wildcard probe receives them like any other.  Their blobs then sit
+    # in the layer's stash under phases that already closed — MPI's
+    # divergent failure mode, a leak rather than a crash — and the
+    # end-of-run audit finds the buffers never released.
+    with pytest.raises(SanitizerError) as ei:
+        eng.run()
+    assert ei.value.rule == "comm.buffer_leak"
+    assert ei.value.details["outstanding"] > 0
+    unexpected = sum(l.counters().get("unexpected_msgs", 0)
+                     for l in eng.layers)
+    assert unexpected > mb.layer_counters.get("unexpected_msgs", 0)
 
 
 def test_no_plan_no_hooks():

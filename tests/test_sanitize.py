@@ -188,6 +188,26 @@ def test_lint_json_report_shape(tmp_path):
     json.loads(json.dumps(report))
 
 
+def test_lint_sarif_shape(tmp_path):
+    from repro.sanitize.lint import RULES, LintResult
+    from repro.sanitize.report import save_sarif
+
+    findings = lint_source("import time\na = time.time()\n",
+                           "src/repro/sim/x.py")
+    path = tmp_path / "lint.sarif"
+    save_sarif(report_dict(LintResult(findings, files_checked=1,
+                                      suppressed=0)), str(path))
+    sarif = json.loads(path.read_text())
+    assert sarif["version"] == "2.1.0"
+    run = sarif["runs"][0]
+    assert run["tool"]["driver"]["name"] == "repro-lint"
+    assert {r["id"] for r in run["tool"]["driver"]["rules"]} == set(RULES)
+    (result,) = run["results"]
+    assert result["ruleId"] == "D101"
+    region = result["locations"][0]["physicalLocation"]["region"]
+    assert region == {"startLine": 2, "startColumn": 5}
+
+
 def test_lint_flags_set_fed_dict_iteration():
     src = (
         "s = {3, 1, 2}\n"
@@ -336,6 +356,25 @@ def test_pool_leak_planted():
     assert err.rule == "lci.packet_leak"
     assert err.host == 0
     assert err.details == {"leaked": 2, "pool_size": pool.size}
+
+
+def test_pool_over_free_audited_as_double_free():
+    """A budget freed twice leaves ``in_use`` negative: the audit names
+    the over-free, not a leak of a negative count."""
+    env, world = make_lci_world(2, sanitize=False)
+    pool = world[1].pool
+
+    def proc(env):
+        yield from pool.alloc()
+        pool.free_nowait()
+        pool.free_nowait()
+
+    env.process(proc(env))
+    env.run()
+    err = audit(env, runtimes=world)
+    assert err.rule == "lci.pool_double_free"
+    assert err.host == 1
+    assert err.details == {"over_freed": 1, "pool_size": pool.size}
 
 
 def _retire_and_free(pool):

@@ -144,18 +144,18 @@ def _write_bench(path, monkeypatch):
                 lambda: {"scenarios": []})
 
 
-def _write_proto_baseline(path, monkeypatch):
-    from repro.sanitize import proto
+def _write_sarif(path, monkeypatch):
+    from repro.sanitize.report import save_sarif
 
     unserializable = object()  # json.dumps raises TypeError on it
-    proto.save_baseline(
-        [proto.ProtoFinding("P201", "comm/x.py", 1, 0, unserializable, "f")],
-        path)
+    save_sarif({"rules": {}, "findings": [
+        {"rule": "D101", "path": "x.py", "line": 1, "col": 0,
+         "message": unserializable}]}, path)
 
 
 @pytest.mark.parametrize("write", [
-    _write_bench, _write_proto_baseline,
-], ids=["bench", "proto-baseline"])
+    _write_bench, _write_sarif,
+], ids=["bench", "sarif"])
 def test_failed_serializer_leaves_committed_document_intact(
         tmp_path, monkeypatch, write):
     path = tmp_path / "COMMITTED.json"
