@@ -63,9 +63,6 @@ class Scenario:
     fault_plan: Optional[str] = None
     #: Seed of the fault plan's draw streams (defaults to the plan's own).
     fault_seed: Optional[int] = None
-    #: Protocol sanitizers: True | False | None (consult the
-    #: ``REPRO_SANITIZE`` environment variable at engine build).
-    sanitize: Optional[bool] = None
 
     def label(self) -> str:
         base = (
@@ -160,7 +157,6 @@ def build_engine(
         layer_kwargs=layer_kwargs,
         work_scale=sc.work_scale,
         fault_plan=fault_plan,
-        sanitize=sc.sanitize,
         obs=obs,
         profile=profile,
         commstats=commstats,

@@ -35,8 +35,8 @@ take them; counts are range-checked at parse time.
 
 Exit codes: 0 success; 1 generic failure / lint findings; 2 usage
 errors (bad flags, unknown fault plans, unreadable tapes); 3
-(:data:`repro.sanitize.SANITIZER_EXIT_CODE`) when an armed protocol
-sanitizer or an engine run's end-of-run conservation audit raised
+(:data:`repro.sanitize.SANITIZER_EXIT_CODE`) when a per-event protocol
+check or an engine run's end-of-run conservation audit raised
 :class:`~repro.sanitize.SanitizerError`, from any verb.
 """
 
@@ -131,10 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[_cluster_flags(), _app_flag(), _mpi_flags()],
     )
     run.set_defaults(scale=12, hosts=16)
-    run.add_argument("--sanitize", action="store_const", const=True,
-                     help="arm the per-event protocol sanitizers (exits %d on a "
-                          "violation; unset: REPRO_SANITIZE decides)"
-                          % SANITIZER_EXIT_CODE)
     run.add_argument("--obs", nargs="?", const="obs-timeline.json",
                      metavar="PATH",
                      help="trace the message lifecycle and write the "
@@ -165,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed of the fault draw streams")
     chaos.add_argument("--list-plans", action="store_true",
                        help="list the named fault plans and exit")
-    chaos.add_argument("--sanitize", action="store_const", const=True,
-                       help="arm the per-event protocol sanitizers for both the "
-                            "baseline and the faulted run")
     chaos.add_argument("--obs", nargs="?", const="obs-timeline.json",
                        metavar="PATH",
                        help="trace the faulted run's message lifecycle "
@@ -237,9 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve under a named fault plan "
                             "(graceful degradation)")
     serve.add_argument("--fault-seed", type=int, default=None)
-    serve.add_argument("--sanitize", action="store_const", const=True,
-                       help="arm the per-event protocol sanitizers for "
-                            "every batch")
     serve.add_argument("--obs", nargs="?", const="obs-serve.json",
                        metavar="PATH",
                        help="write the last executed batch's "
@@ -317,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: The :class:`Scenario` fields a verb's flags set.
 SCENARIO_FLAGS = ("app", "graph", "scale", "hosts", "layer", "system",
-                  "machine", "mpi_impl", "pagerank_rounds", "seed",
-                  "sanitize")
+                  "machine", "mpi_impl", "pagerank_rounds", "seed")
 
 
 def _scenario(args) -> Scenario:
@@ -579,7 +568,7 @@ def _cmd_serve(args) -> int:
         layer=args.layer, system=args.system, machine=args.machine,
         seed=args.seed, max_batch=args.max_batch,
         ppr_rounds=args.ppr_rounds, fault_plan=args.fault_plan,
-        fault_seed=args.fault_seed, sanitize=args.sanitize,
+        fault_seed=args.fault_seed,
     )
     try:
         engine = ServeEngine(config, obs=obs, profile=profile,

@@ -41,7 +41,7 @@ from repro.graph.partition.proxies import Partition
 from repro.lci.queue_iface import LciQueue
 from repro.mpi.endpoint import MpiEndpoint
 from repro.netapi.nic import Fabric
-from repro.sanitize.runtime import SanitizerContext, conservation_audit, resolve_mode
+from repro.sanitize.runtime import conservation_audit
 from repro.sim.engine import Environment
 from repro.sim.machine import MachineModel, stampede2
 
@@ -113,18 +113,10 @@ class EngineConfig:
     #: name of one (``repro.faults.NAMED_PLANS``), or ``None`` for a
     #: fault-free run (the default; no hooks are installed).
     fault_plan: Optional[object] = None
-    #: Per-event protocol sanitizers: ``True`` arms them (a violation
-    #: raises :class:`~repro.sanitize.SanitizerError` where it is
-    #: found), ``False`` forces them off, ``None`` consults the
-    #: ``REPRO_SANITIZE`` environment variable — the only place the
-    #: environment is read, at engine construction, so the simulation
-    #: modules themselves stay environment-independent (lint rule D104).
-    #: The end-of-run conservation audit runs either way.
-    sanitize: Optional[bool] = None
     #: Optional :class:`repro.obs.ObsContext` for message-lifecycle
     #: tracing, queue probes and the engine's per-round compute /
     #: allreduce spans.  Installed on the fabric before the layers are
-    #: built (like sanitizers/faults) so every component can
+    #: built (like the fault injector) so every component can
     #: self-discover it.  Pure observation: a run with obs enabled is
     #: bit-identical to one without.
     obs: Optional[object] = None
@@ -179,11 +171,6 @@ class BspEngine:
             )
         self.env = Environment()
         self.fabric = Fabric(self.env, config.num_hosts, config.machine)
-        # Sanitizers ride on the fabric (like the fault injector) so the
-        # protocol components can self-discover them; they must be
-        # installed before the layers are built.
-        if resolve_mode(config.sanitize):
-            self.fabric.sanitizer = SanitizerContext(env=self.env)
         # The injector must be installed before the layers are built so
         # LCI can arm its ack/retransmit recovery protocol.
         self.injector = None
@@ -325,7 +312,9 @@ class BspEngine:
 
     def run(self) -> RunMetrics:
         """Run every host to the end; once all finished cleanly, audit
-        conservation (:func:`~repro.sanitize.runtime.conservation_audit`)."""
+        conservation (:func:`~repro.sanitize.runtime.conservation_audit`).
+        The per-event protocol checks need no setup: the pools,
+        endpoints and windows raise where a rule breaks, mid-run."""
         procs = [
             self.env.process(self._host_proc(h), name=f"host-{h}")
             for h in range(self.config.num_hosts)

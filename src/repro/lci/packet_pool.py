@@ -16,8 +16,18 @@ The pool manages a *budget* (how many packets a host may have in
 flight), which is plain integer arithmetic: ``_free`` plus per-thread
 cache counts.  The packet descriptors drawn on that budget are ordinary
 objects, built by :meth:`make_packet` and dropped when the last holder
-lets go — the same path whether or not a fault injector, obs context
-or sanitizer is attached.
+lets go — the same path whether or not a fault injector or obs context
+is attached.
+
+The pool checks its own lifecycle on every run and raises
+:class:`~repro.sanitize.SanitizerError` where a rule breaks; the checks
+only read state, so they never move simulated time:
+
+* ``lci.pool_double_free``      — a free that would push the free count
+  past the pool's fixed capacity (some budget was returned twice);
+* ``lci.packet_double_free``    — one packet retired twice by this host;
+* ``lci.packet_use_after_free`` — a packet this host retired, handled
+  again by the server or the receive path.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.netapi.packet import Packet, PacketType
+from repro.sanitize.runtime import SanitizerError
 from repro.sim.engine import Environment, Event
 from repro.sim.machine import CpuModel
 
@@ -43,6 +54,7 @@ class PacketPool:
         local_cache_packets: int = 4,
         local_hit_cost_factor: float = 0.25,
         rx_reserve: int = 2,
+        host: int = 0,
     ):
         """``rx_reserve`` packets are usable only by the receive path
         (the communication server's preposted buffers): send-side
@@ -50,7 +62,8 @@ class PacketPool:
         This guarantees the server can always accept arrivals, breaking
         the cyclic rendezvous deadlock a fully-starved symmetric pool
         would otherwise allow (every budget parked in an outgoing RTS,
-        no host able to accept the incoming ones).
+        no host able to accept the incoming ones).  ``host`` names the
+        owner in a lifecycle violation.
         """
         if size < 1:
             raise ValueError("pool size must be >= 1")
@@ -58,6 +71,7 @@ class PacketPool:
             rx_reserve = max(0, size - 1)
         self.env = env
         self.cpu = cpu
+        self.host = host
         self.size = size
         self.rx_reserve = rx_reserve
         self.packet_data_bytes = packet_data_bytes
@@ -69,10 +83,6 @@ class PacketPool:
         #: thread-key -> private free count.
         self._local: Dict[object, int] = {}
         self._availability_waiters: List[Event] = []
-        #: Optional lifecycle checker (repro.sanitize.lci_checks.
-        #: LciSanitizer), attached by the owning queue when sanitizers
-        #: are armed.  Pure observation: never charges simulated time.
-        self.sanitizer = None
         # Counts, read at export.
         self.alloc_local_hits = 0
         self.alloc_global_hits = 0
@@ -152,10 +162,17 @@ class PacketPool:
         self.alloc_failures += 1
         return False
 
+    def _check_free(self) -> None:
+        if self.free_packets >= self.size:
+            raise SanitizerError(
+                "lci.pool_double_free", self.host, self.env.now,
+                "packet budget freed twice: free count would exceed the "
+                f"pool's fixed capacity ({self.size})",
+                {"free_packets": self.free_packets, "pool_size": self.size})
+
     def free(self, thread: object = None):
         """Generator: return a packet budget to the pool."""
-        if self.sanitizer is not None:
-            self.sanitizer.on_free(self)
+        self._check_free()
         if thread is not None:
             local = self._local.get(thread, 0)
             if local < self.local_cache_packets:
@@ -172,8 +189,7 @@ class PacketPool:
     def free_nowait(self, thread: object = None) -> None:
         """Zero-cost variant for completion callbacks (cost was prepaid by
         the operation that armed the callback)."""
-        if self.sanitizer is not None:
-            self.sanitizer.on_free(self)
+        self._check_free()
         self.free_nowaits += 1
         if thread is not None:
             local = self._local.get(thread, 0)
@@ -212,18 +228,25 @@ class PacketPool:
         """Build a packet descriptor drawing on an already-allocated budget."""
         pkt = Packet(ptype, src, dst, tag, size, payload=payload)
         pkt.pool = self
-        if self.sanitizer is not None:
-            self.sanitizer.on_packet_made(pkt)
         return pkt
 
-    # -- packet lifecycle, seen only by an attached sanitizer -------------
+    # -- packet lifecycle -------------------------------------------------
     def touch(self, pkt: Packet) -> None:
         """``pkt``'s buffer is being read or handled."""
-        if self.sanitizer is not None:
-            self.sanitizer.on_packet_use(pkt)
+        if self.host in pkt.retired_by:
+            raise SanitizerError(
+                "lci.packet_use_after_free", self.host, self.env.now,
+                f"packet {pkt!r} handled after its pool budget was "
+                "recycled (stale read of a reused buffer)",
+                {"packet": pkt.uid})
 
     def retire(self, pkt: Packet) -> None:
         """``pkt`` is recycled (its budget is being freed): touching it
         afterwards is a use-after-free."""
-        if self.sanitizer is not None:
-            self.sanitizer.on_packet_retired(pkt)
+        if self.host in pkt.retired_by:
+            raise SanitizerError(
+                "lci.packet_double_free", self.host, self.env.now,
+                f"packet {pkt!r} retired twice (its pool budget was "
+                "already recycled)",
+                {"packet": pkt.uid})
+        pkt.retired_by += (self.host,)

@@ -28,7 +28,6 @@ from repro.lci.packet_pool import PacketPool
 from repro.lci.request import LciRequest
 from repro.netapi.nic import Nic
 from repro.netapi.packet import Packet, PacketType
-from repro.sanitize.lci_checks import LciSanitizer
 from repro.sim.engine import Environment
 from repro.sim.machine import CpuModel
 
@@ -72,6 +71,7 @@ class LciQueue:
             packet_data_bytes=self.config.packet_data_bytes,
             local_cache_packets=self.config.local_cache_packets,
             local_hit_cost_factor=self.config.local_hit_cost_factor,
+            host=rank,
         )
         self.queue = MpmcQueue(env, cpu)
         # Recovery protocol: armed only when an installed fault plan can
@@ -83,13 +83,6 @@ class LciQueue:
             from repro.lci.reliability import ReliableLink
 
             self.reliability = ReliableLink(env, nic, self.config)
-        # Lifecycle sanitizer, discovered like the fault injector.  The
-        # pool cannot see the fabric, so the queue hands it the checker.
-        self.sanitizer: Optional[LciSanitizer] = None
-        _ctx = nic.fabric.sanitizer
-        if _ctx is not None:
-            self.sanitizer = LciSanitizer(_ctx, rank)
-            self.pool.sanitizer = self.sanitizer
         # Observability: pool-occupancy and queue-depth probes.
         self.obs = nic.fabric.obs
         if self.obs is not None:

@@ -20,6 +20,18 @@ Protocol summary (matching mainstream implementations over psm2/verbs):
 
 Matching traverses the posted-receive / unexpected queues front-to-back,
 charging per element inspected (:mod:`repro.mpi.matching`).
+
+Two MUST-style usage rules are checked on every run and raise
+:class:`~repro.sanitize.SanitizerError` where they break (reading state
+only, so simulated time never moves):
+
+* ``mpi.wildcard_order_hazard`` — a receive posted while a pending one
+  overlaps it through a wildcard, so which message lands in which
+  buffer depends on arrival interleaving;
+* ``mpi.unexpected_watermark``  — the unexpected queue grew past
+  :data:`UNEXPECTED_WATERMARK`, or past one peer's eager credits where
+  the configuration provisions more (the Section III-B exhaustion
+  failure mode building up).
 """
 
 from __future__ import annotations
@@ -38,19 +50,27 @@ from repro.mpi.matching import (
     PostedReceive,
     UnexpectedMessage,
     UnexpectedQueue,
+    signatures_overlap,
 )
 from repro.mpi.types import ANY_SOURCE, ANY_TAG, MpiRequest, MpiStatus
 from repro.netapi.nic import Nic
 from repro.netapi.packet import Packet, PacketType
-from repro.sanitize.mpi_checks import MpiSanitizer
+from repro.sanitize.runtime import SanitizerError
 from repro.sim.engine import Environment, Event
 from repro.sim.machine import CpuModel
 from repro.sim.resources import Lock
 
-__all__ = ["MpiEndpoint"]
+__all__ = ["MpiEndpoint", "UNEXPECTED_WATERMARK"]
 
 #: Internal tag used by the world barrier.
 _BARRIER_TAG = -2
+
+#: Unexpected-queue length above which ``mpi.unexpected_watermark``
+#: raises: far above anything a healthy graph run produces.  A
+#: configuration that provisions more eager credits per peer (the
+#: Fig. 1 message-rate benchmark sizes them to its whole window) raises
+#: only past that many.
+UNEXPECTED_WATERMARK = 1024
 
 
 class MpiEndpoint:
@@ -102,16 +122,13 @@ class MpiEndpoint:
         # Per-source sink buffers for rendezvous RDMA (lazily registered).
         self._rndv_sinks: Dict[int, int] = {}
 
-        # Usage checker, discovered like the fault injector.
-        _ctx = nic.fabric.sanitizer
-        self.sanitizer: Optional[MpiSanitizer] = (
-            MpiSanitizer(_ctx, rank) if _ctx is not None else None
-        )
+        self._watermark = max(UNEXPECTED_WATERMARK,
+                              config.eager_credits_per_peer)
 
-        # Observability context, discovered the same way.  The matching
-        # queues learn about it so they can stamp arrival times, and the
-        # queue-depth probes the paper's Fig. 6 narrative implies are
-        # registered here.
+        # Observability context, discovered like the fault injector.  The
+        # matching queues learn about it so they can stamp arrival times,
+        # and the queue-depth probes the paper's Fig. 6 narrative implies
+        # are registered here.
         self.obs = nic.fabric.obs
         if self.obs is not None:
             self.unexpected.obs = self.obs
@@ -320,10 +337,7 @@ class MpiEndpoint:
             if msg is None:
                 if chain:
                     yield chain
-                if self.sanitizer is not None:
-                    self.sanitizer.on_post_recv(
-                        self.posted.items, source, tag, ANY_SOURCE, ANY_TAG
-                    )
+                self._check_wildcard_order(source, tag)
                 self.posted.post(PostedReceive(req, source, tag))
                 return req
             if self.obs is not None and msg.trace is not None:
@@ -352,6 +366,33 @@ class MpiEndpoint:
             return req
         finally:
             self._exit()
+
+    def _check_wildcard_order(self, source: int, tag: int) -> None:
+        """MUST's nondeterministic-matching warning, at post time.
+        Identical signatures are exempt: FIFO keeps them deterministic,
+        and without a wildcard only identical ones overlap."""
+        for entry in self.posted.items:
+            if (entry.source, entry.tag) != (source, tag) and \
+                    signatures_overlap(entry.source, entry.tag, source, tag):
+                raise SanitizerError(
+                    "mpi.wildcard_order_hazard", self.rank, self.env.now,
+                    f"receive ({source},{tag}) posted while pending "
+                    f"receive ({entry.source},{entry.tag}) overlaps it "
+                    "through a wildcard: which message matches which "
+                    "buffer depends on arrival interleaving",
+                    {"new_source": source, "new_tag": tag,
+                     "pending_source": entry.source,
+                     "pending_tag": entry.tag})
+
+    def _watermark_breached(self) -> None:
+        queue_len = len(self.unexpected)
+        raise SanitizerError(
+            "mpi.unexpected_watermark", self.rank, self.env.now,
+            f"unexpected-message queue reached {queue_len} entries "
+            f"(watermark {self._watermark}): receives are not "
+            "keeping up with arrivals — the Section III-B exhaustion "
+            "failure mode",
+            {"queue_len": queue_len, "watermark": self._watermark})
 
     def _answer_rts(self, rts_pkt: Packet, req: MpiRequest, lead=()):
         """Post the RTR reply that lets the sender RDMA the payload."""
@@ -550,8 +591,8 @@ class MpiEndpoint:
                     trace=pkt.meta.get("trace"),
                 )
             )
-            if self.sanitizer is not None:
-                self.sanitizer.on_unexpected(len(self.unexpected))
+            if len(self.unexpected) > self._watermark:
+                self._watermark_breached()
 
     def _arrival_rts(self, pkt: Packet):
         entry, inspected = self.posted.match_arrival(pkt.src, pkt.tag)
@@ -572,8 +613,8 @@ class MpiEndpoint:
                     trace=pkt.meta.get("trace"),
                 )
             )
-            if self.sanitizer is not None:
-                self.sanitizer.on_unexpected(len(self.unexpected))
+            if len(self.unexpected) > self._watermark:
+                self._watermark_breached()
 
     def _arrival_rtr(self, pkt: Packet):
         """We are the rendezvous sender; RTR authorizes the RDMA put."""

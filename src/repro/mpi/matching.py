@@ -18,7 +18,18 @@ from typing import Any, List, Optional, Tuple
 
 from repro.mpi.types import ANY_SOURCE, ANY_TAG, MpiRequest
 
-__all__ = ["PostedReceive", "UnexpectedMessage", "PostedQueue", "UnexpectedQueue"]
+__all__ = [
+    "PostedReceive", "UnexpectedMessage", "PostedQueue", "UnexpectedQueue",
+    "signatures_overlap",
+]
+
+
+def signatures_overlap(source_a: int, tag_a: int, source_b: int,
+                       tag_b: int) -> bool:
+    """Can one arrival match both receive signatures?"""
+    src_ok = ANY_SOURCE in (source_a, source_b) or source_a == source_b
+    tag_ok = ANY_TAG in (tag_a, tag_b) or tag_a == tag_b
+    return src_ok and tag_ok
 
 
 class PostedReceive:

@@ -24,6 +24,13 @@ Usage (from a rank's simulated process)::
     yield from win.put(rank, t, nbytes, payload)
     yield from win.complete(rank)
     blobs = yield from win.wait(rank)    # [(origin, payload, nbytes)]
+
+A put with no open access epoch is an
+:class:`~repro.mpi.exceptions.MPIUsageError`.  Two puts into overlapping
+byte ranges of one target slot within one access epoch raise
+:class:`~repro.sanitize.SanitizerError` ``mpi.rma_overlapping_put``: a
+window data race whose outcome is whichever put the NIC orders last.
+Both are checked on every run.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from repro.mpi.exceptions import MPIUsageError
 from repro.mpi.world import MpiWorld
 from repro.netapi.nic import RegisteredBuffer
 from repro.netapi.packet import Packet, PacketType
-from repro.sanitize.mpi_checks import WindowSanitizer
+from repro.sanitize.runtime import SanitizerError
 from repro.sim.engine import Event
 
 __all__ = ["MpiWindow"]
@@ -54,6 +61,7 @@ class _RankState:
         "pending_puts",
         "wake",
         "recv_order",
+        "epoch_puts",
     )
 
     def __init__(self):
@@ -64,6 +72,8 @@ class _RankState:
         self.pending_puts = 0                   # local puts awaiting ACK
         self.wake: Optional[Event] = None       # parked waiter, if any
         self.recv_order: List[int] = []         # completes in arrival order
+        #: target -> [lo, hi) byte ranges put in the current access epoch.
+        self.epoch_puts: Dict[int, List[Tuple[int, int]]] = {}
 
 
 class MpiWindow:
@@ -107,11 +117,6 @@ class MpiWindow:
         for ep in world.endpoints:
             ep._rma_handlers[self.win_id] = self._make_handler(ep.rank)
         self._created = [False] * p
-        # Epoch-discipline checker, discovered like the fault injector.
-        _ctx = world.fabric.sanitizer
-        self.sanitizer: Optional[WindowSanitizer] = (
-            WindowSanitizer(_ctx, self.win_id, label) if _ctx is not None else None
-        )
         # Observability: puts carry trace ids; epoch waits record stalls.
         self.obs = world.fabric.obs
 
@@ -240,8 +245,7 @@ class MpiWindow:
         st.posts_seen -= targets
         st.started_targets = targets
         st.pending_puts = 0
-        if self.sanitizer is not None:
-            self.sanitizer.on_epoch_start(rank)
+        st.epoch_puts = {}
 
     def put(self, rank: int, target: int, nbytes: int, payload,
             offset: int = 0, trace: Optional[str] = None):
@@ -260,9 +264,20 @@ class MpiWindow:
                 f"put of {nbytes}B exceeds worst-case window slot {cap}B "
                 f"for pair ({rank},{target})"
             )
+        lo, hi = offset, offset + max(nbytes, 1)
+        ranges = st.epoch_puts.setdefault(target, [])
+        for (plo, phi) in ranges:
+            if lo < phi and plo < hi:
+                raise SanitizerError(
+                    "mpi.rma_overlapping_put", rank, self.env.now,
+                    f"window {self.label!r}: put of [{lo},{hi}) to target "
+                    f"{target} overlaps an earlier put of [{plo},{phi}) in "
+                    "the same access epoch — a window data race (the NIC "
+                    "orders the writes arbitrarily)",
+                    {"target": target, "offset": lo, "nbytes": nbytes,
+                     "earlier_offset": plo, "earlier_end": phi})
+        ranges.append((lo, hi))
         ep = self.world.endpoint(rank)
-        if self.sanitizer is not None:
-            self.sanitizer.on_put(rank, target, offset, nbytes)
         if self.obs is not None and trace is not None:
             self.obs.emit(trace, "lib", rank,
                           op="put", dst=target, bytes=nbytes)
@@ -300,9 +315,9 @@ class MpiWindow:
             yield from self._await(rank, lambda: st.pending_puts == 0)
             if self.obs is not None:
                 self.obs.stall(rank, "epoch_flush_wait", t0, self.env.now)
+        # MPI_Win_complete synchronizes: a race cannot span it.
         targets, st.started_targets = st.started_targets, set()
-        if self.sanitizer is not None:
-            self.sanitizer.on_epoch_complete(rank)
+        st.epoch_puts = {}
         for t in sorted(targets):
             yield from self._send_control(rank, t, "complete")
 

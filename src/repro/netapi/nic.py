@@ -293,7 +293,13 @@ class Nic:
 
 
 class Fabric:
-    """The interconnect: one NIC per host, a shared cost model."""
+    """The interconnect: one NIC per host, a shared cost model.
+
+    It also carries the four optional instruments (``faults``, ``obs``,
+    ``profiler``, ``commstats``) the components discover at construction.
+    The protocol checks are not an instrument: the pool, endpoint and
+    window that own the state check it on every run.
+    """
 
     def __init__(
         self,
@@ -312,8 +318,6 @@ class Fabric:
         # of the others attached is bit-identical to one without.
         #: :class:`repro.faults.FaultInjector`
         self.faults = None
-        #: :class:`repro.sanitize.runtime.SanitizerContext`
-        self.sanitizer = None
         #: :class:`repro.obs.ObsContext` (message-lifecycle tracing)
         self.obs = None
         #: :class:`repro.obs.profile.ProfileContext` (host-side regions

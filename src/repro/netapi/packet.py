@@ -65,7 +65,7 @@ class Packet:
     """A message descriptor moving through the simulated fabric."""
 
     __slots__ = ("ptype", "src", "dst", "tag", "size", "payload", "meta",
-                 "uid", "request", "pool")
+                 "uid", "request", "pool", "retired_by")
 
     #: Dead descriptors awaiting reuse (see module docstring).
     _free: List["Packet"] = []
@@ -100,6 +100,9 @@ class Packet:
         self.uid = next(_packet_ids) if uid is None else uid
         self.request = request
         self.pool = pool
+        #: Hosts whose pool has retired (recycled) this packet.  Per
+        #: host, because the transport hands one object to both ends.
+        self.retired_by = ()
 
     @classmethod
     def alloc(
@@ -126,6 +129,7 @@ class Packet:
             pkt.uid = next(_packet_ids)
             pkt.request = None
             pkt.pool = None
+            pkt.retired_by = ()
             return pkt
         return cls(ptype, src, dst, tag, size, payload=payload)
 

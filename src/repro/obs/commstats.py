@@ -3,7 +3,7 @@
 Answers the question the lifecycle trace and the profiler don't: *who
 sent how much to whom, when, and how unevenly*.  A
 :class:`CommStatsContext` is discovered via the fabric exactly like
-faults/sanitize/obs/profile — off by default, and attaching one never
+faults/obs/profile — off by default, and attaching one never
 perturbs the run (RunMetrics stay bit-identical): the hooks never
 advance simulated time, never touch a component's counts, and never
 change any iteration order.

@@ -2,7 +2,7 @@
 
 One :class:`ObsContext` rides on the :class:`~repro.netapi.nic.Fabric`
 (``fabric.obs``), read by protocol components exactly like the fault
-injector and the sanitizers — ``nic.fabric.obs`` at construction,
+injector — ``nic.fabric.obs`` at construction,
 every hook a no-op when it is ``None``.  It collects four
 kinds of data, all pure observation:
 
@@ -28,7 +28,7 @@ Fault *instants* are not collected at all: the injector's replayable
 trace and the plan's windows are read off the fabric when the timeline
 is exported.
 
-Determinism contract (the same guarantee the sanitizers give): hooks
+Determinism contract (the same guarantee the protocol checks give): hooks
 never advance simulated time, never touch a component's counts, and
 never change iteration order — a run with obs installed produces
 bit-identical :class:`~repro.engine.metrics.RunMetrics`.

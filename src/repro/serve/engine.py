@@ -68,8 +68,6 @@ class ServeConfig:
     #: Named fault plan to serve under (``None``/"none" = fault-free).
     fault_plan: Optional[str] = None
     fault_seed: Optional[int] = None
-    #: Sanitizer switch forwarded to every batch engine.
-    sanitize: Optional[bool] = None
     #: Admission-control knobs.
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: Clock charge for a batch killed by a fault, used until the
@@ -128,7 +126,7 @@ class ServeEngine:
             app="serve", graph=config.graph, scale=config.scale,
             hosts=config.hosts, layer=config.layer, system=config.system,
             machine=config.machine, seed=config.seed,
-            work_scale=config.work_scale, sanitize=config.sanitize,
+            work_scale=config.work_scale,
         )
 
     # -- submission API ------------------------------------------------

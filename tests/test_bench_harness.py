@@ -1,10 +1,16 @@
-"""Tests for the benchmark harness: reports, scenarios, microbench API."""
+"""Tests for the benchmark harness: reports, scenarios, microbench API,
+and the committed ``BENCH_core.json`` rows."""
+
+import json
+from pathlib import Path
 
 import pytest
 
+from repro.bench.core_bench import CANONICAL_SCENARIOS, core_benchmark
 from repro.bench.micro import message_rate, pingpong_latency
 from repro.bench.report import format_seconds, format_table, geomean_speedup
 from repro.bench.scenarios import Scenario, cached_graph, run_scenario
+from repro.bench.serve_bench import compare_bench_docs
 
 
 # ---------------------------------------------------------------------------
@@ -162,3 +168,25 @@ def test_pingpong_monotone_in_size():
     small = pingpong_latency("queue", 8, iters=10)
     big = pingpong_latency("queue", 65536, iters=10)
     assert big > small
+
+
+# ---------------------------------------------------------------------------
+# committed BENCH_core.json rows
+# ---------------------------------------------------------------------------
+def test_core_bench_reproduces_committed_rows():
+    """Every canonical scenario below 128 hosts (all three layers, both
+    engines) reproduces its committed row: simulated times, work counts
+    and comm fingerprints.  The per-event protocol checks run on every
+    run, so this pins that they never perturb one."""
+    committed = json.loads(
+        (Path(__file__).resolve().parents[1] / "BENCH_core.json").read_text())
+    rows = {row["label"]: row for row in committed["scenarios"]}
+    small = [sc for sc in CANONICAL_SCENARIOS if sc.hosts < 128]
+    assert len(small) == 5
+    assert {sc.layer for sc in small} == {"lci", "mpi-probe", "mpi-rma"}
+    assert {sc.system for sc in small} == {"abelian", "gemini"}
+    fresh = core_benchmark(small)
+    assert compare_bench_docs(fresh, {
+        "format": committed["format"],
+        "scenarios": [rows[sc.label()] for sc in small],
+    }) == []

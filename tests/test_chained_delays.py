@@ -5,9 +5,8 @@ Every cell runs twice: as the program is, and inside
 separate waits it stands for.  The two runs must agree exactly — every
 simulated timestamp, footprint, counter and answer, and the whole obs
 timeline (events, probe samples, stalls) — and differ only in how many
-queue entries they needed.  The suite runs in CI with and without
-``REPRO_SANITIZE=1``, so the comparison covers the sanitized paths too
-(an armed sanitizer raises on any violation).
+queue entries they needed.  The per-event protocol checks run in both,
+so the comparison covers them too (a check raises on any violation).
 """
 
 import json

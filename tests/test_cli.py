@@ -145,7 +145,7 @@ def test_wrong_shape_json_is_one_error_line(verb, doc, code, tmp_path,
 
 _SCENARIO = {"graph": "rmat", "layer": "lci", "system": "abelian",
              "machine": "stampede2", "seed": 1}
-_OUTPUTS = {"obs": None, "sanitize": None}
+_OUTPUTS = {"obs": None}
 
 #: ``parse_args([verb])`` of every verb, as the parser read it before
 #: the scenario flags were shared (``commstats`` and ``explain`` have

@@ -81,7 +81,7 @@ def every_instrument(sc, **kw):
 def test_commstats_with_obs_still_bit_identical(layer):
     sc = bfs8(layer)
     plain = build_engine(sc).run()
-    observed = every_instrument(replace(sc, sanitize=True)).run()
+    observed = every_instrument(sc).run()
     assert observed.total_seconds == plain.total_seconds
     assert observed.row() == plain.row()
 
@@ -89,7 +89,7 @@ def test_commstats_with_obs_still_bit_identical(layer):
 def test_every_instrument_at_once_gemini():
     sc = replace(bfs8("mpi-probe"), system="gemini")
     plain = build_engine(sc).run()
-    observed = every_instrument(replace(sc, sanitize=True)).run()
+    observed = every_instrument(sc).run()
     assert observed.row() == plain.row()
 
 

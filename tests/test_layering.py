@@ -274,6 +274,54 @@ def test_one_sanitizer_mode_that_raises_where_it_finds():
     assert offenders == []
 
 
+#: The switch that armed the per-event checks and the plumbing behind
+#: it: the checks now run on every run, inside the components.
+CHECK_SWITCH = re.compile(
+    r"\b(REPRO_SANITIZE|resolve_mode|SanitizerContext|LciSanitizer"
+    r"|MpiSanitizer|WindowSanitizer)\b|\bfabric\.sanitizer\b")
+
+
+def _environment_reads(tree):
+    """Lines of every ``os.environ`` / ``os.getenv`` use."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+                and node.attr in ("environ", "getenv"))
+            or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                and any(a.name in ("environ", "getenv")
+                        for a in node.names))]
+
+
+def test_protocol_checks_are_not_a_mode():
+    # Every per-event rule is checked inline by the pool, endpoint or
+    # window that owns the state, so nothing arms them, and the package
+    # reads no environment variable at all.
+    root = Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}:{line}: {match.group()}"
+        for path in sorted(root.rglob("*.py"))
+        for line, text in enumerate(path.read_text().splitlines(), 1)
+        for match in CHECK_SWITCH.finditer(text)
+    ] + [
+        f"{path.relative_to(root)}:{line}: environment read"
+        for path in sorted(root.rglob("*.py"))
+        for line in _environment_reads(ast.parse(path.read_text()))
+    ]
+    assert offenders == []
+
+
+def test_environment_reads_are_found():
+    tree = ast.parse(
+        "import os\n"
+        "from os import getenv\n"
+        "a = os.environ.get('X')\n"
+        "b = os.getenv('Y')\n"
+        "c = 'os.environ'\n"
+    )
+    assert sorted(_environment_reads(tree)) == [2, 3, 4]
+
+
 SHUTDOWN_AUDITS = re.compile(
     r"\b(finalize_check|check_finalize|check_shutdown|on_send)\b")
 

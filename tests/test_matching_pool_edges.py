@@ -4,9 +4,9 @@ The matching queues implement exactly the semantics LCI drops — wildcard
 receives and the FIFO-per-(source, tag) ordering guarantee — so their
 corner cases are load-bearing for the paper's comparison.  The pool
 tests walk the full exhaustion → recycle → reuse cycle (local caches,
-steal path, receive reserve) with the lifecycle sanitizer armed: silent
-on the healthy paths, and raising on deliberately planted leak and
-double-free bugs.
+steal path, receive reserve) under the pool's own lifecycle checks:
+silent on the healthy paths, and raising on deliberately planted leak
+and double-free bugs.
 """
 
 import pytest
@@ -20,12 +20,7 @@ from repro.mpi.matching import (
 )
 from repro.mpi.types import ANY_SOURCE, ANY_TAG, MpiRequest
 from repro.netapi.nic import Fabric
-from repro.sanitize import (
-    LciSanitizer,
-    SanitizerContext,
-    SanitizerError,
-    conservation_audit,
-)
+from repro.sanitize import SanitizerError, conservation_audit
 from repro.sim.engine import Environment
 from repro.sim.machine import stampede2
 
@@ -60,7 +55,7 @@ def test_posted_wildcard_fifo_order():
 
 def test_posted_earlier_wildcard_beats_later_specific():
     """MPI matches the *first posted* receive, not the best-fitting one —
-    the nondeterminism the wildcard-order sanitizer rule warns about."""
+    the nondeterminism ``mpi.wildcard_order_hazard`` raises on."""
     q = PostedQueue()
     wild = posted(ANY_SOURCE, 7)
     exact = posted(2, 7)
@@ -167,7 +162,7 @@ def test_unexpected_probe_does_not_consume():
 
 
 # ---------------------------------------------------------------------------
-# PacketPool: exhaustion -> recycle -> reuse, sanitizer armed throughout
+# PacketPool: exhaustion -> recycle -> reuse, lifecycle checked throughout
 # ---------------------------------------------------------------------------
 def make_pool(size, rx_reserve=0, local_cache=None):
     env = Environment()
@@ -178,7 +173,6 @@ def make_pool(size, rx_reserve=0, local_cache=None):
         env, stampede2().cpu, size=size, packet_data_bytes=1024,
         rx_reserve=rx_reserve, **kwargs,
     )
-    pool.sanitizer = LciSanitizer(SanitizerContext(env=env), host=0)
     return env, pool
 
 
@@ -261,7 +255,7 @@ def test_pool_send_side_steal_honors_rx_reserve():
 
 
 def test_pool_planted_leak_caught_after_reuse_cycle():
-    """No sanitizer armed: the end-of-run audit reads the pool itself."""
+    """The end-of-run audit reads the pool itself."""
     env = Environment()
     world = LciRuntime.create_world(
         env, Fabric(env, 2, stampede2()),

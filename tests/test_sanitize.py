@@ -1,12 +1,14 @@
-"""Tests for repro.sanitize: the determinism lint, the protocol
-sanitizers and the end-of-run conservation audit.
+"""Tests for repro.sanitize: the determinism lint, the per-event
+protocol checks and the end-of-run conservation audit.
 
 Each runtime rule is demonstrated on a deliberately broken fixture (a
-planted leak, a planted double-free, a planted RMA race...) and the
-bit-identity acceptance property — sanitized runs produce exactly the
-numbers unsanitized runs do — is asserted end-to-end on BFS and
-PageRank.  The audit's rules are planted on worlds with no sanitizer
-armed, and once through a whole engine run.
+planted leak, a planted double-free, a planted RMA race...) on plain
+worlds: every check runs on every run, so nothing is armed first.  That
+a check never perturbs a run is pinned end-to-end on BFS and PageRank
+against numbers recorded with the checks off, and by
+``tests/test_bench_harness.py``, which reproduces committed
+``BENCH_core.json`` rows.  The audit's rules are planted on bare
+worlds, and once through a whole engine run.
 """
 
 import json
@@ -21,20 +23,17 @@ from repro.mpi import (
     MpiWindow,
     MpiWorld,
     ThreadMode,
+    endpoint,
     intel_mpi,
 )
+from repro.mpi.matching import signatures_overlap
 from repro.netapi.nic import Fabric
 from repro.netapi.packet import PacketType
 from repro.sanitize import (
     SANITIZER_EXIT_CODE,
-    LciSanitizer,
-    SanitizerContext,
     SanitizerError,
     conservation_audit,
-    resolve_mode,
-    signatures_overlap,
 )
-from repro.sanitize import mpi_checks
 from repro.sanitize.lint import (
     is_order_sensitive,
     lint_repo,
@@ -47,25 +46,21 @@ from repro.sim.rng import RngFactory
 
 
 # ---------------------------------------------------------------------------
-# Helpers: worlds with sanitizers armed (discovered via fabric.sanitizer,
-# exactly the path the engine uses) or, for the audit, not
+# Helpers: bare worlds and pools (every check is always on)
 # ---------------------------------------------------------------------------
-def _fabric(num_hosts, sanitize):
+def _fabric(num_hosts):
     env = Environment()
-    fabric = Fabric(env, num_hosts, stampede2())
-    if sanitize:
-        fabric.sanitizer = SanitizerContext(env=env)
-    return env, fabric
+    return env, Fabric(env, num_hosts, stampede2())
 
 
-def make_mpi_world(num_hosts=2, sanitize=True):
-    env, fabric = _fabric(num_hosts, sanitize)
-    world = MpiWorld(env, fabric, intel_mpi(), ThreadMode.MULTIPLE)
+def make_mpi_world(num_hosts=2, config=None):
+    env, fabric = _fabric(num_hosts)
+    world = MpiWorld(env, fabric, config or intel_mpi(), ThreadMode.MULTIPLE)
     return env, world
 
 
-def make_lci_world(num_hosts=2, sanitize=True):
-    env, fabric = _fabric(num_hosts, sanitize)
+def make_lci_world(num_hosts=2):
+    env, fabric = _fabric(num_hosts)
     world = LciRuntime.create_world(env, fabric)
     return env, world
 
@@ -78,13 +73,12 @@ def audit(env, runtimes=(), endpoints=()):
     return ei.value
 
 
-def make_sanitized_pool(size=3, rx_reserve=0):
-    env = Environment()
+def make_pool(size=3, rx_reserve=0, host=0, env=None):
+    env = env or Environment()
     pool = PacketPool(
         env, stampede2().cpu, size=size, packet_data_bytes=1024,
-        rx_reserve=rx_reserve,
+        rx_reserve=rx_reserve, host=host,
     )
-    pool.sanitizer = LciSanitizer(SanitizerContext(env=env), host=0)
     return env, pool
 
 
@@ -312,27 +306,10 @@ def test_lint_suppressed_count_survives_into_report(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Enablement
-# ---------------------------------------------------------------------------
-def test_resolve_mode_env_gating(monkeypatch):
-    for off in ("", "0", "off", "false", "no", " OFF "):
-        monkeypatch.setenv("REPRO_SANITIZE", off)
-        assert resolve_mode() is False
-    for on in ("1", "yes", "raise"):
-        monkeypatch.setenv("REPRO_SANITIZE", on)
-        assert resolve_mode() is True
-    # Explicit settings beat the environment.
-    assert resolve_mode(False) is False
-    monkeypatch.delenv("REPRO_SANITIZE")
-    assert resolve_mode() is False
-    assert resolve_mode(True) is True
-
-
-# ---------------------------------------------------------------------------
-# LCI lifecycle sanitizers (planted bugs)
+# LCI lifecycle checks (planted bugs)
 # ---------------------------------------------------------------------------
 def test_pool_double_free_planted():
-    env, pool = make_sanitized_pool(size=3)
+    env, pool = make_pool(size=3)
     # The pool starts full: any free now is a double free.
     with pytest.raises(SanitizerError) as ei:
         pool.free_nowait()
@@ -342,7 +319,7 @@ def test_pool_double_free_planted():
 
 
 def test_pool_leak_planted():
-    env, world = make_lci_world(2, sanitize=False)
+    env, world = make_lci_world(2)
     pool = world[0].pool
 
     def proc(env):
@@ -359,9 +336,9 @@ def test_pool_leak_planted():
 
 
 def test_pool_over_free_audited_as_double_free():
-    """A budget freed twice leaves ``in_use`` negative: the audit names
-    the over-free, not a leak of a negative count."""
-    env, world = make_lci_world(2, sanitize=False)
+    """A budget freed twice raises at the second free, on the runtime's
+    host: ``in_use`` never goes negative for the audit to find."""
+    env, world = make_lci_world(2)
     pool = world[1].pool
 
     def proc(env):
@@ -370,11 +347,13 @@ def test_pool_over_free_audited_as_double_free():
         pool.free_nowait()
 
     env.process(proc(env))
-    env.run()
-    err = audit(env, runtimes=world)
-    assert err.rule == "lci.pool_double_free"
-    assert err.host == 1
-    assert err.details == {"over_freed": 1, "pool_size": pool.size}
+    with pytest.raises(SanitizerError) as ei:
+        env.run()
+    assert ei.value.rule == "lci.pool_double_free"
+    assert ei.value.host == 1
+    assert ei.value.details == {"free_packets": pool.size,
+                                "pool_size": pool.size}
+    assert pool.in_use == 0
 
 
 def _retire_and_free(pool):
@@ -388,7 +367,7 @@ def _retire_and_free(pool):
 
 
 def test_packet_double_free_planted():
-    env, pool = make_sanitized_pool(size=3)
+    env, pool = make_pool(size=3)
 
     def proc(env):
         pkt = yield from _retire_and_free(pool)
@@ -402,7 +381,7 @@ def test_packet_double_free_planted():
 
 
 def test_packet_use_after_free_planted():
-    env, pool = make_sanitized_pool(size=3)
+    env, pool = make_pool(size=3)
 
     def proc(env):
         pkt = yield from _retire_and_free(pool)
@@ -418,24 +397,21 @@ def test_packet_use_after_free_planted():
 def test_packet_lifecycle_is_per_host():
     """The transport hands the same Packet object to both ends; the
     sender retiring its budget must not poison the receiver's view."""
-    ctx = SanitizerContext(env=Environment())
-    sender = LciSanitizer(ctx, host=0)
-    receiver = LciSanitizer(ctx, host=1)
-
-    class FakePkt:
-        meta = {}
-        uid = 1
-
-    pkt = FakePkt()
-    sender.on_packet_made(pkt)
-    receiver.on_packet_made(pkt)
-    sender.on_packet_retired(pkt)
-    receiver.on_packet_use(pkt)     # receiver still live: no violation
-    receiver.on_packet_retired(pkt)
+    env, sender = make_pool(host=0)
+    _, receiver = make_pool(host=1, env=env)
+    pkt = sender.make_packet(PacketType.EGR, 0, 1, 5, 64)
+    sender.retire(pkt)
+    receiver.touch(pkt)             # receiver still live: no violation
+    receiver.retire(pkt)
+    assert pkt.retired_by == (0, 1)
     with pytest.raises(SanitizerError) as ei:
-        sender.on_packet_use(pkt)   # sender is retired: violation
+        sender.touch(pkt)           # sender is retired: violation
     assert ei.value.rule == "lci.packet_use_after_free"
     assert ei.value.host == 0
+    with pytest.raises(SanitizerError) as ei:
+        receiver.retire(pkt)        # and each host retires it once
+    assert ei.value.rule == "lci.packet_double_free"
+    assert ei.value.host == 1
 
 
 def test_lci_healthy_roundtrip_is_clean():
@@ -457,9 +433,8 @@ def test_lci_healthy_roundtrip_is_clean():
 
 
 def _send_never_received():
-    """An unsanitized LCI world whose host 1 got one message nobody
-    dequeued."""
-    env, world = make_lci_world(2, sanitize=False)
+    """An LCI world whose host 1 got one message nobody dequeued."""
+    env, world = make_lci_world(2)
 
     def sender(env):
         yield from world[0].send_blocking(1, tag=9, size=128, payload=b"z")
@@ -491,21 +466,23 @@ def test_lci_unreaped_completion_reported_at_shutdown():
 
 
 # ---------------------------------------------------------------------------
-# MPI two-sided sanitizers (planted bugs)
+# MPI two-sided checks (planted bugs)
 # ---------------------------------------------------------------------------
 def test_signatures_overlap():
     A_S, A_T = ANY_SOURCE, ANY_TAG
-    assert signatures_overlap(A_S, 5, 0, 5, A_S, A_T)
-    assert signatures_overlap(0, A_T, 0, 5, A_S, A_T)
-    assert not signatures_overlap(0, 5, 1, 5, A_S, A_T)   # disjoint sources
-    assert not signatures_overlap(A_S, 4, A_S, 5, A_S, A_T)  # disjoint tags
+    assert signatures_overlap(A_S, 5, 0, 5)
+    assert signatures_overlap(0, 5, A_S, 5)
+    assert signatures_overlap(0, A_T, 0, 5)
+    assert signatures_overlap(0, 5, 0, 5)
+    assert not signatures_overlap(0, 5, 1, 5)      # disjoint sources
+    assert not signatures_overlap(A_S, 4, A_S, 5)  # disjoint tags
+    assert not signatures_overlap(0, A_T, 1, A_T)  # disjoint sources
 
 
 def _rendezvous_send_never_received():
     """Rank 0's rendezvous send whose receiver never posts: the RTS
-    parks in rank 1's unexpected queue and the request never completes.
-    No sanitizer is armed: the audit reads the endpoints alone."""
-    env, world = make_mpi_world(2, sanitize=False)
+    parks in rank 1's unexpected queue and the request never completes."""
+    env, world = make_mpi_world(2)
     big = world.config.eager_limit * 4
 
     def sender(env):
@@ -541,7 +518,7 @@ def test_unexpected_at_finalize():
 
 
 def test_pending_recv_at_finalize():
-    env, world = make_mpi_world(2, sanitize=False)
+    env, world = make_mpi_world(2)
 
     def receiver(env):
         ep = world.endpoint(1)
@@ -557,7 +534,7 @@ def test_pending_recv_at_finalize():
 
 def test_completed_sends_pass_the_audit():
     """Eager and rendezvous sends both count as completed once done."""
-    env, world = make_mpi_world(2, sanitize=False)
+    env, world = make_mpi_world(2)
     big = world.config.eager_limit * 4
 
     def sender(env):
@@ -608,32 +585,51 @@ def test_identical_signatures_are_not_a_hazard():
     env.run()                           # raises nothing
 
 
-def test_unexpected_watermark_fires_once(monkeypatch):
-    """The first breach raises; later arrivals never get to report."""
-    monkeypatch.setattr(mpi_checks, "UNEXPECTED_WATERMARK", 2)
-    env, world = make_mpi_world(2)
+def _flood_rank_0(senders, per_sender, credits):
+    """Ranks 1..``senders`` each send ``per_sender`` eager messages to
+    rank 0, which posts no receive and drains its NIC once."""
+    env, world = make_mpi_world(
+        senders + 1, intel_mpi().with_(eager_credits_per_peer=credits))
 
-    def sender(env):
-        ep = world.endpoint(0)
-        for tag in range(4):
-            req = yield from ep.isend(1, tag=tag, size=64, payload=b"a")
+    def sender(env, rank):
+        ep = world.endpoint(rank)
+        for tag in range(per_sender):
+            req = yield from ep.isend(0, tag=tag, size=64, payload=b"a")
             yield from ep.wait(req)
 
     def receiver(env):
-        ep = world.endpoint(1)
         yield env.timeout(0.05)
-        yield from ep.progress()    # four arrivals, zero posted receives
+        yield from world.endpoint(0).progress()
 
-    env.process(sender(env))
+    for rank in range(1, senders + 1):
+        env.process(sender(env, rank))
     env.process(receiver(env))
+    return env, world
+
+
+def test_unexpected_watermark_fires_once(monkeypatch):
+    """The first breach raises; later arrivals never get to report."""
+    monkeypatch.setattr(endpoint, "UNEXPECTED_WATERMARK", 2)
+    env, _ = _flood_rank_0(senders=2, per_sender=2, credits=2)
     with pytest.raises(SanitizerError) as ei:
-        env.run()
+        env.run()                   # four arrivals, zero posted receives
     assert ei.value.rule == "mpi.unexpected_watermark"
+    assert ei.value.host == 0
     assert ei.value.details == {"queue_len": 3, "watermark": 2}
 
 
+def test_unexpected_watermark_allows_provisioned_credits(monkeypatch):
+    """A configuration with more eager credits per peer than the
+    watermark may park that many messages from one peer (Fig. 1's
+    message-rate benchmark sizes its credits to its whole window)."""
+    monkeypatch.setattr(endpoint, "UNEXPECTED_WATERMARK", 2)
+    env, world = _flood_rank_0(senders=1, per_sender=8, credits=8)
+    env.run()                       # raises nothing
+    assert len(world.endpoint(0).unexpected) == 8
+
+
 # ---------------------------------------------------------------------------
-# MPI RMA / PSCW epoch sanitizers (planted races)
+# MPI RMA / PSCW epoch checks (planted races)
 # ---------------------------------------------------------------------------
 def run_pscw(origin_puts, epochs=1):
     """PSCW epochs from rank 0 to rank 1, each issuing ``origin_puts``."""
@@ -707,33 +703,35 @@ def test_rng_stream_still_shares():
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity acceptance: sanitize on == sanitize off, to the last bit
+# Bit-identity acceptance: checks on == checks off, to the last bit
 # ---------------------------------------------------------------------------
+# (total, compute, comm seconds, rounds) of each run made with no
+# protocol check armed, before the checks became unconditional.
+CHECKS_OFF_BASELINE = {
+    ("bfs", "lci"): (1.3366735943647166e-05, 7.968955223880601e-07,
+                     1.2569840421259106e-05, 3),
+    ("pagerank", "mpi-rma"): (3.2088281122869085e-05, 2.390686567164177e-06,
+                              2.969759455570491e-05, 3),
+}
+
+
 @pytest.mark.parametrize("app,layer", [
     ("bfs", "lci"),
     ("pagerank", "mpi-rma"),
 ])
 def test_sanitized_runs_are_bit_identical(app, layer):
-    def run(sanitize):
-        sc = Scenario(app=app, graph="rmat", scale=8, hosts=2, layer=layer,
-                      pagerank_rounds=3, sanitize=sanitize)
-        engine = build_engine(sc)
-        return engine, engine.run()
-
-    # False (not None) so a REPRO_SANITIZE=1 test environment cannot
-    # arm the baseline too and trivialise the comparison.
-    base_engine, base = run(False)
-    sane_engine, sane = run(True)
-    assert base_engine.fabric.sanitizer is None
-    assert sane_engine.fabric.sanitizer is not None
-    assert sane.total_seconds == base.total_seconds
-    assert sane.compute_seconds == base.compute_seconds
-    assert sane.comm_seconds == base.comm_seconds
-    assert sane.rounds == base.rounds
+    sc = Scenario(app=app, graph="rmat", scale=8, hosts=2, layer=layer,
+                  pagerank_rounds=3)
+    res = build_engine(sc).run()
+    total, compute, comm, rounds = CHECKS_OFF_BASELINE[(app, layer)]
+    assert res.total_seconds == total
+    assert res.compute_seconds == compute
+    assert res.comm_seconds == comm
+    assert res.rounds == rounds
 
 
 # ---------------------------------------------------------------------------
-# The end-of-run audit runs on every engine run, sanitized or not
+# The end-of-run audit runs on every engine run
 # ---------------------------------------------------------------------------
 def _leaky_engine(sc, **kwargs):
     """The scenario's engine, with host 1 keeping its first freed
@@ -753,10 +751,8 @@ def _leaky_engine(sc, **kwargs):
 
 
 def test_unsanitized_engine_run_raises_on_planted_leak():
-    sc = Scenario(app="bfs", graph="rmat", scale=8, hosts=2, layer="lci",
-                  sanitize=False)
+    sc = Scenario(app="bfs", graph="rmat", scale=8, hosts=2, layer="lci")
     engine = _leaky_engine(sc)
-    assert engine.fabric.sanitizer is None
     with pytest.raises(SanitizerError) as ei:
         engine.run()
     assert ei.value.rule == "lci.packet_leak"
@@ -767,11 +763,31 @@ def test_unsanitized_engine_run_raises_on_planted_leak():
     }
 
 
+def test_engine_run_raises_on_uncounted_free():
+    """Host 0's completion-callback free skips its counter: the run's
+    audit finds the counters no longer telescope to ``in_use``."""
+    sc = Scenario(app="bfs", graph="rmat", scale=8, hosts=2, layer="lci")
+    engine = build_engine(sc)
+    pool = engine.layers[0].rt.pool
+    real_free_nowait = pool.free_nowait
+
+    def free_nowait(thread=None):
+        real_free_nowait(thread)
+        pool.free_nowaits -= 1          # planted: an uncounted free
+
+    pool.free_nowait = free_nowait
+    with pytest.raises(SanitizerError) as ei:
+        engine.run()
+    assert ei.value.rule == "lci.pool_count_drift"
+    assert ei.value.host == 0
+    assert ei.value.details["drift"] > 0
+    assert ei.value.details["in_use"] == 0
+
+
 def test_cli_run_exits_3_on_planted_leak_without_sanitize(monkeypatch,
                                                           capsys):
     import repro.cli as cli
 
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     monkeypatch.setattr(cli, "build_engine", _leaky_engine)
     argv = ["run", "--app", "bfs", "--scale", "7", "--hosts", "2",
             "--layer", "lci"]
@@ -801,7 +817,7 @@ def test_cli_lint_exit_codes(tmp_path, capsys):
 
 
 class _RaisingEngine:
-    """Stands in for a built engine whose run trips a sanitizer."""
+    """Stands in for a built engine whose run trips a protocol check."""
 
     def run(self):
         raise SanitizerError("mpi.rma_overlapping_put", 0, 0.0,
@@ -819,7 +835,7 @@ def test_cli_exits_3_on_sanitizer_error(verb, monkeypatch, capsys):
 
     for module in (cli, harness, serve_engine):
         monkeypatch.setattr(module, "build_engine", build)
-    argv = [verb, "--sanitize", "--scale", "6", "--hosts", "2"]
+    argv = [verb, "--scale", "6", "--hosts", "2"]
     if verb == "serve":
         argv += ["--tape-queries", "1"]
     assert cli.main(argv) == SANITIZER_EXIT_CODE

@@ -268,7 +268,7 @@ def test_cli_serve_smoke(tmp_path, capsys):
     rc = main([
         "serve", "--scale", str(SCALE), "--hosts", "4", "--layer", "lci",
         "--tape-queries", "6", "--tape-gap", "0.0001",
-        "--sanitize", "--report", str(report_path),
+        "--report", str(report_path),
         "--save-tape", str(tape_path),
     ])
     assert rc == 0
