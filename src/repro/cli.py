@@ -9,7 +9,6 @@
     python -m repro micro [--sizes 8 512 65536] [--threads 1 8 64]
     python -m repro inputs --scale 14
     python -m repro calibrate
-    python -m repro lint [--json report.json] [--sarif r.sarif] [paths...]
     python -m repro run ... --obs obs.json [--obs-chrome t.json] \\
         [--obs-prom m.prom]
     python -m repro explain obs.json [--check] [--top 5] [--per-round]
@@ -33,8 +32,8 @@ The scenario flags (``--graph`` ... ``--seed``, ``--app``, ``--mpi`` /
 ``--pagerank-rounds``) are declared once and shared by the verbs that
 take them; counts are range-checked at parse time.
 
-Exit codes: 0 success; 1 generic failure / lint findings; 2 usage
-errors (bad flags, unknown fault plans, unreadable tapes); 3
+Exit codes: 0 success; 1 generic failure; 2 usage errors (bad flags,
+unknown fault plans, unreadable tapes); 3
 (:data:`repro.sanitize.SANITIZER_EXIT_CODE`) when a per-event protocol
 check or an engine run's end-of-run conservation audit raised
 :class:`~repro.sanitize.SanitizerError`, from any verb.
@@ -50,7 +49,7 @@ from repro.bench.micro import MICRO_INTERFACES, message_rate, pingpong_latency
 from repro.bench.report import format_seconds, format_table
 from repro.bench.scenarios import Scenario, build_engine, run_scenario
 from repro.comm.layer_base import LAYER_NAMES
-from repro.sanitize.runtime import SANITIZER_EXIT_CODE, SanitizerError
+from repro.sanitize import SANITIZER_EXIT_CODE, SanitizerError
 
 __all__ = ["main", "build_parser"]
 
@@ -290,17 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="deterministic simulator-core benchmark (BENCH_core.json); "
              "its sim.comm blocks are the traffic gate",
     )
-
-    lint = sub.add_parser(
-        "lint", help="static determinism lint over the simulation sources"
-    )
-    lint.add_argument("paths", nargs="*", metavar="PATH",
-                      help="files/directories to lint (default: the "
-                           "installed repro package)")
-    lint.add_argument("--json", metavar="PATH", dest="json_path",
-                      help="also write the machine-readable JSON report")
-    lint.add_argument("--sarif", metavar="PATH", dest="sarif_path",
-                      help="also write the findings as SARIF 2.1.0")
 
     return p
 
@@ -754,28 +742,6 @@ def _cmd_bench_core(args) -> int:
     return _bench_verb(args, "bench-core", run)
 
 
-def _cmd_lint(args) -> int:
-    from repro.sanitize.lint import (
-        format_findings,
-        lint_paths,
-        repo_package_root,
-        report_dict,
-        save_report,
-    )
-
-    paths = args.paths or [repo_package_root()]
-    result = lint_paths(paths)
-    print(format_findings(result))
-    if args.json_path:
-        save_report(result, args.json_path)
-        print(f"json report written to {args.json_path}")
-    if args.sarif_path:
-        from repro.sanitize.report import save_sarif
-        save_sarif(report_dict(result), args.sarif_path)
-        print(f"sarif report written to {args.sarif_path}")
-    return 1 if result.findings else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -791,7 +757,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench-serve": _cmd_bench_serve,
         "profile": _cmd_profile,
         "bench-core": _cmd_bench_core,
-        "lint": _cmd_lint,
     }[args.command]
     try:
         return handler(args)

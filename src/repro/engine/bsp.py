@@ -41,7 +41,7 @@ from repro.graph.partition.proxies import Partition
 from repro.lci.queue_iface import LciQueue
 from repro.mpi.endpoint import MpiEndpoint
 from repro.netapi.nic import Fabric
-from repro.sanitize.runtime import conservation_audit
+from repro.sanitize import conservation_audit
 from repro.sim.engine import Environment
 from repro.sim.machine import MachineModel, stampede2
 
@@ -312,7 +312,7 @@ class BspEngine:
 
     def run(self) -> RunMetrics:
         """Run every host to the end; once all finished cleanly, audit
-        conservation (:func:`~repro.sanitize.runtime.conservation_audit`).
+        conservation (:func:`~repro.sanitize.conservation_audit`).
         The per-event protocol checks need no setup: the pools,
         endpoints and windows raise where a rule breaks, mid-run."""
         procs = [

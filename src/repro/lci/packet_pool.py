@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.netapi.packet import Packet, PacketType
-from repro.sanitize.runtime import SanitizerError
+from repro.sanitize import SanitizerError
 from repro.sim.engine import Environment, Event
 from repro.sim.machine import CpuModel
 

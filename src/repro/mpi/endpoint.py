@@ -55,7 +55,7 @@ from repro.mpi.matching import (
 from repro.mpi.types import ANY_SOURCE, ANY_TAG, MpiRequest, MpiStatus
 from repro.netapi.nic import Nic
 from repro.netapi.packet import Packet, PacketType
-from repro.sanitize.runtime import SanitizerError
+from repro.sanitize import SanitizerError
 from repro.sim.engine import Environment, Event
 from repro.sim.machine import CpuModel
 from repro.sim.resources import Lock

@@ -42,7 +42,7 @@ from repro.mpi.exceptions import MPIUsageError
 from repro.mpi.world import MpiWorld
 from repro.netapi.nic import RegisteredBuffer
 from repro.netapi.packet import Packet, PacketType
-from repro.sanitize.runtime import SanitizerError
+from repro.sanitize import SanitizerError
 from repro.sim.engine import Event
 
 __all__ = ["MpiWindow"]

@@ -34,8 +34,9 @@ calls through :meth:`~RegionProfiler.timed`.  The contract mirrors
   as ``obs.trace_overhead_frac`` per workload.
 
 Wall-clock time is intentionally confined to this module:
-:func:`wall_now` is the single sanctioned clock, so the determinism
-lint (rule D101) flags any *other* wall-clock read in the tree.
+:func:`wall_now` is the single sanctioned clock.  A wall-clock read
+that reaches a simulated time makes two runs of one scenario disagree,
+which ``tests/test_determinism.py`` catches.
 """
 
 from __future__ import annotations
@@ -63,18 +64,17 @@ def wall_now() -> float:
     """The one sanctioned wall-clock read in the codebase.
 
     Everything the profiler measures is *host* time — how long the
-    pure-Python simulator itself takes — which is exactly what the
-    determinism lint exists to keep out of the simulation modules.
-    Routing every read through this helper keeps the suppression
-    surface to a single line and makes profiling code grep-able.
+    pure-Python simulator itself takes — which must never reach a
+    simulated time.  Routing every read through this helper makes
+    profiling code grep-able.
     """
-    return time.perf_counter()  # lint-ok: D101 the profiler measures host wall-clock by design
+    return time.perf_counter()
 
 
 #: The raw C clock, bound into the cells below: a call to the
 #: :func:`wall_now` Python wrapper costs more than the clock read
-#: itself.  Same clock, same lint rationale as :func:`wall_now`.
-_perf_counter = time.perf_counter  # lint-ok: D101 hot-path alias of wall_now
+#: itself.  Same clock as :func:`wall_now`.
+_perf_counter = time.perf_counter
 
 #: Sampling stride of ``sampled=True`` cells.  Sites that fire per packet
 #: or per queue walk read the clock on every STRIDE'th call only and

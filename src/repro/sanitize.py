@@ -1,4 +1,4 @@
-"""Sanitizer runtime: the structured error and the end-of-run audit.
+"""Runtime protocol checks: the structured error and the end-of-run audit.
 
 :func:`conservation_audit` reads the identities every engine run must
 end with (LCI pool budgets home, the pool's alloc and free counters
@@ -12,6 +12,10 @@ component that owns the state: the LCI packet pool
 All of them only read protocol state and never advance simulated time.
 A violation raises a structured :class:`SanitizerError` where it is
 found; the CLI turns it into exit code :data:`SANITIZER_EXIT_CODE`.
+
+Determinism is not checked here but by running:
+``tests/test_determinism.py`` requires two processes with different
+hash seeds to print the same bits.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from repro.faults import LostCompletionError, get_plan
 from repro.graph.partition import make_partition
 from repro.obs.latency import LatencySummary
 from repro.obs.profile import wall_now
-from repro.sanitize.runtime import SanitizerError
+from repro.sanitize import SanitizerError
 from repro.serve.admission import AdmissionConfig, AdmissionController
 from repro.serve.cache import ResultCache
 from repro.serve.programs import make_batched_program

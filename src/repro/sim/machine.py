@@ -47,11 +47,6 @@ class CpuModel:
     cores: int
     #: Cost of an uncontended atomic RMW (fetch-and-add / CAS).
     atomic_op: float
-    #: Cost of acquiring an uncontended mutex (lock+unlock round trip).
-    lock_uncontended: float
-    #: Extra penalty paid when a lock acquisition finds the lock held
-    #: (cache-line bouncing); queueing delay is simulated on top.
-    lock_contended_penalty: float
     #: Single-core memory-copy bandwidth, bytes/second.
     memcpy_bw: float
     #: Cost of one allocator call (malloc/free pair amortized).
@@ -137,8 +132,6 @@ def stampede2() -> MachineModel:
         name="knl-7250",
         cores=68,
         atomic_op=55 * NS,
-        lock_uncontended=120 * NS,
-        lock_contended_penalty=350 * NS,
         memcpy_bw=4.5 * GB,
         alloc_cost=220 * NS,
         call_overhead=90 * NS,
@@ -180,8 +173,6 @@ def stampede1() -> MachineModel:
         name="snb-e5-2680",
         cores=16,
         atomic_op=22 * NS,
-        lock_uncontended=45 * NS,
-        lock_contended_penalty=130 * NS,
         memcpy_bw=7.0 * GB,
         alloc_cost=90 * NS,
         call_overhead=35 * NS,

@@ -50,9 +50,11 @@ class RngFactory:
         """Claim exclusive ownership of stream ``name`` and return it.
 
         Two components silently sharing one stream is a determinism
-        hazard the lint cannot see (each consumer's draw sequence then
-        depends on the other's call interleaving), so duplicate
-        registration is a hard error naming both claimants.
+        hazard that running twice cannot show (each consumer's draw
+        sequence then depends on the other's call interleaving, which
+        is the same in every run but moves with any edit to either),
+        so duplicate registration is a hard error naming both
+        claimants.
         """
         if name in self._registered:
             prev = self._registered[name] or "an earlier component"

@@ -180,7 +180,6 @@ DEFAULTS = {
                   "fault_plan": None, "json_path": None, "csv_path": None,
                   "heatmap_path": None, "prom_path": None},
     "bench-core": {"out": None, "check": None},
-    "lint": {"paths": [], "json_path": None, "sarif_path": None},
 }
 
 

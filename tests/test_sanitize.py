@@ -1,5 +1,5 @@
-"""Tests for repro.sanitize: the determinism lint, the per-event
-protocol checks and the end-of-run conservation audit.
+"""Tests for repro.sanitize: the per-event protocol checks and the
+end-of-run conservation audit.
 
 Each runtime rule is demonstrated on a deliberately broken fixture (a
 planted leak, a planted double-free, a planted RMA race...) on plain
@@ -10,8 +10,6 @@ against numbers recorded with the checks off, and by
 ``BENCH_core.json`` rows.  The audit's rules are planted on bare
 worlds, and once through a whole engine run.
 """
-
-import json
 
 import pytest
 
@@ -33,12 +31,6 @@ from repro.sanitize import (
     SANITIZER_EXIT_CODE,
     SanitizerError,
     conservation_audit,
-)
-from repro.sanitize.lint import (
-    is_order_sensitive,
-    lint_repo,
-    lint_source,
-    report_dict,
 )
 from repro.sim.engine import Environment
 from repro.sim.machine import stampede2
@@ -80,229 +72,6 @@ def make_pool(size=3, rx_reserve=0, host=0, env=None):
         rx_reserve=rx_reserve, host=host,
     )
     return env, pool
-
-
-# ---------------------------------------------------------------------------
-# Static determinism lint (Part A)
-# ---------------------------------------------------------------------------
-def rules_of(findings):
-    return {f.rule for f in findings}
-
-
-def test_lint_flags_wall_clock():
-    src = "import time\n\ndef f():\n    return time.time()\n"
-    assert "D101" in rules_of(lint_source(src, "src/repro/bench/x.py"))
-
-
-def test_lint_flags_wall_clock_via_alias_and_datetime():
-    src = "import time as t\nfrom datetime import datetime\n" \
-          "a = t.perf_counter()\nb = datetime.now()\n"
-    findings = [f for f in lint_source(src, "src/repro/x.py") if f.rule == "D101"]
-    assert len(findings) == 2
-
-
-def test_lint_flags_global_random():
-    src = "import random\nimport numpy as np\n" \
-          "a = random.random()\nb = np.random.rand(3)\n"
-    findings = [f for f in lint_source(src, "src/repro/x.py") if f.rule == "D102"]
-    # The `import random` itself plus both global-state draws.
-    assert len(findings) == 3
-    assert [f.line for f in findings] == [1, 3, 4]
-
-
-def test_lint_flags_unseeded_default_rng_but_not_seeded():
-    bad = "import numpy as np\nr = np.random.default_rng()\n"
-    good = "import numpy as np\nr = np.random.default_rng(42)\n"
-    assert "D102" in rules_of(lint_source(bad, "src/repro/x.py"))
-    assert "D102" not in rules_of(lint_source(good, "src/repro/x.py"))
-
-
-def test_lint_flags_set_iteration_only_in_sensitive_dirs():
-    src = "s = {1, 2, 3}\nfor x in s:\n    print(x)\n"
-    assert "D103" in rules_of(lint_source(src, "src/repro/mpi/x.py"))
-    assert "D103" not in rules_of(lint_source(src, "src/repro/bench/x.py"))
-
-
-def test_lint_set_iteration_sorted_is_clean():
-    src = "s = {1, 2, 3}\nfor x in sorted(s):\n    print(x)\n"
-    assert lint_source(src, "src/repro/sim/x.py") == []
-
-
-def test_lint_flags_environ_only_in_sensitive_dirs():
-    src = "import os\nif os.environ.get('FAST'):\n    x = 1\n"
-    assert "D104" in rules_of(lint_source(src, "src/repro/lci/x.py"))
-    assert "D104" not in rules_of(lint_source(src, "src/repro/cli2.py"))
-
-
-def test_lint_flags_fp_accumulation_over_unordered():
-    src = "vals = {1.0, 2.0}\ntotal = sum(vals)\n"
-    findings = lint_source(src, "src/repro/comm/x.py")
-    assert "D105" in rules_of(findings)
-    # D105 claims the node: the same set must not double-report as D103.
-    assert "D103" not in rules_of(findings)
-
-
-def test_lint_suppression_comment():
-    src = "import time\nnow = time.time()  # lint-ok: D101 wall clock wanted\n"
-    assert lint_source(src, "src/repro/sim/x.py") == []
-    src_all = "import time\nnow = time.time()  # lint-ok: all\n"
-    assert lint_source(src_all, "src/repro/sim/x.py") == []
-
-
-def test_lint_suppression_is_per_rule():
-    src = "import time\nnow = time.time()  # lint-ok: D103 wrong rule\n"
-    assert "D101" in rules_of(lint_source(src, "src/repro/sim/x.py"))
-
-
-def test_is_order_sensitive_paths():
-    assert is_order_sensitive("src/repro/sim/engine.py")
-    assert is_order_sensitive("src/repro/faults/injector.py")
-    assert not is_order_sensitive("src/repro/bench/report.py")
-    assert not is_order_sensitive("src/repro/cli.py")
-
-
-def test_lint_repo_is_clean():
-    """Acceptance criterion: the lint runs clean on the repo itself."""
-    result = lint_repo()
-    assert result.files_checked > 50
-    assert result.findings == []
-
-
-def test_lint_json_report_shape(tmp_path):
-    src = "import time\na = time.time()\nb = time.time()\n"
-    findings = lint_source(src, "src/repro/sim/x.py")
-    from repro.sanitize.lint import LintResult
-    report = report_dict(LintResult(findings, files_checked=1, suppressed=0))
-    assert report["counts_by_rule"] == {"D101": 2}
-    assert len(report["findings"]) == 2
-    assert report["findings"][0]["rule"] == "D101"
-    assert report["files_checked"] == 1
-    assert "D101" in report["rules"]
-    # Round-trips as JSON.
-    json.loads(json.dumps(report))
-
-
-def test_lint_sarif_shape(tmp_path):
-    from repro.sanitize.lint import RULES, LintResult
-    from repro.sanitize.report import save_sarif
-
-    findings = lint_source("import time\na = time.time()\n",
-                           "src/repro/sim/x.py")
-    path = tmp_path / "lint.sarif"
-    save_sarif(report_dict(LintResult(findings, files_checked=1,
-                                      suppressed=0)), str(path))
-    sarif = json.loads(path.read_text())
-    assert sarif["version"] == "2.1.0"
-    run = sarif["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-lint"
-    assert {r["id"] for r in run["tool"]["driver"]["rules"]} == set(RULES)
-    (result,) = run["results"]
-    assert result["ruleId"] == "D101"
-    region = result["locations"][0]["physicalLocation"]["region"]
-    assert region == {"startLine": 2, "startColumn": 5}
-
-
-def test_lint_flags_set_fed_dict_iteration():
-    src = (
-        "s = {3, 1, 2}\n"
-        "d = {k: 0 for k in s}\n"
-        "for k in d.keys():\n"
-        "    print(k)\n"
-        "for v in d.values():\n"
-        "    print(v)\n"
-    )
-    findings = lint_source(src, "src/repro/comm/x.py")
-    # the comp itself iterates the set (D103, the root cause); both
-    # downstream .keys()/.values() loops get D106
-    assert [f.rule for f in findings] == ["D103", "D106", "D106"]
-    # order-insensitive dirs stay silent
-    assert lint_source(src, "src/repro/bench/x.py") == []
-
-
-def test_lint_flags_dict_fromkeys_of_set():
-    src = (
-        "s = {1, 2}\n"
-        "d = dict.fromkeys(s)\n"
-        "for k in d.keys():\n"
-        "    print(k)\n"
-    )
-    assert "D106" in rules_of(lint_source(src, "src/repro/mpi/x.py"))
-
-
-def test_lint_set_fed_dict_clean_counterparts():
-    # built from sorted(...) — ordered, no finding
-    ordered = (
-        "s = {3, 1, 2}\n"
-        "d = {k: 0 for k in sorted(s)}\n"
-        "for k in d.keys():\n"
-        "    print(k)\n"
-    )
-    assert lint_source(ordered, "src/repro/sim/x.py") == []
-    # fed from a list — insertion order is already deterministic
-    listy = (
-        "xs = [3, 1, 2]\n"
-        "d = {k: 0 for k in xs}\n"
-        "for v in d.values():\n"
-        "    print(v)\n"
-    )
-    assert lint_source(listy, "src/repro/sim/x.py") == []
-    # reassignment to an ordered dict clears the taint
-    reassigned = (
-        "s = {1, 2}\n"
-        "d = dict.fromkeys(s)\n"
-        "d = dict.fromkeys(sorted(s))\n"
-        "for k in d.keys():\n"
-        "    print(k)\n"
-    )
-    assert lint_source(reassigned, "src/repro/sim/x.py") == []
-
-
-def test_lint_suppression_counts_in_result():
-    from repro.sanitize.lint import _lint_source_counted
-
-    src = (
-        "import time\n"
-        "a = time.time()  # lint-ok: D101 wanted\n"
-        "b = time.time()\n"
-    )
-    result = _lint_source_counted(src, "src/repro/sim/x.py")
-    assert result.suppressed == 1
-    assert [f.rule for f in result.findings] == ["D101"]
-
-
-def test_lint_suppression_comma_separated_rules():
-    src = (
-        "import time\n"
-        "s = {1.0, 2.0}\n"
-        "t = sum(s) + time.time()  # lint-ok: D101, D105 both intended\n"
-    )
-    assert lint_source(src, "src/repro/sim/x.py") == []
-    # only one of the two listed: the other still fires
-    partial = (
-        "import time\n"
-        "s = {1.0, 2.0}\n"
-        "t = sum(s) + time.time()  # lint-ok: D105 fp ok\n"
-    )
-    assert rules_of(lint_source(partial, "src/repro/sim/x.py")) == {"D101"}
-
-
-def test_lint_suppressed_count_survives_into_report(tmp_path):
-    from repro.sanitize.lint import lint_paths
-
-    f = tmp_path / "repro" / "sim" / "x.py"
-    f.parent.mkdir(parents=True)
-    f.write_text(
-        "import time\n"
-        "a = time.time()  # lint-ok: all\n"
-        "b = time.time()  # lint-ok: D101 wanted\n"
-        "c = time.time()\n"
-    )
-    result = lint_paths([f])
-    assert result.suppressed == 2
-    report = report_dict(result)
-    assert report["suppressions"]["count"] == 2
-    assert report["suppressed"] == 2  # legacy alias
-    assert report["counts_by_rule"] == {"D101": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -798,24 +567,6 @@ def test_cli_run_exits_3_on_planted_leak_without_sanitize(monkeypatch,
 # ---------------------------------------------------------------------------
 # CLI wiring
 # ---------------------------------------------------------------------------
-def test_cli_lint_exit_codes(tmp_path, capsys):
-    from repro.cli import main
-
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\nx = time.time()\n")
-    good = tmp_path / "good.py"
-    good.write_text("x = 1\n")
-    assert main(["lint", str(bad)]) == 1
-    assert "D101" in capsys.readouterr().out
-    assert main(["lint", str(good)]) == 0
-    report = tmp_path / "report.json"
-    assert main(["lint", str(bad), "--json", str(report)]) == 1
-    capsys.readouterr()
-    data = json.loads(report.read_text())
-    assert data["counts_by_rule"] == {"D101": 1}
-    assert len(data["findings"]) == 1
-
-
 class _RaisingEngine:
     """Stands in for a built engine whose run trips a protocol check."""
 

@@ -242,24 +242,8 @@ def test_run_serve_chaos_reports_graceful():
 
 
 # ----------------------------------------------------------------------
-# Lint coverage + CLI smoke
+# CLI smoke
 # ----------------------------------------------------------------------
-def test_lint_covers_serve_package():
-    from repro.sanitize.lint import (
-        ORDER_SENSITIVE_DIRS,
-        is_order_sensitive,
-        lint_paths,
-        repo_package_root,
-    )
-
-    assert "serve" in ORDER_SENSITIVE_DIRS
-    assert is_order_sensitive("src/repro/serve/engine.py")
-    serve_dir = repo_package_root() / "serve"
-    result = lint_paths([serve_dir])
-    assert result.files_checked >= 7
-    assert result.findings == []
-
-
 def test_cli_serve_smoke(tmp_path, capsys):
     from repro.cli import main
 
