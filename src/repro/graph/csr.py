@@ -49,38 +49,59 @@ def resident(derive):
     return lookup
 
 
+def _packed_sort(keys: np.ndarray, bound: int, in_place: bool = False):
+    """Sort ``key << pos_bits | position`` for integer ``0 <= keys < bound``.
+
+    Every packed value is distinct, so the unstable SIMD ``sort`` of the
+    ``uint64`` packs *is* the stable order by key: return the sorted
+    packs and ``pos_bits``, or ``None`` where key plus position bits
+    exceed 64.  ``in_place`` packs into ``keys`` itself (int64 scratch)
+    instead of a new array.
+    """
+    pos_bits = max(len(keys) - 1, 0).bit_length()
+    if (bound - 1).bit_length() + pos_bits > 64:
+        return None
+    if in_place:
+        packed = keys.view(np.uint64)
+        packed <<= pos_bits
+    else:
+        packed = np.left_shift(keys, pos_bits, dtype=np.uint64,
+                               casting="unsafe")
+    positions = index_range(len(keys))
+    packed |= positions.view(f"u{positions.itemsize}")
+    packed.sort()
+    return packed, pos_bits
+
+
 def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for integer ``0 <= keys < bound``.
 
     The bound picks the cheapest sort that gives exactly that order, on
     arithmetic grounds only: keys of at most 16 bits go through NumPy's
     radix sort as ``uint8`` / ``uint16`` (the smallest dtype that holds
-    ``bound - 1``, so a key never wraps); wider keys are packed above their
-    own position — every packed value is distinct, so the unstable SIMD
-    ``sort`` *is* the stable order; and where key plus position exceed an
-    int64's 63 bits the stable argsort itself runs.
+    ``bound - 1``, so a key never wraps); wider keys go through
+    :func:`_packed_sort`; and where key plus position exceed a
+    ``uint64``'s 64 bits the stable argsort itself runs.
     """
     narrow = np.min_scalar_type(bound - 1)
     if narrow.itemsize <= 2:
         return np.argsort(keys.astype(narrow, copy=False), kind="stable")
-    pos_bits = max(len(keys) - 1, 0).bit_length()
-    if (bound - 1).bit_length() + pos_bits > 63:
+    sorted_packs = _packed_sort(keys, bound)
+    if sorted_packs is None:
         return np.argsort(keys, kind="stable")
-    packed = np.left_shift(keys, pos_bits, dtype=np.int64)
-    packed |= index_range(len(keys))
-    packed.sort()
+    packed, pos_bits = sorted_packs
     packed &= (1 << pos_bits) - 1
-    return packed
+    return packed.view(np.int64)
 
 
 def first_occurrences(keys: np.ndarray, bound: int) -> np.ndarray:
     """Mask over positions: ``True`` where ``keys[p]`` is not in ``keys[:p]``.
 
     ``keys`` is int64 with ``0 <= keys < bound``, and scratch: where key
-    plus position fit 63 bits it is overwritten with ``key << pos_bits |
-    position`` and sorted in place (a run of equal keys then starts at
-    its earliest position), so the only other |keys|-sized arrays are
-    one narrow position array and two bool masks.  Wider keys go through
+    plus position fit 64 bits it is packed in place by
+    :func:`_packed_sort` (a run of equal keys then starts at its
+    earliest position), so the only other |keys|-sized arrays are one
+    narrow position array and two bool masks.  Wider keys go through
     the stable argsort.
     """
     count = len(keys)
@@ -89,15 +110,13 @@ def first_occurrences(keys: np.ndarray, bound: int) -> np.ndarray:
         return first
     run_start = np.empty(count, dtype=bool)
     run_start[0] = True
-    pos_bits = (count - 1).bit_length()
-    if (bound - 1).bit_length() + pos_bits > 63:
+    sorted_packs = _packed_sort(keys, bound, in_place=True)
+    if sorted_packs is None:
         pos = np.argsort(keys, kind="stable")
         keys = keys[pos]
     else:
-        pos = index_range(count)
-        keys <<= pos_bits
-        keys |= pos
-        keys.sort()
+        keys, pos_bits = sorted_packs
+        pos = np.empty(count, dtype=index_dtype(count))
         np.bitwise_and(keys, (1 << pos_bits) - 1, out=pos, casting="unsafe")
         keys >>= pos_bits
     np.not_equal(keys[1:], keys[:-1], out=run_start[1:])

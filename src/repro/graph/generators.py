@@ -32,6 +32,9 @@ All generators are deterministic given (scale, seed).
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -39,6 +42,54 @@ import numpy as np
 from repro.graph.csr import CsrGraph
 
 __all__ = ["rmat", "kron", "webcrawl", "GRAPH_FAMILIES", "make_graph"]
+
+
+#: Below this many edges one slice samples them all, so small graphs
+#: start no thread.
+_THREADED_EDGES = 1 << 16
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _deposit(ids: np.ndarray, bit: int, flags: np.ndarray) -> None:
+    """``ids |= flags << bit`` for 0/1 ``uint8`` flags (scratch): the
+    flags are weighted in place and or-ed into the one byte of each id
+    that holds ``bit``, a strided ``uint8`` column of the int64 array."""
+    byte = bit // 8 if sys.byteorder == "little" else 7 - bit // 8
+    column = ids.view(np.uint8)[byte::8]
+    flags *= 1 << (bit % 8)
+    column |= flags
+
+
+def _sample_slice(scale, skip, thresholds, draws, src, dst, r, above,
+                  parity) -> None:
+    """Set every bit of one slice's ids from its own stream ``draws``.
+
+    Per bit the slice draws its doubles, then skips the ``skip`` doubles
+    the other slices draw for that bit.  The quadrant is read off three
+    compares of the same draw: the source bit is ``r >= a+b``, the
+    target bit ``(r >= a) ^ (r >= a+b) ^ (r >= a+b+c)``.  Every array is
+    the caller's, so a worker thread allocates nothing.
+    """
+    a, ab, abc = thresholds
+    bit_generator = draws.bit_generator
+    above_set, parity_set = above.view(bool), parity.view(bool)
+    for bit in range(scale):
+        draws.random(out=r)
+        bit_generator.advance(skip)
+        np.greater_equal(r, ab, out=above_set)
+        np.greater_equal(r, a, out=parity_set)
+        parity ^= above
+        _deposit(src, bit, above)
+        np.greater_equal(r, abc, out=above_set)
+        parity ^= above
+        _deposit(dst, bit, parity)
 
 
 def _rmat_edges(
@@ -51,33 +102,53 @@ def _rmat_edges(
 ) -> tuple:
     """Sample ``num_edges`` (src, dst) pairs by recursive quadrant choice.
 
-    Vectorized over all edges: each of the ``scale`` bit positions is
-    drawn for every edge at once.
+    Bit ``k`` of edge ``i`` reads double ``k * num_edges + i`` of
+    ``rng``'s stream, which is left past all ``scale * num_edges`` of
+    them.  The edges are cut into one slice per usable core, each
+    sampled on its own thread from a copy of the stream advanced to the
+    slice's offset; as every double takes exactly one 64-bit output, the
+    ids do not depend on how many slices there are (docs/MODEL.md §15.6).
     """
     src = np.zeros(num_edges, dtype=np.int64)
     dst = np.zeros(num_edges, dtype=np.int64)
-    ab = a + b
-    abc = a + b + c
-    # One set of buffers for all bit positions; the draws themselves are
-    # the same stream as ``rng.random(num_edges)`` per bit.
     r = np.empty(num_edges, dtype=np.float64)
-    go_both = np.empty(num_edges, dtype=bool)
-    go_side = np.empty(num_edges, dtype=bool)
-    below = np.empty(num_edges, dtype=bool)
-    bits = np.empty(num_edges, dtype=np.int64)
-    for bit in range(scale):
-        rng.random(out=r)
-        # quadrant: 0 -> (0,0), 1 -> (0,1), 2 -> (1,0), 3 -> (1,1)
-        np.greater_equal(r, abc, out=go_both)
-        for ids, lo, hi in ((dst, a, ab), (src, ab, abc)):
-            # go_right (dst bit set) is a <= r < ab; go_down (src bit
-            # set) is ab <= r < abc; go_both sets both.
-            np.greater_equal(r, lo, out=go_side)
-            np.less(r, hi, out=below)
-            go_side &= below
-            go_side |= go_both
-            np.left_shift(go_side, bit, out=bits, dtype=np.int64)
-            ids |= bits
+    above = np.empty(num_edges, dtype=np.uint8)
+    parity = np.empty(num_edges, dtype=np.uint8)
+    slices = _usable_cores() if num_edges >= _THREADED_EDGES else 1
+    cuts = [num_edges * k // slices for k in range(slices + 1)]
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    work = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        stream = type(bit_generator)()
+        stream.state = state
+        stream.advance(lo)
+        part = slice(lo, hi)
+        work.append((scale, num_edges - (hi - lo), (a, a + b, a + b + c),
+                     np.random.Generator(stream), src[part], dst[part],
+                     r[part], above[part], parity[part]))
+    finished = []
+
+    def sample(args):
+        _sample_slice(*args)
+        finished.append(args)
+
+    # ``threading``, not ``concurrent.futures``: importing that costs every
+    # process 1 MiB of peak RSS.
+    threads = [threading.Thread(target=sample, args=(args,))
+               for args in work[1:]]
+    for thread in threads:
+        thread.start()
+    _sample_slice(*work[0])
+    for thread in threads:
+        thread.join()
+    if len(finished) != len(threads):
+        raise RuntimeError("an R-MAT sampling thread failed (traceback above)")
+    bit_generator.advance(scale * num_edges)
+    # ``advance`` drops a buffered 32-bit half, which doubles never touch
+    bit_generator.state = {**bit_generator.state,
+                           "has_uint32": state["has_uint32"],
+                           "uinteger": state["uinteger"]}
     return src, dst
 
 

@@ -4,8 +4,9 @@ These are the straightforward formulations the program used before its
 setup path and array kernels were rewritten: one full-array scan per
 host and NumPy set operations in the partition builder, ``np.unique`` in
 the CSR builder and the relax kernels, 2-D ``ufunc.at`` in the
-multi-source programs.  They are slow and obviously right; the tests
-require the fast paths to equal them array for array, dtype included.
+multi-source programs, and the R-MAT sampler's one-thread quadrant
+logic.  They are slow and obviously right; the tests require the fast
+paths to equal them array for array, dtype included.
 
 :func:`unchained` is the reference for the simulator's chained delays:
 it runs the same program with every chain replayed wake by wake.
@@ -22,6 +23,49 @@ from repro.engine.vertex_program import ComputeResult
 from repro.graph.csr import CsrGraph
 from repro.graph.partition.proxies import LocalGraph, Partition, SyncPair
 from repro.sim.engine import Environment, Interrupt
+
+
+# ----------------------------------------------------------------------
+# R-MAT sampling
+# ----------------------------------------------------------------------
+def rmat_edges(
+    scale: int,
+    num_edges: int,
+    rng: np.random.Generator,
+    a: float,
+    b: float,
+    c: float,
+) -> tuple:
+    """Sample ``num_edges`` (src, dst) pairs by recursive quadrant choice.
+
+    Vectorized over all edges: each of the ``scale`` bit positions is
+    drawn for every edge at once.
+    """
+    src = np.zeros(num_edges, dtype=np.int64)
+    dst = np.zeros(num_edges, dtype=np.int64)
+    ab = a + b
+    abc = a + b + c
+    # One set of buffers for all bit positions; the draws themselves are
+    # the same stream as ``rng.random(num_edges)`` per bit.
+    r = np.empty(num_edges, dtype=np.float64)
+    go_both = np.empty(num_edges, dtype=bool)
+    go_side = np.empty(num_edges, dtype=bool)
+    below = np.empty(num_edges, dtype=bool)
+    bits = np.empty(num_edges, dtype=np.int64)
+    for bit in range(scale):
+        rng.random(out=r)
+        # quadrant: 0 -> (0,0), 1 -> (0,1), 2 -> (1,0), 3 -> (1,1)
+        np.greater_equal(r, abc, out=go_both)
+        for ids, lo, hi in ((dst, a, ab), (src, ab, abc)):
+            # go_right (dst bit set) is a <= r < ab; go_down (src bit
+            # set) is ab <= r < abc; go_both sets both.
+            np.greater_equal(r, lo, out=go_side)
+            np.less(r, hi, out=below)
+            go_side &= below
+            go_side |= go_both
+            np.left_shift(go_side, bit, out=bits, dtype=np.int64)
+            ids |= bits
+    return src, dst
 
 
 # ----------------------------------------------------------------------

@@ -6,14 +6,16 @@ dicts must come out in the same key order: simulated schedules depend
 on all of it.
 """
 
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.engine.bsp import symmetrize
+from repro.graph import generators
 from repro.graph.csr import (
-    CsrGraph, first_occurrences, group_offsets, stable_argsort,
+    CsrGraph, _packed_sort, first_occurrences, group_offsets, stable_argsort,
 )
 from repro.graph.generators import GRAPH_FAMILIES
 from repro.graph.partition import edge_cut, make_partition, vertex_cut
@@ -94,7 +96,8 @@ def test_narrowed_sort_key_never_wraps(bound):
 @pytest.mark.parametrize("bound", [
     1, 2, 255, 256, 257, 65_535, 65_536, 65_537,  # radix tiers and edge
     1 << 34, 1 << 40,                              # packed above position
-    1 << 58, 1 << 62,                              # does not fit 63 bits
+    1 << 53, 1 << 54,                  # 63 and 64 bits with 1000 positions
+    (1 << 54) + 1, 1 << 58, 1 << 62,               # does not fit 64 bits
 ])
 @pytest.mark.parametrize("count", [0, 1, 2, 1000])
 def test_stable_argsort_equals_numpy(bound, count):
@@ -109,14 +112,24 @@ def test_stable_argsort_equals_numpy(bound, count):
     assert_same_array(got, want, f"bound {bound}")
 
 
-def test_stable_argsort_packs_exactly_up_to_63_bits():
-    """Both sides of the one arithmetic fact that picks the tier."""
-    for bound in (1 << 53, (1 << 53) + 1):  # 53 + 10 = 63 | 54 + 10 = 64
-        # 1024 keys (10 position bits); the largest would pack into the
-        # sign bit if 64 bits were taken to fit.
+def test_packed_sort_covers_exactly_up_to_64_bits():
+    """Both sides of the one arithmetic fact that picks the tier, for
+    both callers of the packed sort: 1024 keys (10 position bits), the
+    largest of which sets the packed value's top bit where 64 bits are
+    taken to fit."""
+    for bound, packed in (
+        (1 << 53, True),         # 53 + 10 = 63 bits
+        ((1 << 53) + 1, True),   # 54 + 10 = 64: the top bit is set
+        (1 << 54, True),         # 64: the largest key packs to 2**64 - 1024
+        ((1 << 54) + 1, False),  # 55 + 10 = 65
+    ):
         keys = np.array([5, bound - 1, 5, 0] * 256, dtype=np.int64)
+        assert (_packed_sort(keys, bound) is not None) == packed, bound
         assert_same_array(stable_argsort(keys, bound),
                           np.argsort(keys, kind="stable"), bound)
+        want = np.zeros(len(keys), dtype=bool)
+        want[np.unique(keys, return_index=True)[1]] = True
+        assert_same_array(first_occurrences(keys.copy(), bound), want, bound)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int32])
@@ -130,10 +143,12 @@ def test_stable_argsort_takes_any_integer_keys(dtype):
                           np.argsort(keys, kind="stable"), (dtype, bound))
 
 
-@pytest.mark.parametrize("bound", [1, 2, 300, 1 << 40, 1 << 58, 1 << 62])
+@pytest.mark.parametrize("bound", [
+    1, 2, 300, 1 << 40, 1 << 53, 1 << 54, (1 << 54) + 1, 1 << 58, 1 << 62,
+])
 @pytest.mark.parametrize("count", [0, 1, 2, 1000])
 def test_first_occurrences_equals_unique(bound, count):
-    """Packed and sorted in place, or (key plus position past 63 bits)
+    """Packed and sorted in place, or (key plus position past 64 bits)
     through the stable argsort: the mask is ``np.unique``'s first
     indices either way, and ``keys`` is only scratch."""
     rng = np.random.default_rng([bound % 9973, count])
@@ -210,12 +225,106 @@ def test_symmetrize_equals_oracle(num_nodes, num_edges, data):
 
 
 # ----------------------------------------------------------------------
+# The R-MAT sampler: any slice count gives the one-thread arrays
+# ----------------------------------------------------------------------
+def sampler_probabilities(family):
+    """The ``(a, b, c)`` the family's generator hands ``_rmat_edges``."""
+    seen = []
+    real = generators._rmat_edges
+
+    def spy(scale, num_edges, rng, a, b, c):
+        seen.append((a, b, c))
+        return real(scale, num_edges, rng, a, b, c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generators, "_rmat_edges", spy)
+        GRAPH_FAMILIES[family](2)
+    (probabilities,) = seen
+    return probabilities
+
+
+@pytest.mark.parametrize("slices", [1, 2, 3, 7])
+@pytest.mark.parametrize("family", ["kron", "rmat"])
+def test_rmat_sampler_equals_oracle(family, slices, monkeypatch):
+    """Every element reads the same stream position however the edges
+    are sliced — none, one or several edges per slice, or more slices
+    than edges — and the stream is left where the one-thread sampler
+    leaves it, a buffered 32-bit half included."""
+    probabilities = sampler_probabilities(family)
+    monkeypatch.setattr(generators, "_usable_cores", lambda: slices)
+    monkeypatch.setattr(generators, "_THREADED_EDGES", 0)
+    for scale in range(1, 13):
+        for num_edges in (0, 1, 2, 5, 6, 7, 999, 4097):
+            for buffered in (False, True):
+                streams = [np.random.default_rng([scale, num_edges])
+                           for _ in range(2)]
+                if buffered:
+                    for rng in streams:
+                        rng.integers(0, 10, dtype=np.uint32)
+                got_rng, want_rng = streams
+                got = generators._rmat_edges(scale, num_edges, got_rng,
+                                             *probabilities)
+                want = oracles.rmat_edges(scale, num_edges, want_rng,
+                                          *probabilities)
+                what = (scale, num_edges, buffered)
+                assert_same_array(got[0], want[0], ("src",) + what)
+                assert_same_array(got[1], want[1], ("dst",) + what)
+                for dtype in (np.uint32, np.int64):
+                    assert_same_array(got_rng.integers(1, 64, 3, dtype),
+                                      want_rng.integers(1, 64, 3, dtype),
+                                      ("next draw",) + what)
+
+
+def test_rmat_sampler_slices_by_core_count(monkeypatch):
+    """One slice per usable core from ``_THREADED_EDGES`` edges on, one
+    below: the ids are the oracle's either way."""
+    slices = []
+    real = generators._sample_slice
+
+    def spy(*args):
+        slices.append(len(args[4]))
+        real(*args)
+
+    monkeypatch.setattr(generators, "_sample_slice", spy)
+    monkeypatch.setattr(generators, "_usable_cores", lambda: 3)
+    for num_edges, want in ((generators._THREADED_EDGES - 1, 1),
+                            (generators._THREADED_EDGES, 3)):
+        slices.clear()
+        got = generators._rmat_edges(4, num_edges,
+                                     np.random.default_rng(1), 0.5, 0.2, 0.2)
+        assert len(slices) == want and sum(slices) == num_edges
+        ref = oracles.rmat_edges(4, num_edges, np.random.default_rng(1),
+                                 0.5, 0.2, 0.2)
+        assert_same_array(got[0], ref[0], num_edges)
+        assert_same_array(got[1], ref[1], num_edges)
+
+
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_rmat_sampler_raises_when_a_thread_fails(monkeypatch):
+    real = generators._sample_slice
+
+    def failing_off_the_main_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError
+        real(*args)
+
+    monkeypatch.setattr(generators, "_sample_slice",
+                        failing_off_the_main_thread)
+    monkeypatch.setattr(generators, "_usable_cores", lambda: 2)
+    with pytest.raises(RuntimeError, match="sampling thread failed"):
+        generators._rmat_edges(4, generators._THREADED_EDGES,
+                               np.random.default_rng(1), 0.5, 0.2, 0.2)
+
+
+# ----------------------------------------------------------------------
 # Generators, symmetrize, transpose, and their partitions
 # ----------------------------------------------------------------------
 def reference_graph(family, scale, seed, weights, monkeypatch):
-    """The family's generator with the reference CSR builder, and the
-    reference symmetrize."""
+    """The family's generator with the reference sampler and CSR
+    builder, and the reference symmetrize."""
     with monkeypatch.context() as patch:
+        patch.setattr(generators, "_rmat_edges", oracles.rmat_edges)
         patch.setattr(CsrGraph, "from_edges", staticmethod(oracles.from_edges))
         graph = GRAPH_FAMILIES[family](scale, seed=seed, weights=weights)
         return graph, oracles.symmetrize(graph), graph.transpose()
