@@ -88,7 +88,6 @@ class KCore(VertexProgram):
 
     def apply_reduce(self, state, ids, values):
         np.add.at(state["removals"], ids, values.astype(np.int64))
-        return np.zeros(len(ids), dtype=bool)
 
     def reset_after_reduce_send(self, state, ids) -> None:
         state["removals"][ids] = 0

@@ -46,12 +46,13 @@ class PageRank(VertexProgram):
         self._num_nodes = graph.num_nodes
         n = graph.num_nodes
         outdeg = np.diff(graph.indptr)[lg.global_ids].astype(np.float64)
-        rank = np.full(lg.num_local, 1.0 / n, dtype=np.float64)
         safe = np.maximum(outdeg, 1.0)
+        # Only masters read ``rank`` and ``outdeg`` after this: a mirror's
+        # contrib arrives by broadcast from here on.
         return {
-            "rank": rank,
-            "outdeg": outdeg,
-            "contrib": np.where(outdeg > 0, rank / safe, 0.0),
+            "rank": np.full(lg.num_masters, 1.0 / n, dtype=np.float64),
+            "outdeg": outdeg[: lg.num_masters].copy(),
+            "contrib": np.where(outdeg > 0, (1.0 / n) / safe, 0.0),
             "partial": np.zeros(lg.num_local, dtype=np.float64),
             "active": np.ones(lg.num_local, dtype=bool),
         }
@@ -60,36 +61,20 @@ class PageRank(VertexProgram):
         return state["active"].copy()
 
     def compute(self, lg: LocalGraph, state, active: np.ndarray) -> ComputeResult:
-        contrib = state["contrib"]
-        partial = state["partial"]
-        src = lg.edge_sources()
-        dst = state.get("_pr_dst")
-        if dst is None:
-            # np.bincount copies a read-only operand on every call (it
-            # asks NumPy for a writeable array), and the arrays of a
-            # resident partition are read-only: make that copy once.
-            dst = lg.indices
-            if not dst.flags.writeable:
-                dst = dst.copy()
-            state["_pr_dst"] = dst
-        if len(dst) == 0:
+        if lg.num_edges == 0:
             return ComputeResult(np.empty(0, dtype=np.int64), 0, lg.num_local)
         # partial is provably all-zero here (masters reset in post_reduce,
         # shipped mirrors in reset_after_reduce_send, and every position
-        # the edge scan touches is shipped), so the scatter-add over the
-        # static edge list is a bincount — same element order, same
-        # float additions, bit-identical result at a fraction of the cost
-        # of np.add.at.  The touched-vertex set is static too — the
-        # sorted unique values of lg.indices, i.e. the nonzero bins of
-        # an integer bincount — computed once and cached.
-        partial += np.bincount(dst, weights=contrib[src],
-                               minlength=partial.size)
-        updated = state.get("_pr_updated")
-        if updated is None:
-            updated = state["_pr_updated"] = np.flatnonzero(
-                np.bincount(dst)
-            ).astype(np.int64)
-        return ComputeResult(updated, int(len(dst)), int(lg.num_local))
+        # the edge scan touches is shipped), and ``np.add.at`` adds each
+        # edge's contribution in edge order, so every bin holds the same
+        # float sum a bincount of the edge list gives.  ``contrib`` is
+        # expanded per edge by degree (edges are grouped by source), and
+        # the frozen ``lg.indices`` is read in place.  The touched set is
+        # the static edge-target set.
+        np.add.at(state["partial"], lg.indices,
+                  np.repeat(state["contrib"], np.diff(lg.indptr)))
+        return ComputeResult(np.flatnonzero(lg.is_edge_dst), lg.num_edges,
+                             lg.num_local)
 
     # -- reduce (add) -----------------------------------------------------
     def reduce_values(self, state, ids):
@@ -99,7 +84,6 @@ class PageRank(VertexProgram):
         # ids within one blob are unique (np.where output), so the fancy
         # in-place add is exactly np.add.at, without its per-element loop.
         state["partial"][ids] += values
-        return np.ones(len(ids), dtype=bool)
 
     def reset_after_reduce_send(self, state, ids) -> None:
         state["partial"][ids] = 0.0
@@ -107,13 +91,11 @@ class PageRank(VertexProgram):
     def post_reduce(self, lg: LocalGraph, state) -> np.ndarray:
         n = self._num_nodes
         masters = slice(0, lg.num_masters)
-        rank = state["rank"]
         partial = state["partial"]
         new_rank = (1.0 - self.damping) / n + self.damping * partial[masters]
-        delta = np.abs(new_rank - rank[masters])
-        changed = delta > self.tol
-        rank[masters] = new_rank
-        outdeg = state["outdeg"][masters]
+        changed = np.abs(new_rank - state["rank"]) > self.tol
+        state["rank"] = new_rank
+        outdeg = state["outdeg"]
         safe = np.maximum(outdeg, 1.0)
         state["contrib"][masters] = np.where(outdeg > 0, new_rank / safe, 0.0)
         partial[masters] = 0.0
@@ -125,9 +107,7 @@ class PageRank(VertexProgram):
         return state["contrib"][ids]
 
     def apply_bcast(self, state, ids, values):
-        before = state["contrib"][ids]
         state["contrib"][ids] = values
-        return values != before
 
     def next_active(self, lg: LocalGraph, state) -> np.ndarray:
         # Topology-driven: rounds continue while any master anywhere moved
@@ -143,7 +123,7 @@ class PageRank(VertexProgram):
         return float(np.count_nonzero(active[: lg.num_masters]))
 
     def extract_masters(self, lg: LocalGraph, state) -> np.ndarray:
-        return state["rank"][: lg.num_masters]
+        return state["rank"]
 
     # -- reference ------------------------------------------------------------
     def reference(self, graph: CsrGraph, rounds: int = None, **kwargs) -> np.ndarray:

@@ -93,8 +93,12 @@ class VertexProgram:
         """Values mirrors ship to masters for local ids ``ids``."""
         raise NotImplementedError
 
-    def apply_reduce(self, state, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Combine mirror values into masters; returns changed mask."""
+    def apply_reduce(self, state, ids: np.ndarray,
+                     values: np.ndarray) -> Optional[np.ndarray]:
+        """Combine mirror values into masters.  Returns the changed mask,
+        aligned with ``ids``, which the engine reads only when
+        ``label_is_broadcast_field``: those masters broadcast this round.
+        Other programs return ``None``."""
         raise NotImplementedError
 
     def reset_after_reduce_send(self, state, ids: np.ndarray) -> None:
@@ -110,8 +114,10 @@ class VertexProgram:
         """Values masters ship to mirrors."""
         raise NotImplementedError
 
-    def apply_bcast(self, state, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Install master values at mirrors; returns changed mask."""
+    def apply_bcast(self, state, ids: np.ndarray,
+                    values: np.ndarray) -> Optional[np.ndarray]:
+        """Install master values at mirrors.  The engine never reads what
+        it returns (the min programs reuse ``apply_reduce`` here)."""
         raise NotImplementedError
 
     # -- activeness / termination ------------------------------------------
@@ -228,7 +234,7 @@ def min_relax(
         return ComputeResult(
             np.empty(0, dtype=np.int64), 0, len(active_ids)
         )
-    src = lg.edge_sources()[edge_sel]
+    src = np.repeat(active_ids, degs[active_ids])
     updated = scatter_min(label, dst, cand_fn(src, edge_sel))
     columns = 1 if label.ndim == 1 else label.shape[1]
     return ComputeResult(

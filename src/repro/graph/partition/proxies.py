@@ -37,6 +37,8 @@ class LocalGraph:
 
     Local node ids: masters occupy ``[0, num_masters)``, mirrors follow —
     both in ascending global-id order.  The CSR arrays are over local ids.
+    ``edge_sources`` only marks ``is_edge_src``: each edge's local source,
+    or any array of the same ids.
     """
 
     def __init__(
@@ -61,10 +63,6 @@ class LocalGraph:
         self.is_edge_dst = np.zeros(len(global_ids), dtype=bool)
         self.is_edge_src[edge_sources] = True
         self.is_edge_dst[indices] = True
-        #: Each edge's local source, aligned with ``indices`` — what the
-        #: builder sorted the edges by, so it is handed over, not rebuilt
-        #: from ``indptr``.
-        self._src_cache = edge_sources
 
     @property
     def num_local(self) -> int:
@@ -79,7 +77,13 @@ class LocalGraph:
         return len(self.indices)
 
     def edge_sources(self) -> np.ndarray:
-        return self._src_cache
+        """Each edge's local source, aligned with ``indices``: derived
+        from ``indptr`` on every call, since no round keeps one per edge,
+        and read-only like the arrays of a resident partition."""
+        sources = np.repeat(np.arange(self.num_local, dtype=np.int64),
+                            np.diff(self.indptr))
+        sources.setflags(write=False)
+        return sources
 
     def __repr__(self) -> str:
         return (
@@ -157,7 +161,7 @@ class Partition:
             arrays = [self.owner]
             for lg in self.locals:
                 arrays += [lg.global_ids, lg.indptr, lg.indices, lg.edge_data,
-                           lg.is_edge_src, lg.is_edge_dst, lg.edge_sources()]
+                           lg.is_edge_src, lg.is_edge_dst]
             for pairs in (self.reduce_pairs, self.bcast_pairs):
                 for sp in pairs.values():
                     arrays += [sp.mirror_ids, sp.master_ids]
@@ -308,12 +312,12 @@ def build_partition(
 def _local_graph(graph, host, all_src, edges, masters, touched, local_id):
     """Host ``host``'s local graph from its ``edges`` (CSR positions,
     ascending) and ``masters`` (ascending global ids).  Its temporaries
-    die when it returns, before the next host starts."""
+    die when it returns, before the next host starts, and at most one
+    |E_h|-sized id array is translated at a time."""
     esrc = all_src[edges]
-    edst = graph.indices[edges]
     num_masters = len(masters)  # every owned node is a master
     touched[esrc] = True
-    touched[edst] = True
+    touched[graph.indices[edges]] = True
     touched[masters] = False
     mirrors = np.flatnonzero(touched)
     touched[mirrors] = False
@@ -321,23 +325,21 @@ def _local_graph(graph, host, all_src, edges, masters, touched, local_id):
     local_id[global_ids] = np.arange(len(global_ids))
     lsrc = local_id[esrc]
     del esrc
-    ldst = local_id[edst]
-    del edst
+    indptr = group_offsets(lsrc, len(global_ids))
     # Local CSR order is the stable sort by local source.  Edges arrive
     # in ascending global source and local ids ascend with global ids
     # among masters and among mirrors, so that sort is "master-source
     # edges, then mirror-source edges" — the input order itself when no
     # source is a mirror (every edge-cut host).
     from_mirror = lsrc >= num_masters
+    del lsrc
     if from_mirror.any():
-        order = np.concatenate(
-            (np.flatnonzero(~from_mirror), np.flatnonzero(from_mirror))
-        )
-        del from_mirror
-        lsrc, ldst, edges = lsrc[order], ldst[order], edges[order]
-        del order
+        edges = np.concatenate((edges[~from_mirror], edges[from_mirror]))
+    del from_mirror
+    ldst = local_id[graph.indices[edges]]
     edata = graph.edge_data[edges] if graph.edge_data is not None else None
+    # A node is an edge source exactly where its degree is positive.
     return LocalGraph(
-        host, global_ids, num_masters, group_offsets(lsrc, len(global_ids)),
-        ldst, lsrc, edata,
+        host, global_ids, num_masters, indptr, ldst,
+        np.flatnonzero(np.diff(indptr)), edata,
     )

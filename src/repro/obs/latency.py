@@ -45,6 +45,12 @@ class LatencySummary:
             return cls(count=0, p50=0.0, p95=0.0, p99=0.0,
                        min=0.0, max=0.0, mean=0.0)
         ordered = sorted(float(v) for v in values)
+        # Left to right in plain float adds, as builtin ``sum`` did before
+        # Python 3.12 compensated it: the mean's bits are the same on
+        # every interpreter.
+        total = 0.0
+        for value in ordered:
+            total += value
         return cls(
             count=len(ordered),
             p50=percentile_nearest_rank(ordered, 50),
@@ -52,7 +58,7 @@ class LatencySummary:
             p99=percentile_nearest_rank(ordered, 99),
             min=ordered[0],
             max=ordered[-1],
-            mean=sum(ordered) / len(ordered),
+            mean=total / len(ordered),
         )
 
     def as_dict(self) -> dict:

@@ -43,7 +43,6 @@ from repro.engine.vertex_program import (
     apply_min,
     at_columns,
     min_relax,
-    sorted_unique,
 )
 from repro.graph.csr import CsrGraph
 from repro.graph.partition.proxies import LocalGraph
@@ -180,16 +179,16 @@ class MultiSourcePageRank(VertexProgram):
         outdeg = np.diff(graph.indptr)[lg.global_ids].astype(np.float64)
         safe = np.maximum(outdeg, 1.0)
         rank = np.zeros((lg.num_local, K), dtype=np.float64)
-        teleport = np.zeros((lg.num_local, K), dtype=np.float64)
         for col, src in enumerate(self.sources):
-            sel = lg.global_ids == src
-            rank[sel, col] = 1.0
-            teleport[sel, col] = 1.0 - self.damping
+            rank[lg.global_ids == src, col] = 1.0
         contrib = np.where(outdeg[:, None] > 0, rank / safe[:, None], 0.0)
+        # Only masters read ``rank``, ``teleport`` and ``outdeg`` after
+        # this: a mirror's contrib arrives by broadcast from here on.
+        rank = rank[: lg.num_masters].copy()
         return {
             "rank": rank,
-            "teleport": teleport,
-            "outdeg": outdeg,
+            "teleport": np.where(rank > 0, 1.0 - self.damping, 0.0),
+            "outdeg": outdeg[: lg.num_masters].copy(),
             "contrib": contrib,
             "partial": np.zeros((lg.num_local, K), dtype=np.float64),
         }
@@ -198,20 +197,16 @@ class MultiSourcePageRank(VertexProgram):
         return np.ones(lg.num_local, dtype=bool)
 
     def compute(self, lg: LocalGraph, state, active: np.ndarray) -> ComputeResult:
-        contrib = state["contrib"]
-        partial = state["partial"]
-        src = lg.edge_sources()
-        dst = lg.indices
-        if len(dst) == 0:
+        if lg.num_edges == 0:
             return ComputeResult(np.empty(0, dtype=np.int64), 0, lg.num_local)
-        at_columns(np.add, partial, dst, contrib[src])
-        # The touched set is the static edge-target set: once per state,
-        # as Pagerank.compute keeps its own.
-        updated = state.get("_ppr_updated")
-        if updated is None:
-            updated = state["_ppr_updated"] = sorted_unique(dst, lg.num_local)
+        # Rows of ``contrib`` expanded per edge by degree, as
+        # PageRank.compute does; the touched set is the static
+        # edge-target set.
+        at_columns(np.add, state["partial"], lg.indices,
+                   np.repeat(state["contrib"], np.diff(lg.indptr), axis=0))
         return ComputeResult(
-            updated, int(len(dst)) * self.num_sources, int(lg.num_local)
+            np.flatnonzero(lg.is_edge_dst), lg.num_edges * self.num_sources,
+            lg.num_local,
         )
 
     # -- reduce (add) -----------------------------------------------------
@@ -220,21 +215,17 @@ class MultiSourcePageRank(VertexProgram):
 
     def apply_reduce(self, state, ids, values):
         at_columns(np.add, state["partial"], ids, values)
-        return np.ones(len(ids), dtype=bool)
 
     def reset_after_reduce_send(self, state, ids) -> None:
         state["partial"][ids] = 0.0
 
     def post_reduce(self, lg: LocalGraph, state) -> np.ndarray:
         masters = slice(0, lg.num_masters)
-        rank = state["rank"]
         partial = state["partial"]
-        new_rank = (
-            state["teleport"][masters] + self.damping * partial[masters]
-        )
-        changed = np.any(new_rank != rank[masters], axis=1)
-        rank[masters] = new_rank
-        outdeg = state["outdeg"][masters]
+        new_rank = state["teleport"] + self.damping * partial[masters]
+        changed = np.any(new_rank != state["rank"], axis=1)
+        state["rank"] = new_rank
+        outdeg = state["outdeg"]
         safe = np.maximum(outdeg, 1.0)
         state["contrib"][masters] = np.where(
             outdeg[:, None] > 0, new_rank / safe[:, None], 0.0
@@ -247,9 +238,7 @@ class MultiSourcePageRank(VertexProgram):
         return state["contrib"][ids]
 
     def apply_bcast(self, state, ids, values):
-        before = state["contrib"][ids]
         state["contrib"][ids] = values
-        return np.any(values != before, axis=1)
 
     # -- termination: run the full fixed budget ---------------------------
     def next_active(self, lg: LocalGraph, state) -> np.ndarray:
@@ -261,7 +250,7 @@ class MultiSourcePageRank(VertexProgram):
         return 1.0
 
     def extract_masters(self, lg: LocalGraph, state) -> np.ndarray:
-        return state["rank"][: lg.num_masters]
+        return state["rank"]
 
     # -- reference --------------------------------------------------------
     def reference(self, graph: CsrGraph, **kwargs) -> np.ndarray:

@@ -244,6 +244,19 @@ def ppr_compute(lg, state, num_sources):
     )
 
 
+def pagerank_compute(lg, state):
+    """``PageRank.compute`` as a bincount of a writeable copy of the edge
+    targets, weighted by ``contrib`` gathered at every edge's source."""
+    dst = lg.indices.copy()
+    if len(dst) == 0:
+        return ComputeResult(np.empty(0, dtype=np.int64), 0, lg.num_local)
+    state["partial"] += np.bincount(
+        dst, weights=state["contrib"][lg.edge_sources()],
+        minlength=state["partial"].size,
+    )
+    return ComputeResult(np.unique(dst), int(len(dst)), int(lg.num_local))
+
+
 # ----------------------------------------------------------------------
 # Chained delays
 # ----------------------------------------------------------------------

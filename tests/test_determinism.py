@@ -39,9 +39,8 @@ TRACED_ARGV = ["run", "--app", "bfs", "--graph", "rmat", "--scale", "8",
                "--hosts", "8", "--layer", "mpi-probe"]
 
 #: :func:`pinned_digests` of the document, computed with Python 3.11 and
-#: NumPy 2.4.  Every serve ``mean_us`` is left out: it divides a builtin
-#: ``sum()`` of floats, which Python 3.12 made compensated, so its last
-#: bit may depend on the interpreter; the latencies it averages are in.
+#: NumPy 2.4.  Serve's ``mean_us`` is in: it sums in plain float adds,
+#: left to right, on every interpreter (``LatencySummary.from_values``).
 PINNED_DIGESTS = {
     "abelian/bfs/rmat10@8h/lci":
         "7ac77902fbde3f8dc2c1eb0bbbbf1b0de5f00724dfe38af37adc5c7bba56c7ba",
@@ -54,7 +53,7 @@ PINNED_DIGESTS = {
     "gemini/bfs/rmat10@8h/mpi-probe":
         "19b55da0847a04662043981a8ea2fa3ff8aaf838e2618cade05aff0f839a4cb3",
     "serve":
-        "e944a1278d770c01458cdacfe03fc38fe2cc2e120aff03d69e5a28c23754d54d",
+        "1b76a7ec0b9865ef63dd3fa3f2298b328feea58838df8a6681b3704f784b7a05",
     "traced":
         "0a426591e788f3bbd366bd01950dcd2a94b50d60985b9ac3109887aa89300f1d",
 }
@@ -134,13 +133,8 @@ def first_difference(a: dict, b: dict):
 
 
 def pinned_digests(doc: dict) -> dict:
-    """sha256 of each entry of the document, every ``mean_us`` left out."""
-    def pinned(value):
-        if isinstance(value, dict):
-            return {k: pinned(v) for k, v in value.items() if k != "mean_us"}
-        return value
-
-    return {key: hashlib.sha256(json.dumps(pinned(entry), sort_keys=True)
+    """sha256 of each entry of the document."""
+    return {key: hashlib.sha256(json.dumps(entry, sort_keys=True)
                                 .encode()).hexdigest()
             for key, entry in doc.items()}
 

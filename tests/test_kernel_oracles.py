@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps import Bfs, KCore
+from repro.apps import Bfs, KCore, PageRank
 from repro.apps.bfs import INF
 from repro.engine.vertex_program import at_columns, min_relax, sorted_unique
 from repro.graph.csr import CsrGraph
@@ -20,7 +20,8 @@ from repro.serve.programs import MultiSourceBfs, MultiSourcePageRank
 from tests import oracles
 
 
-def multigraph_locals(seed, num_nodes=60, num_edges=900, hosts=3):
+def multigraph_locals(seed, num_nodes=60, num_edges=900, hosts=3,
+                      frozen=False):
     """Local graphs of a small multigraph: ~15 parallel edges per node
     and no dedup, so every phase hits the same targets many times."""
     rng = np.random.default_rng(seed)
@@ -29,6 +30,8 @@ def multigraph_locals(seed, num_nodes=60, num_edges=900, hosts=3):
     weights = rng.integers(1, 9, size=num_edges)
     graph = CsrGraph.from_edges(src, dst, num_nodes, edge_data=weights)
     part = make_partition(graph, hosts, "cvc")
+    if frozen:
+        part.freeze()
     return graph, [lg for lg in part.locals if lg.num_edges]
 
 
@@ -198,7 +201,7 @@ def test_ppr_compute_and_apply_keep_float_bits(columns):
         contrib = rng.random((lg.num_local, columns))
         for state in states:
             state["contrib"][:] = contrib
-        for _round in range(2):  # the cached touched-set is reused
+        for _round in range(2):  # partial accumulates across the two
             got = app.compute(lg, states[0], None)
             want = oracles.ppr_compute(lg, states[1], columns)
             assert_same_result(got, want)
@@ -208,6 +211,49 @@ def test_ppr_compute_and_apply_keep_float_bits(columns):
         app.apply_reduce(states[0], ids, values)
         np.add.at(states[1]["partial"], ids, values)
         assert states[0]["partial"].tobytes() == states[1]["partial"].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pagerank_compute_keeps_float_bits(seed):
+    """Three rounds of compute, mirrors shipped, post_reduce and a
+    broadcast on a frozen partition, against the bincount oracle."""
+    rng = np.random.default_rng(seed)
+    graph, locals_ = multigraph_locals(seed, frozen=True)
+    for lg in locals_:
+        app = PageRank(tol=0.0)
+        state = app.init_state(lg, graph)
+        degree = np.diff(graph.indptr)[lg.global_ids].astype(float)
+        want = {
+            "contrib": np.where(degree > 0, np.full(
+                lg.num_local, 1.0 / graph.num_nodes) / np.maximum(degree, 1.0),
+                0.0),
+            "partial": np.zeros(lg.num_local),
+        }
+        assert state["contrib"].tobytes() == want["contrib"].tobytes()
+        masters = slice(0, lg.num_masters)
+        mirrors = np.arange(lg.num_masters, lg.num_local)
+        rank = np.full(lg.num_masters, 1.0 / graph.num_nodes)
+        outdeg = degree[masters]
+        for _round in range(3):
+            got = app.compute(lg, state, None)
+            assert_same_result(got, oracles.pagerank_compute(lg, want))
+            assert state["partial"].tobytes() == want["partial"].tobytes()
+            for partial in (state["partial"], want["partial"]):
+                partial[mirrors] = 0.0  # shipped to their masters
+            changed = app.post_reduce(lg, state)
+            new_rank = ((1.0 - app.damping) / graph.num_nodes
+                        + app.damping * want["partial"][masters])
+            assert np.array_equal(
+                changed, np.flatnonzero(np.abs(new_rank - rank) > 0.0))
+            rank = new_rank
+            want["contrib"][masters] = np.where(
+                outdeg > 0, rank / np.maximum(outdeg, 1.0), 0.0)
+            want["partial"][masters] = 0.0
+            assert state["rank"].tobytes() == rank.tobytes()
+            assert state["contrib"].tobytes() == want["contrib"].tobytes()
+            values = rng.random(len(mirrors))
+            app.apply_bcast(state, mirrors, values)
+            want["contrib"][mirrors] = values
 
 
 @pytest.mark.parametrize("columns", [1, 3, 8])

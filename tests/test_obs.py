@@ -368,3 +368,14 @@ def test_cli_chaos_obs(tmp_path, capsys):
     # The fault plan drops packets; the obs stream records the loss.
     stages = {row[1] for row in timeline["events"]}
     assert "dropped" in stages
+
+
+def test_latency_mean_adds_left_to_right():
+    """The mean is the plain float sum, not a compensated one (which
+    Python 3.12's builtin ``sum`` is), so it has the same bits on every
+    interpreter."""
+    from repro.obs.latency import LatencySummary
+
+    summary = LatencySummary.from_values([0.1] * 10)
+    assert summary.mean == 0.9999999999999999 / 10
+    assert summary.mean != 1.0 / 10

@@ -5,12 +5,14 @@ are built once, frozen, shared — and bounded."""
 import numpy as np
 import pytest
 
+from repro.apps import PageRank
 from repro.bench.scenarios import Scenario, build_engine
 from repro.engine.bsp import symmetrize
 from repro.graph.csr import RESIDENT_BOUND
 from repro.graph.generators import rmat
 from repro.graph.partition import make_partition, vertex_cut
 from repro.serve import Query, ServeConfig, ServeEngine
+from repro.serve.programs import MultiSourcePageRank
 
 
 def frozen_rmat(**kwargs):
@@ -175,3 +177,37 @@ def test_frozen_partition_runs_every_app_unchanged():
             results.append((metrics.row(), eng.assemble_global()))
         assert results[0][0] == results[1][0]
         assert np.array_equal(results[0][1], results[1][1])
+
+
+# ----------------------------------------------------------------------
+# What a run keeps
+# ----------------------------------------------------------------------
+def test_a_run_keeps_nothing_per_edge_but_the_edge_lists():
+    """A partition keeps per edge only its targets and edge data; a
+    PageRank state keeps ``rank`` and ``outdeg`` per master and
+    ``contrib``, ``partial`` (and ``active``) per proxy, nothing per edge
+    — also after the rounds ran."""
+    graph = rmat(8, seed=81, weights=True).freeze()
+    sources = [0, 5, 9]
+    for app in (PageRank(max_rounds=3), MultiSourcePageRank(sources, 3)):
+        eng = build_engine(
+            Scenario(app="pagerank", graph="rmat", scale=8, hosts=4,
+                     layer="lci"),
+            app=app, graph=graph,
+        )
+        eng.run()
+        for lg, state in zip(eng.partition.locals, eng.states):
+            assert lg.num_edges not in (lg.num_local, lg.num_masters)
+            per_edge = {name for name, value in vars(lg).items()
+                        if isinstance(value, np.ndarray)
+                        and len(value) == lg.num_edges}
+            assert per_edge == {"indices", "edge_data"}, lg
+            rows = {"rank": lg.num_masters, "outdeg": lg.num_masters,
+                    "contrib": lg.num_local, "partial": lg.num_local}
+            if isinstance(app, PageRank):
+                rows["active"] = lg.num_local
+            else:
+                rows["teleport"] = lg.num_masters
+            arrays = {key: len(value) for key, value in state.items()
+                      if isinstance(value, np.ndarray)}
+            assert arrays == rows

@@ -12,7 +12,10 @@ is below what the builders measured when they stacked five to nine
 (sampling, weights, ``from_edges``) over the graph it returns; its
 high-water mark is ``from_edges`` with both id columns still alive, which
 the sampler's own buffers (two id columns, the draws, two byte flags)
-stay under:
+stay under.  A partition's bytes count only what it keeps: since it
+stopped storing per-edge sources its measured multiples rose (cvc on 4
+hosts 0.44 → 0.51) while its transient fell (2.67 → 2.25 MiB), because
+each host now drops its local sources before translating its targets:
 
 ========================  ========  ==========  ==========
 builder                   measured  bound       stacked
@@ -20,10 +23,10 @@ builder                   measured  bound       stacked
 rmat(14, weights=True)    2.41      3.3         4.72
 from_edges(dedup=True)    0.68      1.0         2.99
 symmetrize                1.18      1.6         4.62
-cvc, 4 hosts              0.44      0.7         1.76
-edge-cut, 4 hosts         0.29      0.5         0.99
-cvc, 128 hosts            0.07      0.2         1.03
-edge-cut, 128 hosts       0.05      0.2         0.46
+cvc, 4 hosts              0.51      0.7         1.76
+edge-cut, 4 hosts         0.37      0.5         0.99
+cvc, 128 hosts            0.09      0.2         1.03
+edge-cut, 128 hosts       0.06      0.2         0.46
 ========================  ========  ==========  ==========
 """
 
@@ -62,7 +65,7 @@ def partition_bytes(part):
     arrays = [part.owner]
     for lg in part.locals:
         arrays += [lg.global_ids, lg.indptr, lg.indices, lg.edge_data,
-                   lg.is_edge_src, lg.is_edge_dst, lg.edge_sources()]
+                   lg.is_edge_src, lg.is_edge_dst]
     for pairs in (part.reduce_pairs, part.bcast_pairs):
         for sp in pairs.values():
             arrays += [sp.mirror_ids, sp.master_ids]

@@ -25,7 +25,7 @@ from tests import oracles
 HOSTS = (1, 2, 3, 4, 7, 8, 16, 32, 128)
 POLICIES = ("cvc", "edge-cut")
 LOCAL_ARRAYS = ("global_ids", "indptr", "indices", "edge_data",
-                "is_edge_src", "is_edge_dst", "_src_cache")
+                "is_edge_src", "is_edge_dst")
 
 
 def assert_same_array(got, want, what):
@@ -50,6 +50,8 @@ def assert_same_partition(got, want):
         for field in LOCAL_ARRAYS:
             assert_same_array(getattr(a, field), getattr(b, field),
                               f"host {a.host} {field}")
+        assert_same_array(a.edge_sources(), b.edge_sources(),
+                          f"host {a.host} edge_sources()")
     for kind in ("reduce_pairs", "bcast_pairs"):
         pairs, ref = getattr(got, kind), getattr(want, kind)
         assert list(pairs) == list(ref), f"{kind} key order"
@@ -374,8 +376,8 @@ def test_arbitrary_assignments_equal_oracle(hosts):
             oracles.build_partition(graph, hosts, owner, edge_owner, "random"),
         )
         for lg in got.locals:
-            # the builder hands over its sorted local sources; they must
-            # be exactly what ``indptr`` says
+            # the sources are derived from ``indptr``; they must be each
+            # edge's local source in CSR order
             assert_same_array(lg.edge_sources(), np.repeat(
                 np.arange(lg.num_local, dtype=np.int64), np.diff(lg.indptr),
             ), f"{dtype.__name__}: host {lg.host} edge sources")
